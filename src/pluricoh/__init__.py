@@ -13,6 +13,7 @@ from .blowup import (
     PointFileError,
     SamplingBudgetError,
     achievable_dims,
+    blowup_row,
     generate_configuration,
     h0_blowup,
     h1_2K,
@@ -37,18 +38,20 @@ from .hirzebruch import (
     dim_enumerated,
     dim_formula,
     h1_pluricanonical_formula,
+    hirzebruch_row,
     section_basis,
 )
 from .surface_invariants import (
+    CohomologyRow,
     SurfaceInvariants,
     h1_from_rr,
-    h2_via_serre,
     invariants_blowup_p2,
     invariants_hirzebruch,
 )
 
 __all__ = [
     "BlowupFamilyReport",
+    "CohomologyRow",
     "FiberReportRow",
     "FormulaEvaluation",
     "HirzebruchSurface",
@@ -63,6 +66,7 @@ __all__ = [
     "SurfaceInvariants",
     "achievable_dims",
     "binomial",
+    "blowup_row",
     "dim_enumerated",
     "dim_formula",
     "fiber_surface",
@@ -71,7 +75,7 @@ __all__ = [
     "h1_2K",
     "h1_from_rr",
     "h1_pluricanonical_formula",
-    "h2_via_serre",
+    "hirzebruch_row",
     "invariants_blowup_p2",
     "invariants_hirzebruch",
     "jet_matrix",

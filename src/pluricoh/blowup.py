@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import RatMatrix, Rational, binomial, rank
-from .surface_invariants import h1_from_rr, h2_via_serre, invariants_blowup_p2
+from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
@@ -296,18 +296,25 @@ def achievable_dims(
     return sorted(witnesses.items())
 
 
+def blowup_row(config: PointConfiguration, k: int) -> CohomologyRow:
+    """The cohomology row of power k on a plane blow-up, from one jet rank."""
+    if config.n != 2:
+        raise ValueError("cohomology rows are implemented for blow-ups of the plane only")
+    return cohomology_row(k, h0_blowup(config, k), invariants_blowup_p2(config.v), PROV_RANK)
+
+
 def h1_2K(config: PointConfiguration) -> int:
     """h1 of the second canonical power on the blow-up of the plane.
 
-    Chains Serre duality (h2(2K) = h0(-K)) and Riemann-Roch; algebraically
-    this collapses to h0(-K) + v - 10, with the identity's nonnegativity
-    check still applied.
+    The h1 column of the k = 1 row: Serre duality (h2(2K) = h0(-K)) and
+    Riemann-Roch collapse to h0(-K) + v - 10.
     """
-    if config.n != 2:
-        raise ValueError("h1(2K) is implemented for blow-ups of the plane only")
-    h0 = h0_blowup(config, 1)
-    h2 = h2_via_serre(2, h0)
-    return h1_from_rr(2, 0, h2, invariants_blowup_p2(config.v))
+    return blowup_row(config, 1).h1_kp1K
+
+
+def h1_2K_range(v: int) -> tuple[int, int]:
+    """Admissible window of h1(2K) for v points; v <= 4 forces h0(-K) = 10 - v, so 0."""
+    return (max(0, v - 10), v - 4) if v >= 5 else (0, 0)
 
 
 def parse_point_file(text: str) -> PointConfiguration:
@@ -326,16 +333,15 @@ def parse_point_file(text: str) -> PointConfiguration:
             point = tuple(Fraction(token) for token in line.split())
         except (ValueError, ZeroDivisionError) as exc:
             raise PointFileError(f"line {lineno}: {exc}") from None
+        if coords and len(point) != len(coords[0]):
+            raise PointFileError(
+                f"line {lineno}: inconsistent coordinate count: "
+                f"expected {len(coords[0])}, got {len(point)}"
+            )
         coords.append(point)
     if not coords:
         raise PointFileError("no points found in file")
-    arity = len(coords[0])
-    for lineno_offset, point in enumerate(coords):
-        if len(point) != arity:
-            raise PointFileError(
-                f"inconsistent coordinate count: expected {arity}, got {len(point)}"
-            )
     try:
-        return PointConfiguration(n=arity, points=tuple(coords))
+        return PointConfiguration(n=len(coords[0]), points=tuple(coords))
     except ValueError as exc:
         raise PointFileError(str(exc)) from None

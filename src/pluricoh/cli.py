@@ -22,59 +22,60 @@ from pathlib import Path
 
 from . import __version__
 from .blowup import (
+    blowup_row,
     generate_configuration,
-    h1_2K,
-    jet_matrix,
+    h0_blowup,
+    h1_2K_range,
     monomial_count,
     parse_point_file,
 )
-from .exact_linalg import rank
+# Unused here; perfbench/tests checks that its tracer wraps this binding too.
+from .exact_linalg import rank  # noqa: F401
 from .family import KodairaFamily, noninvariance_report_blowup, noninvariance_report_hirzebruch
 from .hirzebruch import (
     HirzebruchSurface,
     RegimeError,
-    dim_enumerated,
     dim_formula,
     h1_pluricanonical_formula,
+    hirzebruch_row,
     section_basis,
 )
 from .selfcheck import run_selfcheck
-from .surface_invariants import h1_from_rr, h2_via_serre, invariants_hirzebruch
+from .surface_invariants import PROV_ENUMERATION, PROV_FORMULA, PROV_INPUT, PROV_RANK, CohomologyRow
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
 EXIT_USAGE = 2
-
-PROV_ENUMERATION = "enumeration"
-PROV_FORMULA = "closed_formula"
-PROV_RANK = "rank"
-PROV_RR_CHAIN = "rr_chain"
-PROV_SERRE = "serre"
-PROV_AXIOM = "plurigenus_axiom"
-PROV_INPUT = "input"
 
 
 @dataclass
 class OutputRecord:
     command: str
     parameters: dict
-    results: dict
-    provenance: dict[str, str]
+    results: dict = field(default_factory=dict)
+    provenance: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "results": self.results,
-            "provenance": self.provenance,
-            "warnings": self.warnings,
-        }
+    def put(self, key: str, value, tag: str | None = None) -> None:
+        """Report one result; `tag` names the computation path behind a number."""
+        self.results[key] = value
+        if tag is not None:
+            self.provenance[key] = tag
+
+    def put_row(self, row: CohomologyRow, names: dict[str, str]) -> None:
+        """Report row fields under output names, each with the row's own tag."""
+        for column, key in names.items():
+            self.put(key, getattr(row, column), row.provenance[column])
+
+    def put_rows(self, rows: list[dict], **tags: str) -> None:
+        """Report a table; `tags` gives the provenance of its numeric columns."""
+        self.results["rows"] = rows
+        self.provenance.update(tags)
 
 
 def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record.to_dict(), indent=2) + "\n"
+        return json.dumps(vars(record), indent=2) + "\n"
     if fmt == "csv":
         return _render_csv(record)
     return _render_table(record)
@@ -121,66 +122,51 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.k < 1:
         raise ValueError("--k must be positive")
     surface = HirzebruchSurface(args.m)
-    results: dict = {}
-    provenance: dict[str, str] = {}
-    warnings: list[str] = []
+    record = OutputRecord("hirzebruch", {"m": args.m, "k": args.k, "basis": bool(args.basis)})
     failures: list[str] = []
 
-    enum = dim_enumerated(surface, args.k)
-    results["dim_enumerated"] = enum
-    provenance["dim_enumerated"] = PROV_ENUMERATION
+    row = hirzebruch_row(surface, args.k)
+    enum = row.h0_minus_kK
+    record.put_row(row, {"h0_minus_kK": "dim_enumerated"})
 
     if args.m >= 1:
         evaluated = dim_formula(surface, args.k)
-        results["dim_formula"] = evaluated.value
-        results["formula_in_regime"] = evaluated.in_regime
-        provenance["dim_formula"] = PROV_FORMULA
+        record.put("dim_formula", evaluated.value, PROV_FORMULA)
+        record.put("formula_in_regime", evaluated.in_regime)
         if evaluated.in_regime and evaluated.value != enum:
             failures.append(
                 f"closed formula {evaluated.value} != enumeration {enum} in regime"
             )
         if not evaluated.in_regime:
-            warnings.append(
+            record.warnings.append(
                 f"closed formula out of regime at m={args.m}: value {evaluated.value} "
                 f"overcounts enumeration {enum}; enumeration is ground truth"
             )
     else:
-        warnings.append("product surface (m = 0): closed formula undefined, enumeration only")
+        record.warnings.append("product surface (m = 0): closed formula undefined, enumeration only")
 
-    h2 = h2_via_serre(args.k, dim_enumerated(surface, args.k - 1))
-    h1_chain = h1_from_rr(args.k, 0, h2, invariants_hirzebruch(args.m))
-    results["h2_kK"] = h2
-    results["h1_kK_rr_chain"] = h1_chain
-    provenance["h2_kK"] = PROV_SERRE
-    provenance["h1_kK_rr_chain"] = PROV_RR_CHAIN
+    # h2(kK) and h1(kK) are columns of the row of the previous power.
+    previous = hirzebruch_row(surface, args.k - 1)
+    h1_chain = previous.h1_kp1K
+    record.put_row(previous, {"h2_kp1K": "h2_kK", "h1_kp1K": "h1_kK_rr_chain"})
     try:
         h1_closed = h1_pluricanonical_formula(surface, args.k)
-        results["h1_kK_closed_form"] = h1_closed
-        provenance["h1_kK_closed_form"] = PROV_FORMULA
+        record.put("h1_kK_closed_form", h1_closed, PROV_FORMULA)
         if h1_closed != h1_chain:
             failures.append(f"h1 closed form {h1_closed} != Riemann-Roch chain {h1_chain}")
     except RegimeError:
-        warnings.append(
+        record.warnings.append(
             "closed h1 form out of regime; reporting the Riemann-Roch chain value only"
         )
 
     if args.basis:
         basis = section_basis(surface, args.k)
-        results["section_basis"] = [[i, bound] for i, bound in basis.terms]
-        results["section_basis_dimension"] = basis.dimension
-        provenance["section_basis"] = PROV_ENUMERATION
-        provenance["section_basis_dimension"] = PROV_ENUMERATION
+        record.put("section_basis", [[i, bound] for i, bound in basis.terms], PROV_ENUMERATION)
+        record.put("section_basis_dimension", basis.dimension, PROV_ENUMERATION)
         if basis.dimension != enum:
             failures.append(f"basis dimension {basis.dimension} != enumeration {enum}")
 
-    warnings.extend(f"cross-check failed: {failure}" for failure in failures)
-    record = OutputRecord(
-        command="hirzebruch",
-        parameters={"m": args.m, "k": args.k, "basis": bool(args.basis)},
-        results=results,
-        provenance=provenance,
-        warnings=warnings,
-    )
+    record.warnings.extend(f"cross-check failed: {failure}" for failure in failures)
     return record, EXIT_CROSSCHECK if failures else EXIT_OK
 
 
@@ -201,50 +187,35 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.k < 1:
         raise ValueError("--k must be positive")
     config, source = _load_blowup_config(args)
-    jet = jet_matrix(config, args.k)
-    jet_rank = rank(jet.matrix)
+    # The cohomology row exists for the plane; higher spaces report h0 only.
+    row = blowup_row(config, args.k) if config.n == 2 else None
+    h0 = row.h0_minus_kK if row else h0_blowup(config, args.k)
     count = monomial_count(config.n, args.k)
-    h0 = count - jet_rank
 
-    results: dict = {
-        "v": config.v,
-        "n": config.n,
-        "monomial_count": count,
-        "jet_rank": jet_rank,
-        "h0_minus_kK": h0,
-    }
-    provenance = {
-        "v": PROV_INPUT,
-        "n": PROV_INPUT,
-        "monomial_count": PROV_ENUMERATION,
-        "jet_rank": PROV_RANK,
-        "h0_minus_kK": PROV_RANK,
-    }
-    warnings: list[str] = []
-    failures: list[str] = []
-    if config.n == 2 and args.k == 1:
-        h2 = h2_via_serre(2, h0)
-        h1 = h1_2K(config)
-        results["h2_2K"] = h2
-        results["h1_2K"] = h1
-        provenance["h2_2K"] = PROV_SERRE
-        provenance["h1_2K"] = PROV_RR_CHAIN
-        v = config.v
-        low, high = (max(0, v - 10), v - 4) if v >= 5 else (0, 0)
-        if not low <= h1 <= high:
-            failures.append(f"h1(2K) = {h1} outside the admissible range [{low}, {high}]")
+    points = [[str(c) for c in point] for point in config.points]
+    record = OutputRecord("blowup", {"k": args.k, **source, "points": points})
+    record.put("v", config.v, PROV_INPUT)
+    record.put("n", config.n, PROV_INPUT)
+    record.put("monomial_count", count, PROV_ENUMERATION)
+    record.put("jet_rank", count - h0, PROV_RANK)
+    record.put("h0_minus_kK", h0, PROV_RANK)
+    code = EXIT_OK
+    if row and args.k == 1:
+        record.put_row(row, {"h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"})
+        low, high = h1_2K_range(config.v)
+        if not low <= row.h1_kp1K <= high:
+            record.warnings.append(
+                f"cross-check failed: h1(2K) = {row.h1_kp1K} "
+                f"outside the admissible range [{low}, {high}]"
+            )
+            code = EXIT_CROSSCHECK
+    return record, code
 
-    warnings.extend(f"cross-check failed: {failure}" for failure in failures)
-    parameters = {"k": args.k, **source}
-    parameters["points"] = [[str(c) for c in point] for point in config.points]
-    record = OutputRecord(
-        command="blowup",
-        parameters=parameters,
-        results=results,
-        provenance=provenance,
-        warnings=warnings,
-    )
-    return record, EXIT_CROSSCHECK if failures else EXIT_OK
+
+def _columns(report) -> tuple[dict, dict[str, str]]:
+    """The values of a family report and the provenance tags it carries."""
+    values = asdict(report)
+    return values, dict(values.pop("provenance"))
 
 
 def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
@@ -252,21 +223,13 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         if args.m is None or args.ell is None:
             raise ValueError("--kodaira requires --m and --ell")
         rows = noninvariance_report_hirzebruch(KodairaFamily(args.m, args.ell), args.kmax)
-        row_dicts = [asdict(row) for row in rows]
         jump_found = any(row.jump for row in rows)
-        results = {"rows": row_dicts, "jump_found": jump_found}
-        provenance = {
-            "k": PROV_INPUT,
-            "h0_minus_kK_central": PROV_ENUMERATION,
-            "h0_minus_kK_general": PROV_ENUMERATION,
-            "h0_kp1K_central": PROV_AXIOM,
-            "h0_kp1K_general": PROV_AXIOM,
-            "h2_kp1K_central": PROV_SERRE,
-            "h2_kp1K_general": PROV_SERRE,
-            "h1_kp1K_central": PROV_RR_CHAIN,
-            "h1_kp1K_general": PROV_RR_CHAIN,
-        }
-        parameters = {"mode": "kodaira", "m": args.m, "ell": args.ell, "kmax": args.kmax}
+        record = OutputRecord(
+            "family", {"mode": "kodaira", "m": args.m, "ell": args.ell, "kmax": args.kmax}
+        )
+        columns = [_columns(row) for row in rows]
+        record.put_rows([values for values, _ in columns], **columns[0][1])
+        record.put("jump_found", jump_found)
     else:
         if args.special_file:
             special = parse_point_file(Path(args.special_file).read_text())
@@ -280,37 +243,18 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             raise ValueError("--blowup requires --special or --special-file")
         report = noninvariance_report_blowup(special, generic_seed=args.seed)
         jump_found = report.jump
-        results = dict(asdict(report))
-        provenance = {
-            "v": PROV_INPUT,
-            "h0_minus_K_special": PROV_RANK,
-            "h0_minus_K_generic": PROV_RANK,
-            "h0_2K_special": PROV_AXIOM,
-            "h0_2K_generic": PROV_AXIOM,
-            "h2_2K_special": PROV_SERRE,
-            "h2_2K_generic": PROV_SERRE,
-            "h1_2K_special": PROV_RR_CHAIN,
-            "h1_2K_generic": PROV_RR_CHAIN,
-        }
         parameters = {"mode": "blowup", **source, "seed": args.seed}
+        record = OutputRecord("family", parameters, *_columns(report))
+        if report.v == 5 and report.jump:
+            record.warnings.append(
+                "boundary case: the jump already appears at v = 5, "
+                "the smallest point count where position matters"
+            )
 
-    warnings = []
-    if not args.kodaira and report.v == 5 and report.jump:
-        warnings.append(
-            "boundary case: the jump already appears at v = 5, "
-            "the smallest point count where position matters"
-        )
     code = EXIT_OK
     if args.expect_jump and not jump_found:
-        warnings.append("cross-check failed: --expect-jump set but no jump found")
+        record.warnings.append("cross-check failed: --expect-jump set but no jump found")
         code = EXIT_CROSSCHECK
-    record = OutputRecord(
-        command="family",
-        parameters=parameters,
-        results=results,
-        provenance=provenance,
-        warnings=warnings,
-    )
     return record, code
 
 
@@ -328,21 +272,15 @@ def cmd_selfcheck(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         for result in checks
     ]
     all_passed = all(result.passed for result in checks)
-    results = {"rows": rows, "checks_run": len(checks), "all_passed": all_passed}
-    provenance = {"cases": PROV_ENUMERATION, "checks_run": PROV_ENUMERATION}
-    warnings = []
+    record = OutputRecord("selfcheck", {"budget": args.budget, "seed": args.seed})
+    record.put_rows(rows, cases=PROV_ENUMERATION)
+    record.put("checks_run", len(checks), PROV_ENUMERATION)
+    record.put("all_passed", all_passed)
     if args.budget == 0:
-        warnings.append("budget 0: empty suite, nothing was verified")
+        record.warnings.append("budget 0: empty suite, nothing was verified")
     if not all_passed:
         first = next(result for result in checks if not result.passed)
-        warnings.append(f"cross-check failed: {first.name}: {first.counterexample}")
-    record = OutputRecord(
-        command="selfcheck",
-        parameters={"budget": args.budget, "seed": args.seed},
-        results=results,
-        provenance=provenance,
-        warnings=warnings,
-    )
+        record.warnings.append(f"cross-check failed: {first.name}: {first.counterexample}")
     return record, EXIT_OK if all_passed else EXIT_CROSSCHECK
 
 

@@ -9,16 +9,21 @@ the anticanonical count h0(-kK) by Serre duality, can drop from the
 central fiber to the general one; h1 follows through Riemann-Roch.
 
 Fibers are tracked by surface type only; the deformation parameter enters
-solely as the central/general dichotomy.
+solely as the central/general dichotomy.  Each report lays the cohomology
+rows of two fibers side by side and carries their provenance tags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .blowup import PointConfiguration, generate_configuration, h0_blowup, h1_2K
-from .hirzebruch import HirzebruchSurface, dim_enumerated
-from .surface_invariants import h1_from_rr, h2_via_serre, invariants_hirzebruch
+from .blowup import PointConfiguration, blowup_row, generate_configuration
+from .hirzebruch import HirzebruchSurface, hirzebruch_row
+from .surface_invariants import PROV_INPUT, CohomologyRow
+
+# Report column name of each cohomology-row field, at general k and at k = 1.
+_COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
+_K1_COLUMNS = {"h0_minus_kK": "h0_minus_K", "h0_kp1K": "h0_2K", "h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"}
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,7 @@ class FiberReportRow:
     The h2 columns repeat the h0(-kK) columns by Serre duality, and the
     plurigenus columns h0((k+1)K) are identically zero on these rational
     surfaces; both are carried explicitly so the table says so in print.
+    ``provenance`` pairs every numeric column with its tag.
     """
 
     k: int
@@ -54,6 +60,7 @@ class FiberReportRow:
     h1_kp1K_central: int
     h1_kp1K_general: int
     jump: bool
+    provenance: tuple[tuple[str, str], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,20 @@ class BlowupFamilyReport:
     h1_2K_special: int
     h1_2K_generic: int
     jump: bool
+    provenance: tuple[tuple[str, str], ...] = field(repr=False)
+
+
+def _side_by_side(
+    rows: dict[str, CohomologyRow], columns: dict[str, str]
+) -> tuple[dict[str, int], dict[str, str]]:
+    """Values and provenance tags of rows on several fibers, keyed ``<column>_<fiber>``."""
+    values: dict[str, int] = {}
+    tags: dict[str, str] = {}
+    for name, column in columns.items():
+        for fiber, row in rows.items():
+            values[f"{column}_{fiber}"] = getattr(row, name)
+            tags[f"{column}_{fiber}"] = row.provenance[name]
+    return values, tags
 
 
 def fiber_surface(family: KodairaFamily, at_zero: bool) -> HirzebruchSurface:
@@ -90,30 +111,22 @@ def noninvariance_report_hirzebruch(
         raise ValueError("k_max must be positive")
     central = fiber_surface(family, at_zero=True)
     general = fiber_surface(family, at_zero=False)
-    inv_central = invariants_hirzebruch(central.m)
-    inv_general = invariants_hirzebruch(general.m)
     rows = []
     for k in range(1, k_max + 1):
-        h0_c = dim_enumerated(central, k)
-        h0_g = dim_enumerated(general, k)
-        h2_c = h2_via_serre(k + 1, h0_c)
-        h2_g = h2_via_serre(k + 1, h0_g)
-        if h2_c < h2_g:
+        c = hirzebruch_row(central, k)
+        g = hirzebruch_row(general, k)
+        if c.h2_kp1K < g.h2_kp1K:
             raise RuntimeError(
-                f"semicontinuity violated at k = {k}: central {h2_c} < general {h2_g}"
+                f"semicontinuity violated at k = {k}: "
+                f"central {c.h2_kp1K} < general {g.h2_kp1K}"
             )
+        values, tags = _side_by_side({"central": c, "general": g}, _COLUMNS)
         rows.append(
             FiberReportRow(
                 k=k,
-                h0_minus_kK_central=h0_c,
-                h0_minus_kK_general=h0_g,
-                h0_kp1K_central=0,
-                h0_kp1K_general=0,
-                h2_kp1K_central=h2_c,
-                h2_kp1K_general=h2_g,
-                h1_kp1K_central=h1_from_rr(k + 1, 0, h2_c, inv_central),
-                h1_kp1K_general=h1_from_rr(k + 1, 0, h2_g, inv_general),
-                jump=h2_c != h2_g,
+                **values,
+                jump=c.h2_kp1K != g.h2_kp1K,
+                provenance=(("k", c.provenance["k"]), *tags.items()),
             )
         )
     return rows
@@ -133,21 +146,17 @@ def noninvariance_report_blowup(
     if special.v < 5:
         raise ValueError("for v <= 4 every configuration gives the same dimensions")
     generic = generate_configuration("generic", special.v, seed=generic_seed)
-    h0_s = h0_blowup(special, 1)
-    h0_g = h0_blowup(generic, 1)
-    if h0_s < h0_g:
+    s = blowup_row(special, 1)
+    g = blowup_row(generic, 1)
+    if s.h0_minus_kK < g.h0_minus_kK:
         raise RuntimeError(
-            f"special configuration has fewer sections ({h0_s}) than generic ({h0_g})"
+            f"special configuration has fewer sections ({s.h0_minus_kK}) "
+            f"than generic ({g.h0_minus_kK})"
         )
+    values, tags = _side_by_side({"special": s, "generic": g}, _K1_COLUMNS)
     return BlowupFamilyReport(
         v=special.v,
-        h0_minus_K_special=h0_s,
-        h0_minus_K_generic=h0_g,
-        h0_2K_special=0,
-        h0_2K_generic=0,
-        h2_2K_special=h2_via_serre(2, h0_s),
-        h2_2K_generic=h2_via_serre(2, h0_g),
-        h1_2K_special=h1_2K(special),
-        h1_2K_generic=h1_2K(generic),
-        jump=h0_s != h0_g,
+        **values,
+        jump=s.h2_kp1K != g.h2_kp1K,
+        provenance=(("v", PROV_INPUT), *tags.items()),
     )

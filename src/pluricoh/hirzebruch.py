@@ -24,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .surface_invariants import PROV_ENUMERATION, CohomologyRow, cohomology_row
+from .surface_invariants import invariants_hirzebruch
+
 
 class RegimeError(ValueError):
     """A closed formula was asked for outside its validity regime."""
@@ -98,6 +101,12 @@ def dim_enumerated(surface: HirzebruchSurface, k: int) -> int:
     if m == 0:
         return (2 * k + 1) ** 2
     return sum(max(0, 2 * k + (i - k) * m + 1) for i in range(2 * k + 1))
+
+
+def hirzebruch_row(surface: HirzebruchSurface, k: int) -> CohomologyRow:
+    """The cohomology row of power k, from one enumeration of h0(-kK)."""
+    inv = invariants_hirzebruch(surface.m)
+    return cohomology_row(k, dim_enumerated(surface, k), inv, PROV_ENUMERATION)
 
 
 def dim_formula(surface: HirzebruchSurface, k: int) -> FormulaEvaluation:

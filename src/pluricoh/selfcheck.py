@@ -226,14 +226,10 @@ def _check_h1_formula_matches_rr_chain(m_max: int, k_max: int) -> CheckResult:
     cases = 0
     for m in range(2, m_max + 1):
         surface = hirzebruch.HirzebruchSurface(m)
-        inv = surface_invariants.invariants_hirzebruch(m)
         for k in range(2, k_max + 1):
             cases += 1
             closed = hirzebruch.h1_pluricanonical_formula(surface, k)
-            h2 = surface_invariants.h2_via_serre(
-                k, hirzebruch.dim_enumerated(surface, k - 1)
-            )
-            chained = surface_invariants.h1_from_rr(k, 0, h2, inv)
+            chained = hirzebruch.hirzebruch_row(surface, k - 1).h1_kp1K
             if closed != chained:
                 return CheckResult(
                     name, False, cases, f"m={m}, k={k}: closed {closed} vs chain {chained}"
@@ -347,9 +343,7 @@ def _check_blowup_h1_ranges(v_max: int) -> CheckResult:
             continue
         cases += 1
         h1 = blowup.h1_2K(config)
-        v = config.v
-        low = max(0, v - 10) if v >= 5 else 0
-        high = v - 4 if v >= 5 else 0
+        low, high = blowup.h1_2K_range(config.v)
         if not low <= h1 <= high:
             return CheckResult(
                 name, False, cases, f"{label}: h1(2K) = {h1} outside [{low}, {high}]"

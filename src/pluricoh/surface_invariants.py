@@ -8,12 +8,22 @@ Riemann-Roch identity
     h1(kK) = h0(kK) + h2(kK) - (6k^2 - 6k + 1) chi(O) + k(k-1)/2 chi_top
 
 converts one anticanonical section count (entering through Serre duality)
-into the whole cohomology row.
+into the whole cohomology row.  ``cohomology_row`` is the one place that
+chain is written down; every report is a projection of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# Provenance tags: the computation path behind each reported number.
+PROV_INPUT = "input"
+PROV_ENUMERATION = "enumeration"
+PROV_FORMULA = "closed_formula"
+PROV_RANK = "rank"
+PROV_SERRE = "serre"
+PROV_AXIOM = "plurigenus_axiom"
+PROV_RR_CHAIN = "rr_chain"
 
 
 @dataclass(frozen=True)
@@ -77,14 +87,43 @@ def h1_from_rr(k: int, h0_kK: int, h2_kK: int, inv: SurfaceInvariants) -> int:
     return value
 
 
-def h2_via_serre(k: int, h0_minus_prev_K: int) -> int:
-    """Serre duality h2(kK) = h0(-(k-1)K).
+@dataclass(frozen=True)
+class CohomologyRow:
+    """h0(-kK) and the cohomology of (k+1)K that it determines.
 
-    An identity on the value; it exists as a named step so that reports can
-    record which numbers were obtained by duality rather than computed twice.
+    Serre duality gives h2((k+1)K) = h0(-kK), the plurigenus h0((k+1)K) is
+    zero on these rational surfaces, and Riemann-Roch gives h1((k+1)K).
+    ``h0_route`` names how h0(-kK) itself was obtained.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if h0_minus_prev_K < 0:
-        raise ValueError("section count must be nonnegative")
-    return h0_minus_prev_K
+
+    k: int
+    h0_minus_kK: int
+    h0_kp1K: int
+    h2_kp1K: int
+    h1_kp1K: int
+    h0_route: str
+
+    @property
+    def provenance(self) -> dict[str, str]:
+        """Provenance tag of every number in the row, keyed by field name."""
+        return {
+            "k": PROV_INPUT,
+            "h0_minus_kK": self.h0_route,
+            "h0_kp1K": PROV_AXIOM,
+            "h2_kp1K": PROV_SERRE,
+            "h1_kp1K": PROV_RR_CHAIN,
+        }
+
+
+def cohomology_row(k: int, h0: int, inv: SurfaceInvariants, h0_route: str) -> CohomologyRow:
+    """The whole row of power k from h0 = h0(-kK) and the surface invariants."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return CohomologyRow(
+        k=k,
+        h0_minus_kK=h0,
+        h0_kp1K=0,
+        h2_kp1K=h0,
+        h1_kp1K=h1_from_rr(k + 1, 0, h0, inv),
+        h0_route=h0_route,
+    )

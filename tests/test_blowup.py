@@ -365,6 +365,11 @@ class TestPointFile:
         with pytest.raises(PointFileError):
             parse_point_file("1 2\n1 2 3\n")
 
+    def test_inconsistent_arity_names_its_source_line(self):
+        # Comment and blank lines still count toward the reported line number.
+        with pytest.raises(PointFileError, match="^line 4: .*expected 2, got 3"):
+            parse_point_file("# header\n1 2\n\n1 2 3\n")
+
     def test_empty_file_rejected(self):
         with pytest.raises(PointFileError):
             parse_point_file("# nothing here\n")

@@ -2,12 +2,15 @@
 formats, schema conformance, provenance completeness and determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import pluricoh.blowup
 import pluricoh.hirzebruch
+from pluricoh.blowup import generate_configuration
 from pluricoh.cli import main
 from pluricoh.hirzebruch import FormulaEvaluation
 
@@ -161,6 +164,41 @@ class TestBlowupCommand:
     def test_missing_source_is_usage_error(self, capsys):
         assert run_cli(capsys, "blowup", "--k", "1")[0] == 2
         assert run_cli(capsys, "blowup", "--generate", "generic")[0] == 2
+
+
+def _count_jet_builds(monkeypatch) -> list[int]:
+    """Record the power k of every jet matrix build, wherever pluricoh binds jet_matrix."""
+    original = pluricoh.blowup.jet_matrix
+    calls: list[int] = []
+
+    def counting(config, k):
+        calls.append(k)
+        return original(config, k)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pluricoh" or name.startswith("pluricoh."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestEachMatrixBuiltOnce:
+    def test_blowup_builds_one_matrix(self, capsys, monkeypatch):
+        calls = _count_jet_builds(monkeypatch)
+        code, _, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", "5")
+        assert code == 0
+        assert calls == [1]
+
+    def test_family_blowup_builds_sampler_attempts_plus_two(self, capsys, monkeypatch):
+        calls = _count_jet_builds(monkeypatch)
+        generate_configuration("generic", 5, seed=0)
+        attempts = len(calls)
+        assert attempts >= 1
+        calls.clear()
+        code, _, _ = run_cli(capsys, "family", "--blowup", "--special", "collinear", "--v", "5")
+        assert code == 0
+        assert len(calls) == attempts + 2
 
 
 class TestFamilyCommand:

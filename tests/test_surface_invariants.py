@@ -3,9 +3,10 @@
 import pytest
 
 from pluricoh.surface_invariants import (
+    PROV_ENUMERATION,
     SurfaceInvariants,
+    cohomology_row,
     h1_from_rr,
-    h2_via_serre,
     invariants_blowup_p2,
     invariants_hirzebruch,
 )
@@ -72,14 +73,29 @@ class TestH1FromRR:
             h1_from_rr(2, 0, -1, inv)
 
 
-class TestSerreStep:
-    def test_relabels_value_unchanged(self):
-        assert h2_via_serre(2, 10) == 10
-        assert h2_via_serre(1, 1) == 1
-        assert h2_via_serre(2, 6) == 6
+class TestCohomologyRow:
+    def test_chain_from_one_section_count(self):
+        row = cohomology_row(1, 10, invariants_hirzebruch(4), PROV_ENUMERATION)
+        assert (row.k, row.h0_minus_kK, row.h0_kp1K, row.h2_kp1K, row.h1_kp1K) == (1, 10, 0, 10, 1)
+
+    def test_power_zero_is_the_canonical_bundle(self):
+        # h0(O) = 1 gives h2(K) = 1 and h1(K) = 0 on a rational surface.
+        row = cohomology_row(0, 1, invariants_blowup_p2(7), "rank")
+        assert (row.h2_kp1K, row.h1_kp1K) == (1, 0)
+
+    def test_provenance_tags(self):
+        row = cohomology_row(2, 25, invariants_blowup_p2(1), "rank")
+        assert row.provenance == {
+            "k": "input",
+            "h0_minus_kK": "rank",
+            "h0_kp1K": "plurigenus_axiom",
+            "h2_kp1K": "serre",
+            "h1_kp1K": "rr_chain",
+        }
 
     def test_invalid_arguments_rejected(self):
+        inv = invariants_hirzebruch(2)
         with pytest.raises(ValueError):
-            h2_via_serre(0, 1)
+            cohomology_row(-1, 1, inv, PROV_ENUMERATION)
         with pytest.raises(ValueError):
-            h2_via_serre(2, -1)
+            cohomology_row(1, -1, inv, PROV_ENUMERATION)
