@@ -9,7 +9,7 @@ the monomial basis, so each dimension is
     h0 = (number of monomials) - rank(condition matrix)
 
 computed entirely over the rationals.  The module also ships deterministic
-configuration generators (generic, collinear, on a conic, custom) and a
+configuration generators (generic, collinear, on a conic) and a
 sweep that certifies, point replacement by point replacement, every
 dimension achievable for a given number of points.
 """
@@ -26,6 +26,7 @@ from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invari
 
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
+SWEEP_STEP_ATTEMPTS = 32
 
 
 class SamplingBudgetError(RuntimeError):
@@ -200,12 +201,7 @@ def _sample_distinct_points(rng: random.Random, v: int) -> tuple[tuple[Fraction,
     return tuple(points)
 
 
-def generate_configuration(
-    kind: str,
-    v: int = 0,
-    seed: int = 0,
-    points: Sequence[Sequence[Rational]] | None = None,
-) -> PointConfiguration:
+def generate_configuration(kind: str, v: int = 0, seed: int = 0) -> PointConfiguration:
     """Produce a plane point configuration of one of the stock kinds.
 
     generic    v points with integer coordinates drawn deterministically
@@ -215,12 +211,9 @@ def generate_configuration(
     collinear  (1, 0), ..., (v, 0): for v >= 4 the evaluation rows span a
                fixed 4-dimensional space.
     on_conic   (1, 1), (2, 4), ..., (v, v^2): rows span at most 7 dimensions.
-    custom     the supplied points, validated.
+
+    Explicit points go through ``PointConfiguration.from_coordinates``.
     """
-    if kind == "custom":
-        if points is None:
-            raise ValueError("custom configuration requires explicit points")
-        return PointConfiguration.from_coordinates(points)
     if v < 1:
         raise ValueError("v must be positive")
     if kind == "collinear":
@@ -244,9 +237,7 @@ def generate_configuration(
     raise ValueError(f"unknown configuration kind {kind!r}")
 
 
-def achievable_dims(
-    v: int, search_budget: int = 32, seed: int = 0
-) -> list[tuple[int, PointConfiguration]]:
+def achievable_dims(v: int, seed: int = 0) -> list[tuple[int, PointConfiguration]]:
     """Witness every achievable value of h0 of the anticanonical bundle.
 
     For v >= 5 points the dimension can be anything from max(10 - v, 0)
@@ -259,12 +250,10 @@ def achievable_dims(
 
     Returns (dimension, witness) pairs in increasing dimension order.
     Raises SamplingBudgetError if some intermediate rank cannot be realized
-    within `search_budget` attempts at one step.
+    within SWEEP_STEP_ATTEMPTS attempts at one step.
     """
     if v < 5:
         raise ValueError("for v <= 4 the dimension is forced to 10 - v; no sweep to run")
-    if search_budget < 1:
-        raise ValueError("search_budget must be positive")
     base = generate_configuration("collinear", v)
     base_rank = rank(jet_matrix(base, 1).matrix)
     if base_rank != 4:
@@ -273,7 +262,7 @@ def achievable_dims(
     current = list(base.points)
     for step, target_rank in enumerate(range(5, min(v, 10) + 1), start=1):
         replaced = step - 1
-        for attempt in range(search_budget):
+        for attempt in range(SWEEP_STEP_ATTEMPTS):
             rng = _rng(seed, step, attempt)
             candidate = (
                 Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
@@ -291,7 +280,7 @@ def achievable_dims(
         else:
             raise SamplingBudgetError(
                 f"could not realize rank {target_rank} at step {step} "
-                f"within {search_budget} attempts"
+                f"within {SWEEP_STEP_ATTEMPTS} attempts"
             )
     return sorted(witnesses.items())
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import blowup, exact_linalg, family, hirzebruch, surface_invariants
 from .exact_linalg import RatMatrix
@@ -113,6 +114,11 @@ class CheckResult:
     counterexample: str | None = None
 
 
+# A check yields None for each passing case and the counterexample text for
+# a failing one, building that text only when the case fails.
+Cases = Iterator[str | None]
+
+
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
     return RatMatrix.from_rows(
         [
@@ -134,6 +140,15 @@ def _random_small_config(rng: random.Random, v: int) -> blowup.PointConfiguratio
     return blowup.PointConfiguration(n=2, points=tuple(sorted(points)))
 
 
+def _run(name: str, cases: Cases) -> CheckResult:
+    """Count cases in order and stop at the first counterexample."""
+    count = 0
+    for count, counterexample in enumerate(cases, start=1):
+        if counterexample is not None:
+            return CheckResult(name, False, count, counterexample)
+    return CheckResult(name, True, count)
+
+
 def run_selfcheck(budget: int = 10, seed: int = 0) -> list[CheckResult]:
     """Run the whole invariant suite at a size controlled by `budget`.
 
@@ -141,6 +156,9 @@ def run_selfcheck(budget: int = 10, seed: int = 0) -> list[CheckResult]:
     powers up to 10, point counts up to 12).  Budget 0 runs nothing and
     returns an empty list; callers should surface that as a warning, not
     a pass of substance.
+
+    Every check is a generator of cases (see ``Cases``); a new oracle is
+    one more generator in the table below.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -149,111 +167,76 @@ def run_selfcheck(budget: int = 10, seed: int = 0) -> list[CheckResult]:
     m_max = budget + 2
     k_max = budget
     v_max = budget + 2
-    checks = [
-        _check_formula_matches_enumeration(m_max, k_max),
-        _check_twist_one_boundary(k_max),
-        _check_enumeration_matches_lattice_walk(m_max, k_max),
-        _check_h1_formula_matches_rr_chain(m_max, k_max),
-        _check_noether_exactness(m_max, v_max),
-        _check_bareiss_matches_naive_rank(budget, seed),
-        _check_vandermonde(budget, seed),
-        _check_forced_blowup_regime(budget, seed),
-        _check_jet_rank_cross_check(v_max),
-        _check_blowup_h1_ranges(v_max),
-        _check_kodaira_jump_sweep(m_max, k_max),
-        _check_low_twist_coincidence(k_max),
-    ]
-    return checks
+    jets = _jet_corpus(v_max)
+    checks = {
+        "hirzebruch_formula_vs_enumeration": _check_formula_matches_enumeration(m_max, k_max),
+        "twist_one_formula_overcounts": _check_twist_one_boundary(k_max),
+        "enumeration_vs_lattice_walk": _check_enumeration_matches_lattice_walk(m_max, k_max),
+        "h1_formula_vs_rr_chain": _check_h1_formula_matches_rr_chain(m_max, k_max),
+        "noether_exactness": _check_noether_exactness(m_max, v_max),
+        "production_rank_vs_naive_elimination": _check_bareiss_matches_naive_rank(budget, seed),
+        "vandermonde_determinant_and_rank": _check_vandermonde(budget, seed),
+        "blowup_forced_regime_v_le_4": _check_forced_blowup_regime(budget, seed),
+        "jet_rank_production_vs_naive": _check_jet_rank_cross_check(jets),
+        "blowup_h1_2K_within_range": _check_blowup_h1_ranges(jets),
+        "kodaira_family_jump_exists": _check_kodaira_jump_sweep(m_max, k_max),
+        "twists_0_1_2_share_counts": _check_low_twist_coincidence(k_max),
+    }
+    return [_run(name, cases) for name, cases in checks.items()]
 
 
-def _check_formula_matches_enumeration(m_max: int, k_max: int) -> CheckResult:
-    name = "hirzebruch_formula_vs_enumeration"
-    cases = 0
+def _check_formula_matches_enumeration(m_max: int, k_max: int) -> Cases:
     for m in range(2, m_max + 1):
         surface = hirzebruch.HirzebruchSurface(m)
         for k in range(1, k_max + 1):
-            cases += 1
             enum = hirzebruch.dim_enumerated(surface, k)
             evaluated = hirzebruch.dim_formula(surface, k)
-            if not evaluated.in_regime or evaluated.value != enum:
-                return CheckResult(
-                    name,
-                    False,
-                    cases,
-                    f"m={m}, k={k}: formula {evaluated} vs enumeration {enum}",
-                )
-    return CheckResult(name, True, cases)
+            ok = evaluated.in_regime and evaluated.value == enum
+            yield None if ok else f"m={m}, k={k}: formula {evaluated} vs enumeration {enum}"
 
 
-def _check_twist_one_boundary(k_max: int) -> CheckResult:
-    name = "twist_one_formula_overcounts"
+def _check_twist_one_boundary(k_max: int) -> Cases:
     surface = hirzebruch.HirzebruchSurface(1)
-    cases = 0
     for k in range(1, k_max + 1):
-        cases += 1
         enum = hirzebruch.dim_enumerated(surface, k)
         evaluated = hirzebruch.dim_formula(surface, k)
-        ok = (
-            enum == (2 * k + 1) ** 2
-            and not evaluated.in_regime
-            and evaluated.value > enum
-        )
-        if not ok:
-            return CheckResult(
-                name, False, cases, f"k={k}: formula {evaluated} vs enumeration {enum}"
-            )
-    return CheckResult(name, True, cases)
+        ok = enum == (2 * k + 1) ** 2 and not evaluated.in_regime and evaluated.value > enum
+        yield None if ok else f"k={k}: formula {evaluated} vs enumeration {enum}"
 
 
-def _check_enumeration_matches_lattice_walk(m_max: int, k_max: int) -> CheckResult:
-    name = "enumeration_vs_lattice_walk"
-    cases = 0
+def _check_enumeration_matches_lattice_walk(m_max: int, k_max: int) -> Cases:
     for m in range(0, m_max + 1):
         surface = hirzebruch.HirzebruchSurface(m)
         for k in range(0, k_max + 1):
-            cases += 1
             enum = hirzebruch.dim_enumerated(surface, k)
             walked = count_sections_by_lattice_points(m, k)
-            if enum != walked:
-                return CheckResult(
-                    name, False, cases, f"m={m}, k={k}: enumeration {enum} vs walk {walked}"
-                )
-    return CheckResult(name, True, cases)
+            yield None if enum == walked else f"m={m}, k={k}: enumeration {enum} vs walk {walked}"
 
 
-def _check_h1_formula_matches_rr_chain(m_max: int, k_max: int) -> CheckResult:
-    name = "h1_formula_vs_rr_chain"
-    cases = 0
+def _check_h1_formula_matches_rr_chain(m_max: int, k_max: int) -> Cases:
     for m in range(2, m_max + 1):
         surface = hirzebruch.HirzebruchSurface(m)
         for k in range(2, k_max + 1):
-            cases += 1
             closed = hirzebruch.h1_pluricanonical_formula(surface, k)
             chained = hirzebruch.hirzebruch_row(surface, k - 1).h1_kp1K
-            if closed != chained:
-                return CheckResult(
-                    name, False, cases, f"m={m}, k={k}: closed {closed} vs chain {chained}"
-                )
-    return CheckResult(name, True, cases)
+            yield None if closed == chained else f"m={m}, k={k}: closed {closed} vs chain {chained}"
 
 
-def _check_noether_exactness(m_max: int, v_max: int) -> CheckResult:
-    name = "noether_exactness"
-    cases = 0
+def _check_noether_exactness(m_max: int, v_max: int) -> Cases:
     # The constructors raise on violation, so surviving construction is the check.
-    for m in range(0, m_max + 1):
-        cases += 1
-        surface_invariants.invariants_hirzebruch(m)
-    for v in range(0, v_max + 1):
-        cases += 1
-        surface_invariants.invariants_blowup_p2(v)
-    return CheckResult(name, True, cases)
+    constructions = [("m", m, surface_invariants.invariants_hirzebruch) for m in range(m_max + 1)]
+    constructions += [("v", v, surface_invariants.invariants_blowup_p2) for v in range(v_max + 1)]
+    for label, value, construct in constructions:
+        try:
+            construct(value)
+        except ValueError as exc:
+            yield f"{label}={value}: {exc}"
+        else:
+            yield None
 
 
-def _check_bareiss_matches_naive_rank(budget: int, seed: int) -> CheckResult:
-    name = "production_rank_vs_naive_elimination"
+def _check_bareiss_matches_naive_rank(budget: int, seed: int) -> Cases:
     rng = random.Random(f"selfcheck-rank:{seed}")
-    cases = 0
     for _ in range(4 * budget):
         rows = rng.randint(0, 8)
         cols = rng.randint(0, 10)
@@ -263,52 +246,41 @@ def _check_bareiss_matches_naive_rank(budget: int, seed: int) -> CheckResult:
             grid = [list(matrix.row(i)) for i in range(rows)]
             grid[rows - 1] = [2 * x for x in grid[0]]
             matrix = RatMatrix.from_rows(grid)
-        cases += 1
         got = exact_linalg.rank(matrix)
         expected = naive_rank(matrix)
-        if got != expected or exact_linalg.rank(matrix.transpose()) != expected:
-            return CheckResult(
-                name, False, cases, f"{rows}x{cols} matrix: production {got} vs naive {expected}"
-            )
-    return CheckResult(name, True, cases)
+        ok = got == expected and exact_linalg.rank(matrix.transpose()) == expected
+        yield None if ok else f"{rows}x{cols} matrix: production {got} vs naive {expected}"
 
 
-def _check_vandermonde(budget: int, seed: int) -> CheckResult:
-    name = "vandermonde_determinant_and_rank"
+def _check_vandermonde(budget: int, seed: int) -> Cases:
     rng = random.Random(f"selfcheck-vandermonde:{seed}")
-    cases = 0
     for _ in range(4 * budget):
         size = rng.randint(0, 6)
         xs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
-        cases += 1
         det = exact_linalg.vandermonde_det(xs)
         matrix = exact_linalg.vandermonde_matrix(xs)
-        if det != naive_det(matrix):
-            return CheckResult(name, False, cases, f"xs={xs}: det mismatch")
         distinct = len(set(xs))
-        if (det != 0) != (distinct == size):
-            return CheckResult(name, False, cases, f"xs={xs}: zero-pattern mismatch")
-        if exact_linalg.rank(matrix) != distinct:
-            return CheckResult(name, False, cases, f"xs={xs}: rank != distinct count")
-    return CheckResult(name, True, cases)
+        if det != naive_det(matrix):
+            yield f"xs={xs}: det mismatch"
+        elif (det != 0) != (distinct == size):
+            yield f"xs={xs}: zero-pattern mismatch"
+        elif exact_linalg.rank(matrix) != distinct:
+            yield f"xs={xs}: rank != distinct count"
+        else:
+            yield None
 
 
-def _check_forced_blowup_regime(budget: int, seed: int) -> CheckResult:
-    name = "blowup_forced_regime_v_le_4"
+def _check_forced_blowup_regime(budget: int, seed: int) -> Cases:
     rng = random.Random(f"selfcheck-forced:{seed}")
-    cases = 0
     for _ in range(4 * budget):
         v = rng.randint(1, 4)
         config = _random_small_config(rng, v)
-        cases += 1
         h0 = blowup.h0_blowup(config, 1)
-        if h0 != 10 - v:
-            return CheckResult(name, False, cases, f"{config}: h0 {h0} != {10 - v}")
-    return CheckResult(name, True, cases)
+        yield None if h0 == 10 - v else f"{config}: h0 {h0} != {10 - v}"
 
 
 def _jet_corpus(v_max: int) -> list[tuple[str, blowup.PointConfiguration, int]]:
-    corpus = [
+    return [
         ("collinear-5", blowup.generate_configuration("collinear", 5), 1),
         (f"collinear-{v_max}", blowup.generate_configuration("collinear", v_max), 1),
         ("conic-8", blowup.generate_configuration("on_conic", min(8, v_max)), 1),
@@ -317,67 +289,45 @@ def _jet_corpus(v_max: int) -> list[tuple[str, blowup.PointConfiguration, int]]:
         (f"collinear-{v_max}-k2", blowup.generate_configuration("collinear", v_max), 2),
         ("conic-6-k2", blowup.generate_configuration("on_conic", min(6, v_max)), 2),
     ]
-    return corpus
 
 
-def _check_jet_rank_cross_check(v_max: int) -> CheckResult:
-    name = "jet_rank_production_vs_naive"
-    cases = 0
-    for label, config, k in _jet_corpus(v_max):
-        cases += 1
+def _check_jet_rank_cross_check(corpus: list[tuple[str, blowup.PointConfiguration, int]]) -> Cases:
+    for label, config, k in corpus:
         matrix = blowup.jet_matrix(config, k).matrix
         got = exact_linalg.rank(matrix)
         expected = naive_rank(matrix)
-        if got != expected:
-            return CheckResult(
-                name, False, cases, f"{label}, k={k}: production {got} vs naive {expected}"
-            )
-    return CheckResult(name, True, cases)
+        yield None if got == expected else f"{label}, k={k}: production {got} vs naive {expected}"
 
 
-def _check_blowup_h1_ranges(v_max: int) -> CheckResult:
-    name = "blowup_h1_2K_within_range"
-    cases = 0
-    for label, config, k in _jet_corpus(v_max):
+def _check_blowup_h1_ranges(corpus: list[tuple[str, blowup.PointConfiguration, int]]) -> Cases:
+    for label, config, k in corpus:
         if k != 1:
             continue
-        cases += 1
         h1 = blowup.h1_2K(config)
         low, high = blowup.h1_2K_range(config.v)
-        if not low <= h1 <= high:
-            return CheckResult(
-                name, False, cases, f"{label}: h1(2K) = {h1} outside [{low}, {high}]"
-            )
-    return CheckResult(name, True, cases)
+        yield None if low <= h1 <= high else f"{label}: h1(2K) = {h1} outside [{low}, {high}]"
 
 
-def _check_kodaira_jump_sweep(m_max: int, k_max: int) -> CheckResult:
-    name = "kodaira_family_jump_exists"
-    cases = 0
+def _check_kodaira_jump_sweep(m_max: int, k_max: int) -> Cases:
+    # F_3 and F_1 first differ at k = 2 (26 vs 25); every m >= 4 jumps at k = 1.
+    k_top = max(k_max, 2)
     for m in range(3, m_max + 1):
         for ell in range(1, m // 2 + 1):
-            cases += 1
-            rows = family.noninvariance_report_hirzebruch(
-                family.KodairaFamily(m, ell), k_max
-            )
-            if not any(row.jump for row in rows):
-                return CheckResult(
-                    name, False, cases, f"m={m}, ell={ell}: no jump up to k={k_max}"
-                )
-    return CheckResult(name, True, cases)
+            rows = family.noninvariance_report_hirzebruch(family.KodairaFamily(m, ell), k_top)
+            ok = any(row.jump for row in rows)
+            yield None if ok else f"m={m}, ell={ell}: no jump up to k={k_top}"
 
 
-def _check_low_twist_coincidence(k_max: int) -> CheckResult:
-    name = "twists_0_1_2_share_counts"
-    cases = 0
+def _check_low_twist_coincidence(k_max: int) -> Cases:
     surfaces = [hirzebruch.HirzebruchSurface(m) for m in (0, 1, 2)]
     for k in range(1, k_max + 1):
-        cases += 1
         counts = {hirzebruch.dim_enumerated(s, k) for s in surfaces}
         if counts != {(2 * k + 1) ** 2}:
-            return CheckResult(name, False, cases, f"k={k}: counts {sorted(counts)}")
-    # The matching deformation pair must therefore never jump.
-    rows = family.noninvariance_report_hirzebruch(family.KodairaFamily(2, 1), k_max)
-    if any(row.jump for row in rows):
-        return CheckResult(name, False, cases, "twist pair (2, 0) reported a jump")
-    return CheckResult(name, True, cases)
+            yield f"k={k}: counts {sorted(counts)}"
+        elif k < k_max:
+            yield None
+        else:
+            # The matching deformation pair must therefore never jump; the
+            # last case checks it once every count is known to agree.
+            rows = family.noninvariance_report_hirzebruch(family.KodairaFamily(2, 1), k_max)
+            yield "twist pair (2, 0) reported a jump" if any(row.jump for row in rows) else None

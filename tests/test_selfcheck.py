@@ -2,11 +2,14 @@
 including deliberate fault injection to prove the suite can catch a
 corrupted formula."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import pluricoh.hirzebruch
+import pluricoh.surface_invariants
+from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import (
@@ -42,11 +45,32 @@ class TestOracles:
 
 
 class TestRunSelfcheck:
-    def test_small_budget_passes(self):
-        results = run_selfcheck(budget=3)
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_small_budget_passes(self, budget):
+        results = run_selfcheck(budget=budget)
         assert results
         assert all(r.passed for r in results)
-        assert all(r.cases > 0 for r in results)
+        # The h1 chain compares powers k >= 2, so budget 1 gives it no case.
+        assert all(
+            r.cases > 0 for r in results if (r.name, budget) != ("h1_formula_vs_rr_chain", 1)
+        )
+
+    def test_default_budget_case_counts(self):
+        # The same pairs are pinned by the benchmark's golden selfcheck record.
+        assert [(r.name, r.cases) for r in run_selfcheck(10)] == [
+            ("hirzebruch_formula_vs_enumeration", 110),
+            ("twist_one_formula_overcounts", 10),
+            ("enumeration_vs_lattice_walk", 143),
+            ("h1_formula_vs_rr_chain", 99),
+            ("noether_exactness", 26),
+            ("production_rank_vs_naive_elimination", 40),
+            ("vandermonde_determinant_and_rank", 40),
+            ("blowup_forced_regime_v_le_4", 40),
+            ("jet_rank_production_vs_naive", 7),
+            ("blowup_h1_2K_within_range", 5),
+            ("kodaira_family_jump_exists", 35),
+            ("twists_0_1_2_share_counts", 10),
+        ]
 
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
@@ -71,6 +95,27 @@ class TestRunSelfcheck:
         failed = [r for r in results if not r.passed]
         assert [r.name for r in failed] == ["hirzebruch_formula_vs_enumeration"]
         assert "m=5, k=3" in failed[0].counterexample
+        # The sweep stops at its first counterexample: m = 2..4 give 30
+        # cases, then k = 1..3 at m = 5.
+        assert failed[0].cases == 33
+
+    def test_noether_violation_is_a_failed_row(self, monkeypatch):
+        # A constructor that breaks Noether's formula must fail the
+        # noether_exactness row, not abort the whole suite.
+        original = pluricoh.surface_invariants.invariants_blowup_p2
+
+        def corrupted(v):
+            inv = original(v)
+            return dataclasses.replace(inv, K2=inv.K2 + 1) if v == 3 else inv
+
+        monkeypatch.setattr(pluricoh.surface_invariants, "invariants_blowup_p2", corrupted)
+        results = run_selfcheck(budget=10)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["noether_exactness"]
+        # Twists m = 0..12 pass, then v = 0..3.
+        assert failed[0].cases == 17
+        assert failed[0].counterexample.startswith("v=3: Noether's formula fails")
+        assert main(["selfcheck", "--budget", "1"]) == 1
 
     def test_detects_a_corrupted_enumeration(self, monkeypatch):
         original = pluricoh.hirzebruch.dim_enumerated
