@@ -23,7 +23,6 @@ from .blowup import (
 )
 from .exact_linalg import RatMatrix, binomial, rank, vandermonde_det, vandermonde_matrix
 from .family import (
-    BlowupFamilyReport,
     FiberReportRow,
     KodairaFamily,
     fiber_surface,
@@ -50,7 +49,6 @@ from .surface_invariants import (
 )
 
 __all__ = [
-    "BlowupFamilyReport",
     "CohomologyRow",
     "FiberReportRow",
     "FormulaEvaluation",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exact_linalg import RatMatrix, Rational, binomial, rank
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
@@ -186,28 +186,52 @@ def _rng(seed: int, *indices: int) -> random.Random:
     return random.Random(":".join(str(part) for part in (seed, *indices)))
 
 
-def _sample_distinct_points(rng: random.Random, v: int) -> tuple[tuple[Fraction, Fraction], ...]:
+def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction]:
+    return (
+        Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
+        Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
+    )
+
+
+def _sample_configuration(rng: random.Random, v: int) -> PointConfiguration:
     points: list[tuple[Fraction, Fraction]] = []
-    seen = set()
     while len(points) < v:
-        candidate = (
-            Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
-            Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
-        )
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        points.append(candidate)
-    return tuple(points)
+        candidate = _sample_point(rng)
+        if candidate not in points:
+            points.append(candidate)
+    return PointConfiguration(n=2, points=tuple(points))
 
 
-def generate_configuration(kind: str, v: int = 0, seed: int = 0) -> PointConfiguration:
-    """Produce a plane point configuration of one of the stock kinds.
+def _first_with_h0(
+    samples: Iterable[PointConfiguration | None], k: int, h0: int
+) -> tuple[PointConfiguration, CohomologyRow]:
+    """The first sample whose row at power k has h0(-kK) = h0, with that row.
+
+    A None sample is an attempt that gave no valid configuration; it still
+    counts as an attempt.
+    """
+    attempts = 0
+    for attempts, config in enumerate(samples, start=1):
+        if config is not None:
+            row = blowup_row(config, k)
+            if row.h0_minus_kK == h0:
+                return config, row
+    raise SamplingBudgetError(f"no sample reached h0(-{k}K) = {h0} within {attempts} attempts")
+
+
+def generate_configuration(
+    kind: str, v: int, seed: int = 0, k: int = 1
+) -> tuple[PointConfiguration, CohomologyRow]:
+    """Produce a plane point configuration of one of the stock kinds, with its row at power k.
 
     generic    v points with integer coordinates drawn deterministically
-               from `seed`, resampled until the evaluation matrix for k = 1
-               reaches rank min(v, 10); genericity is certified by that
-               exact rank, never assumed.
+               from `seed`, resampled until the jet matrix of power k has
+               full rank, i.e. h0(-kK) = max(monomial_count(2, k) - v*C(k+1, 2), 0).
+               That is the least h0 any v points can have, so genericity is
+               certified at the power used by that exact rank, never assumed.
+               Full rank is reachable at every k: v <= 8 general points give
+               a weak del Pezzo surface, 9 leave only their cubic, and one
+               more point off that cubic kills it.
     collinear  (1, 0), ..., (v, 0): for v >= 4 the evaluation rows span a
                fixed 4-dimensional space.
     on_conic   (1, 1), (2, 4), ..., (v, v^2): rows span at most 7 dimensions.
@@ -216,25 +240,18 @@ def generate_configuration(kind: str, v: int = 0, seed: int = 0) -> PointConfigu
     """
     if v < 1:
         raise ValueError("v must be positive")
-    if kind == "collinear":
-        coords = [(Fraction(i), Fraction(0)) for i in range(1, v + 1)]
-        return PointConfiguration(n=2, points=tuple(coords))
-    if kind == "on_conic":
-        coords = [(Fraction(i), Fraction(i * i)) for i in range(1, v + 1)]
-        return PointConfiguration(n=2, points=tuple(coords))
     if kind == "generic":
-        target = min(v, 10)
-        for attempt in range(GENERIC_SAMPLE_ATTEMPTS):
-            config = PointConfiguration(
-                n=2, points=_sample_distinct_points(_rng(seed, attempt), v)
-            )
-            if rank(jet_matrix(config, 1).matrix) == target:
-                return config
-        raise SamplingBudgetError(
-            f"no rank-{target} configuration of {v} points found in "
-            f"{GENERIC_SAMPLE_ATTEMPTS} attempts; the sampler is defective"
-        )
-    raise ValueError(f"unknown configuration kind {kind!r}")
+        h0 = max(monomial_count(2, k) - v * binomial(k + 1, 2), 0)
+        samples = (_sample_configuration(_rng(seed, a), v) for a in range(GENERIC_SAMPLE_ATTEMPTS))
+        return _first_with_h0(samples, k, h0)
+    if kind == "collinear":
+        coords = [(i, 0) for i in range(1, v + 1)]
+    elif kind == "on_conic":
+        coords = [(i, i * i) for i in range(1, v + 1)]
+    else:
+        raise ValueError(f"unknown configuration kind {kind!r}")
+    config = PointConfiguration.from_coordinates(coords)
+    return config, blowup_row(config, k)
 
 
 def achievable_dims(v: int, seed: int = 0) -> list[tuple[int, PointConfiguration]]:
@@ -249,40 +266,25 @@ def achievable_dims(v: int, seed: int = 0) -> list[tuple[int, PointConfiguration
     computation before it is returned.
 
     Returns (dimension, witness) pairs in increasing dimension order.
-    Raises SamplingBudgetError if some intermediate rank cannot be realized
-    within SWEEP_STEP_ATTEMPTS attempts at one step.
+    Raises SamplingBudgetError if some intermediate dimension cannot be
+    realized within SWEEP_STEP_ATTEMPTS attempts at one step.
     """
     if v < 5:
         raise ValueError("for v <= 4 the dimension is forced to 10 - v; no sweep to run")
-    base = generate_configuration("collinear", v)
-    base_rank = rank(jet_matrix(base, 1).matrix)
-    if base_rank != 4:
-        raise RuntimeError(f"collinear configuration produced rank {base_rank}, expected 4")
-    witnesses: dict[int, PointConfiguration] = {10 - base_rank: base}
-    current = list(base.points)
-    for step, target_rank in enumerate(range(5, min(v, 10) + 1), start=1):
-        replaced = step - 1
-        for attempt in range(SWEEP_STEP_ATTEMPTS):
-            rng = _rng(seed, step, attempt)
-            candidate = (
-                Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
-                Fraction(rng.randint(-GENERIC_COORD_BOUND, GENERIC_COORD_BOUND)),
-            )
-            trial = list(current)
-            trial[replaced] = candidate
-            if len(set(trial)) != v:
-                continue
-            config = PointConfiguration(n=2, points=tuple(trial))
-            if rank(jet_matrix(config, 1).matrix) == target_rank:
-                current = trial
-                witnesses[10 - target_rank] = config
-                break
-        else:
-            raise SamplingBudgetError(
-                f"could not realize rank {target_rank} at step {step} "
-                f"within {SWEEP_STEP_ATTEMPTS} attempts"
-            )
-    return sorted(witnesses.items())
+    config, row = generate_configuration("collinear", v)
+    if row.h0_minus_kK != 6:
+        raise RuntimeError(f"collinear configuration produced h0 {row.h0_minus_kK}, expected 6")
+    witnesses = [(6, config)]
+    for step, h0 in enumerate(range(5, max(10 - v, 0) - 1, -1), start=1):
+        # Replace point number `step` by a sampled one; duplicates are wasted attempts.
+        head, tail = config.points[: step - 1], config.points[step:]
+        trials = (
+            head + (_sample_point(_rng(seed, step, a)),) + tail for a in range(SWEEP_STEP_ATTEMPTS)
+        )
+        samples = (PointConfiguration(n=2, points=t) if len(set(t)) == v else None for t in trials)
+        config, _ = _first_with_h0(samples, 1, h0)
+        witnesses.append((h0, config))
+    return witnesses[::-1]
 
 
 def blowup_row(config: PointConfiguration, k: int) -> CohomologyRow:

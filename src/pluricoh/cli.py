@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +31,12 @@ from .blowup import (
 )
 # Unused here; perfbench/tests checks that its tracer wraps this binding too.
 from .exact_linalg import rank  # noqa: F401
-from .family import KodairaFamily, noninvariance_report_blowup, noninvariance_report_hirzebruch
+from .family import (
+    FiberReportRow,
+    KodairaFamily,
+    noninvariance_report_blowup,
+    noninvariance_report_hirzebruch,
+)
 from .hirzebruch import (
     HirzebruchSurface,
     RegimeError,
@@ -46,6 +51,10 @@ from .surface_invariants import PROV_ENUMERATION, PROV_FORMULA, PROV_INPUT, PROV
 EXIT_OK = 0
 EXIT_CROSSCHECK = 1
 EXIT_USAGE = 2
+
+# Output column of each cohomology-row field in a family report, at general k and at k = 1.
+_COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
+_K1_COLUMNS = {"h0_minus_kK": "h0_minus_K", "h0_kp1K": "h0_2K", "h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"}
 
 
 @dataclass
@@ -171,24 +180,25 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 
 
 def _load_blowup_config(args: argparse.Namespace):
+    """The configuration, its row at power --k (None off the plane), and its source parameters."""
     if args.points and args.generate:
         raise ValueError("--points and --generate are mutually exclusive")
     if args.points:
-        return parse_point_file(Path(args.points).read_text()), {"points_file": args.points}
+        config = parse_point_file(Path(args.points).read_text())
+        row = blowup_row(config, args.k) if config.n == 2 else None
+        return config, row, {"points_file": args.points}
     if args.generate:
         if args.v is None:
             raise ValueError("--generate requires --v")
-        config = generate_configuration(args.generate, args.v, seed=args.seed)
-        return config, {"generate": args.generate, "v": args.v, "seed": args.seed}
+        config, row = generate_configuration(args.generate, args.v, seed=args.seed, k=args.k)
+        return config, row, {"generate": args.generate, "v": args.v, "seed": args.seed}
     raise ValueError("one of --points or --generate is required")
 
 
 def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.k < 1:
         raise ValueError("--k must be positive")
-    config, source = _load_blowup_config(args)
-    # The cohomology row exists for the plane; higher spaces report h0 only.
-    row = blowup_row(config, args.k) if config.n == 2 else None
+    config, row, source = _load_blowup_config(args)
     h0 = row.h0_minus_kK if row else h0_blowup(config, args.k)
     count = monomial_count(config.n, args.k)
 
@@ -212,10 +222,21 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     return record, code
 
 
-def _columns(report) -> tuple[dict, dict[str, str]]:
-    """The values of a family report and the provenance tags it carries."""
-    values = asdict(report)
-    return values, dict(values.pop("provenance"))
+def _report_columns(
+    report: FiberReportRow, columns: dict[str, str], fibers: tuple[str, str], **inputs: int
+) -> tuple[dict, dict[str, str]]:
+    """A family report row flattened to ``<column>_<fiber>`` keys, and their provenance tags.
+
+    The `inputs` lead the values, tagged as input; the jump flag ends them.
+    """
+    values: dict = dict(inputs)
+    tags = dict.fromkeys(inputs, PROV_INPUT)
+    for name, column in columns.items():
+        for fiber, row in zip(fibers, (report.central, report.general)):
+            values[f"{column}_{fiber}"] = getattr(row, name)
+            tags[f"{column}_{fiber}"] = row.provenance[name]
+    values["jump"] = report.jump
+    return values, tags
 
 
 def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
@@ -227,12 +248,13 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         record = OutputRecord(
             "family", {"mode": "kodaira", "m": args.m, "ell": args.ell, "kmax": args.kmax}
         )
-        columns = [_columns(row) for row in rows]
-        record.put_rows([values for values, _ in columns], **columns[0][1])
+        table = [_report_columns(row, _COLUMNS, ("central", "general"), k=row.k) for row in rows]
+        record.put_rows([values for values, _ in table], **table[0][1])
         record.put("jump_found", jump_found)
     else:
         if args.special_file:
-            special = parse_point_file(Path(args.special_file).read_text())
+            config = parse_point_file(Path(args.special_file).read_text())
+            special = config, blowup_row(config, 1)
             source = {"special_file": args.special_file}
         elif args.special:
             if args.v is None:
@@ -243,9 +265,12 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             raise ValueError("--blowup requires --special or --special-file")
         report = noninvariance_report_blowup(special, generic_seed=args.seed)
         jump_found = report.jump
+        v = special[0].v
         parameters = {"mode": "blowup", **source, "seed": args.seed}
-        record = OutputRecord("family", parameters, *_columns(report))
-        if report.v == 5 and report.jump:
+        record = OutputRecord(
+            "family", parameters, *_report_columns(report, _K1_COLUMNS, ("special", "generic"), v=v)
+        )
+        if v == 5 and report.jump:
             record.warnings.append(
                 "boundary case: the jump already appears at v = 5, "
                 "the smallest point count where position matters"

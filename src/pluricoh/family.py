@@ -9,21 +9,18 @@ the anticanonical count h0(-kK) by Serre duality, can drop from the
 central fiber to the general one; h1 follows through Riemann-Roch.
 
 Fibers are tracked by surface type only; the deformation parameter enters
-solely as the central/general dichotomy.  Each report lays the cohomology
-rows of two fibers side by side and carries their provenance tags.
+solely as the central/general dichotomy.  A report row is the pair of
+cohomology rows of the two fibers at one power, each row carrying its own
+provenance tags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .blowup import PointConfiguration, blowup_row, generate_configuration
+from .blowup import PointConfiguration, generate_configuration
 from .hirzebruch import HirzebruchSurface, hirzebruch_row
-from .surface_invariants import PROV_INPUT, CohomologyRow
-
-# Report column name of each cohomology-row field, at general k and at k = 1.
-_COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
-_K1_COLUMNS = {"h0_minus_kK": "h0_minus_K", "h0_kp1K": "h0_2K", "h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"}
+from .surface_invariants import CohomologyRow
 
 
 @dataclass(frozen=True)
@@ -42,55 +39,23 @@ class KodairaFamily:
 
 @dataclass(frozen=True)
 class FiberReportRow:
-    """One power k of the comparison table between central and general fiber.
+    """The cohomology rows of the central and the general fiber at one power k.
 
     The h2 columns repeat the h0(-kK) columns by Serre duality, and the
     plurigenus columns h0((k+1)K) are identically zero on these rational
-    surfaces; both are carried explicitly so the table says so in print.
-    ``provenance`` pairs every numeric column with its tag.
+    surfaces; both rows carry them explicitly so a report says so in print.
     """
 
-    k: int
-    h0_minus_kK_central: int
-    h0_minus_kK_general: int
-    h0_kp1K_central: int
-    h0_kp1K_general: int
-    h2_kp1K_central: int
-    h2_kp1K_general: int
-    h1_kp1K_central: int
-    h1_kp1K_general: int
-    jump: bool
-    provenance: tuple[tuple[str, str], ...] = field(repr=False)
+    central: CohomologyRow
+    general: CohomologyRow
 
+    @property
+    def k(self) -> int:
+        return self.central.k
 
-@dataclass(frozen=True)
-class BlowupFamilyReport:
-    """Special-versus-generic comparison for a plane blow-up, at k = 1."""
-
-    v: int
-    h0_minus_K_special: int
-    h0_minus_K_generic: int
-    h0_2K_special: int
-    h0_2K_generic: int
-    h2_2K_special: int
-    h2_2K_generic: int
-    h1_2K_special: int
-    h1_2K_generic: int
-    jump: bool
-    provenance: tuple[tuple[str, str], ...] = field(repr=False)
-
-
-def _side_by_side(
-    rows: dict[str, CohomologyRow], columns: dict[str, str]
-) -> tuple[dict[str, int], dict[str, str]]:
-    """Values and provenance tags of rows on several fibers, keyed ``<column>_<fiber>``."""
-    values: dict[str, int] = {}
-    tags: dict[str, str] = {}
-    for name, column in columns.items():
-        for fiber, row in rows.items():
-            values[f"{column}_{fiber}"] = getattr(row, name)
-            tags[f"{column}_{fiber}"] = row.provenance[name]
-    return values, tags
+    @property
+    def jump(self) -> bool:
+        return self.central.h2_kp1K != self.general.h2_kp1K
 
 
 def fiber_surface(family: KodairaFamily, at_zero: bool) -> HirzebruchSurface:
@@ -120,43 +85,28 @@ def noninvariance_report_hirzebruch(
                 f"semicontinuity violated at k = {k}: "
                 f"central {c.h2_kp1K} < general {g.h2_kp1K}"
             )
-        values, tags = _side_by_side({"central": c, "general": g}, _COLUMNS)
-        rows.append(
-            FiberReportRow(
-                k=k,
-                **values,
-                jump=c.h2_kp1K != g.h2_kp1K,
-                provenance=(("k", c.provenance["k"]), *tags.items()),
-            )
-        )
+        rows.append(FiberReportRow(c, g))
     return rows
 
 
 def noninvariance_report_blowup(
-    special: PointConfiguration, generic_seed: int = 0
-) -> BlowupFamilyReport:
-    """Compare a special plane configuration against a certified-generic one.
+    special: tuple[PointConfiguration, CohomologyRow], generic_seed: int = 0
+) -> FiberReportRow:
+    """Compare a special plane configuration, the central fiber, against a generic one.
 
-    The generic side uses the same point count, sampled from `generic_seed`
-    and certified by exact rank.  The jump flag compares the h2(2K) columns,
-    which equal the h0(-K) columns by Serre duality.
+    `special` is a configuration with its row, as ``generate_configuration``
+    returns them.  The general fiber blows up the same number of points,
+    sampled from `generic_seed` and certified generic by exact rank at the
+    special row's power.  The jump flag compares the h2 columns, which equal
+    the h0(-kK) columns by Serre duality.
     """
-    if special.n != 2:
-        raise ValueError("blow-up families are implemented for the plane only")
-    if special.v < 5:
+    config, s = special
+    if config.v < 5:
         raise ValueError("for v <= 4 every configuration gives the same dimensions")
-    generic = generate_configuration("generic", special.v, seed=generic_seed)
-    s = blowup_row(special, 1)
-    g = blowup_row(generic, 1)
+    _, g = generate_configuration("generic", config.v, seed=generic_seed, k=s.k)
     if s.h0_minus_kK < g.h0_minus_kK:
         raise RuntimeError(
             f"special configuration has fewer sections ({s.h0_minus_kK}) "
             f"than generic ({g.h0_minus_kK})"
         )
-    values, tags = _side_by_side({"special": s, "generic": g}, _K1_COLUMNS)
-    return BlowupFamilyReport(
-        v=special.v,
-        **values,
-        jump=s.h2_kp1K != g.h2_kp1K,
-        provenance=(("v", PROV_INPUT), *tags.items()),
-    )
+    return FiberReportRow(s, g)

@@ -76,8 +76,8 @@ def witness_corpus():
     for v in range(5, 13):
         corpus[v] = {
             "witnesses": achievable_dims(v, seed=v),
-            "collinear": generate_configuration("collinear", v),
-            "generic": generate_configuration("generic", v, seed=100 + v),
+            "collinear": generate_configuration("collinear", v)[0],
+            "generic": generate_configuration("generic", v, seed=100 + v)[0],
         }
     return corpus
 
@@ -169,19 +169,19 @@ def test_criterion_07_h1_2K_range(forced_corpus, witness_corpus):
 
 def test_criterion_08_kodaira_family_headline():
     rows = noninvariance_report_hirzebruch(KodairaFamily(m=4, ell=1), k_max=3)
-    assert rows[0].h2_kp1K_central == 10
-    assert rows[0].h2_kp1K_general == 9
+    assert rows[0].central.h2_kp1K == 10
+    assert rows[0].general.h2_kp1K == 9
     for row in rows:
         assert row.jump, row
-        assert row.h0_kp1K_central == 0 and row.h0_kp1K_general == 0, row
-        assert row.h2_kp1K_central >= row.h2_kp1K_general, row
+        assert row.central.h0_kp1K == 0 and row.general.h0_kp1K == 0, row
+        assert row.central.h2_kp1K >= row.general.h2_kp1K, row
     _report(8, "twist-4 family: h2(2K) jumps 10 vs 9, plurigenera constant 0, semicontinuity holds")
 
 
 def test_criterion_09_blowup_family_headline():
     report = noninvariance_report_blowup(generate_configuration("collinear", 5))
-    assert (report.h2_2K_special, report.h2_2K_generic) == (6, 5)
-    assert (report.h1_2K_special, report.h1_2K_generic) == (1, 0)
+    assert (report.central.h2_kp1K, report.general.h2_kp1K) == (6, 5)
+    assert (report.central.h1_kp1K, report.general.h1_kp1K) == (1, 0)
     assert report.jump
     _report(9, "five collinear vs generic points: h2(2K) 6 vs 5, h1(2K) 1 vs 0")
 
@@ -191,9 +191,9 @@ def test_criterion_10_oracle_redundancy(forced_corpus, witness_corpus):
     for data in witness_corpus.values():
         jets.extend(jet_matrix(config, 1).matrix for _, config in data["witnesses"])
         jets.append(jet_matrix(data["collinear"], 1).matrix)
-    jets.append(jet_matrix(generate_configuration("collinear", 12), 2).matrix)
-    jets.append(jet_matrix(generate_configuration("on_conic", 8), 2).matrix)
-    jets.append(jet_matrix(generate_configuration("generic", 12, seed=5), 2).matrix)
+    jets.append(jet_matrix(generate_configuration("collinear", 12)[0], 2).matrix)
+    jets.append(jet_matrix(generate_configuration("on_conic", 8)[0], 2).matrix)
+    jets.append(jet_matrix(generate_configuration("generic", 12, seed=5)[0], 2).matrix)
     assert max((m.rows, m.cols) for m in jets) == (36, 28)
     for matrix in jets:
         assert rank(matrix) == naive_rank(matrix), (matrix.rows, matrix.cols)

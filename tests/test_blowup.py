@@ -18,6 +18,7 @@ from pluricoh.blowup import (
     PointFileError,
     SamplingBudgetError,
     achievable_dims,
+    blowup_row,
     generate_configuration,
     h0_blowup,
     h1_2K,
@@ -122,7 +123,8 @@ class TestJetMatrix:
             assert all(x == 0 for i, x in enumerate(row) if i != row_index)
 
     def test_collinear_rows(self):
-        jet = jet_matrix(generate_configuration("collinear", 5), 1)
+        config, _ = generate_configuration("collinear", 5)
+        jet = jet_matrix(config, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (5, 10)
         for i, x in enumerate(range(1, 6)):
             assert jet.matrix.row(i) == (1, x, 0, x**2, 0, 0, x**3, 0, 0, 0)
@@ -147,7 +149,7 @@ class TestH0Blowup:
         assert h0_blowup(config, 1) == 7
 
     def test_five_collinear_points(self):
-        config = generate_configuration("collinear", 5)
+        config, _ = generate_configuration("collinear", 5)
         jet = jet_matrix(config, 1).matrix
         assert naive_rank(jet) == 4
         assert h0_blowup(config, 1) == 6
@@ -238,25 +240,37 @@ class TestSpaceBlowups:
 
 class TestGenerateConfiguration:
     def test_collinear_coordinates(self):
-        config = generate_configuration("collinear", 5)
+        config, row = generate_configuration("collinear", 5)
         assert config.points == tuple((Fraction(i), Fraction(0)) for i in range(1, 6))
-        assert h0_blowup(config, 1) == 6
+        assert h0_blowup(config, 1) == row.h0_minus_kK == 6
 
     def test_conic_coordinates_span_seven_conditions(self):
-        config = generate_configuration("on_conic", 8)
+        config, row = generate_configuration("on_conic", 8)
         assert config.points[3] == (Fraction(4), Fraction(16))
         jet = jet_matrix(config, 1).matrix
         assert naive_rank(jet) == 7
-        assert h0_blowup(config, 1) == 3
+        assert h0_blowup(config, 1) == row.h0_minus_kK == 3
+
+    def test_returns_the_row_at_the_power_asked(self):
+        config, row = generate_configuration("on_conic", 6, k=2)
+        assert row == blowup_row(config, 2)
 
     def test_generic_ten_points_kill_all_sections(self):
-        config = generate_configuration("generic", 10, seed=7)
-        assert h0_blowup(config, 1) == 0
+        config, row = generate_configuration("generic", 10, seed=7)
+        assert h0_blowup(config, 1) == row.h0_minus_kK == 0
 
-    @pytest.mark.parametrize("v, seed", [(3, 0), (5, 1), (11, 2)])
-    def test_generic_rank_certificate(self, v, seed):
-        config = generate_configuration("generic", v, seed=seed)
-        assert rank(jet_matrix(config, 1).matrix) == min(v, 10)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("v, seed", [(3, 0), (5, 1), (9, 3), (11, 2)])
+    def test_generic_rank_certificate(self, v, seed, k):
+        config, row = generate_configuration("generic", v, seed=seed, k=k)
+        monomials, conditions = monomial_count(2, k), v * k * (k + 1) // 2
+        assert row.k == k
+        assert row.h0_minus_kK == monomials - min(monomials, conditions)
+        if v <= 8:
+            expected = 1 + k * (k + 1) * (9 - v) // 2
+        else:
+            expected = 1 if v == 9 else 0
+        assert row.h0_minus_kK == expected
 
     def test_generic_is_deterministic_in_seed(self):
         a = generate_configuration("generic", 6, seed=42)
@@ -277,6 +291,16 @@ class TestGenerateConfiguration:
         monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 0)
         with pytest.raises(SamplingBudgetError):
             generate_configuration("generic", 3)
+
+    def test_generic_is_certified_at_the_power_used(self, monkeypatch):
+        # Rank 0 on every matrix wider than the k = 1 one: a sampler that
+        # certifies at k = 1 only would accept these points for k = 2.
+        monkeypatch.setattr(
+            pluricoh.blowup, "rank", lambda matrix: 0 if matrix.cols > 10 else rank(matrix)
+        )
+        generate_configuration("generic", 5, k=1)
+        with pytest.raises(SamplingBudgetError):
+            generate_configuration("generic", 5, k=2)
 
 
 class TestAchievableDims:
@@ -309,11 +333,11 @@ class TestH12K:
         assert h1_2K(config) == 0
 
     def test_five_collinear(self):
-        assert h1_2K(generate_configuration("collinear", 5)) == 1
+        assert h1_2K(generate_configuration("collinear", 5)[0]) == 1
 
     def test_six_points_both_ends(self):
-        assert h1_2K(generate_configuration("generic", 6, seed=3)) == 0
-        assert h1_2K(generate_configuration("collinear", 6)) == 2
+        assert h1_2K(generate_configuration("generic", 6, seed=3)[0]) == 0
+        assert h1_2K(generate_configuration("collinear", 6)[0]) == 2
 
     def test_plane_only(self):
         config = PointConfiguration.from_coordinates([(1, 2, 3)])

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 import pluricoh.blowup
+import pluricoh.exact_linalg
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
 from pluricoh.cli import main
@@ -166,39 +167,54 @@ class TestBlowupCommand:
         assert run_cli(capsys, "blowup", "--generate", "generic")[0] == 2
 
 
-def _count_jet_builds(monkeypatch) -> list[int]:
-    """Record the power k of every jet matrix build, wherever pluricoh binds jet_matrix."""
-    original = pluricoh.blowup.jet_matrix
-    calls: list[int] = []
+def _record_calls(monkeypatch, original) -> list[tuple]:
+    """Record the arguments of every call to `original`, wherever pluricoh binds it."""
+    calls: list[tuple] = []
 
-    def counting(config, k):
-        calls.append(k)
-        return original(config, k)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name == "pluricoh" or name.startswith("pluricoh."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, recording)
     return calls
 
 
 class TestEachMatrixBuiltOnce:
-    def test_blowup_builds_one_matrix(self, capsys, monkeypatch):
-        calls = _count_jet_builds(monkeypatch)
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Jet builds and ranks, and the attempts the generic sampler makes for v = 5."""
+        builds = _record_calls(monkeypatch, pluricoh.blowup.jet_matrix)
+        ranks = _record_calls(monkeypatch, pluricoh.exact_linalg.rank)
+        generate_configuration("generic", 5, seed=0)
+        attempts = len(builds)
+        assert attempts >= 1
+        assert len(ranks) == attempts
+        builds.clear()
+        ranks.clear()
+        return builds, ranks, attempts
+
+    def test_blowup_builds_one_matrix(self, capsys, work):
+        builds, ranks, _ = work
         code, _, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", "5")
         assert code == 0
-        assert calls == [1]
+        assert [k for _, k in builds] == [1]
+        assert len(ranks) == 1
 
-    def test_family_blowup_builds_sampler_attempts_plus_two(self, capsys, monkeypatch):
-        calls = _count_jet_builds(monkeypatch)
-        generate_configuration("generic", 5, seed=0)
-        attempts = len(calls)
-        assert attempts >= 1
-        calls.clear()
+    def test_generic_blowup_ranks_each_sampler_attempt_once(self, capsys, work):
+        builds, ranks, attempts = work
+        code, _, _ = run_cli(capsys, "blowup", "--generate", "generic", "--v", "5")
+        assert code == 0
+        assert len(builds) == len(ranks) == attempts
+
+    def test_family_blowup_builds_sampler_attempts_plus_one(self, capsys, work):
+        builds, ranks, attempts = work
         code, _, _ = run_cli(capsys, "family", "--blowup", "--special", "collinear", "--v", "5")
         assert code == 0
-        assert len(calls) == attempts + 2
+        assert len(builds) == len(ranks) == attempts + 1
 
 
 class TestFamilyCommand:

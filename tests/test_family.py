@@ -8,7 +8,7 @@ from pluricoh.family import (
     noninvariance_report_blowup,
     noninvariance_report_hirzebruch,
 )
-from pluricoh.blowup import PointConfiguration, generate_configuration
+from pluricoh.blowup import PointConfiguration, blowup_row, generate_configuration
 from pluricoh.hirzebruch import HirzebruchSurface, dim_enumerated
 
 
@@ -37,9 +37,9 @@ class TestHirzebruchReport:
     def test_headline_family(self):
         rows = noninvariance_report_hirzebruch(KodairaFamily(4, 1), 3)
         assert [
-            (r.k, r.h2_kp1K_central, r.h2_kp1K_general, r.jump) for r in rows
+            (r.k, r.central.h2_kp1K, r.general.h2_kp1K, r.jump) for r in rows
         ] == [(1, 10, 9, True), (2, 28, 25, True), (3, 55, 49, True)]
-        assert [(r.h1_kp1K_central, r.h1_kp1K_general) for r in rows] == [
+        assert [(r.central.h1_kp1K, r.general.h1_kp1K) for r in rows] == [
             (1, 0),
             (3, 0),
             (6, 0),
@@ -48,7 +48,7 @@ class TestHirzebruchReport:
     def test_deformation_equivalent_pair_never_jumps(self):
         rows = noninvariance_report_hirzebruch(KodairaFamily(2, 1), 10)
         assert all(not r.jump for r in rows)
-        assert all(r.h0_minus_kK_central == r.h0_minus_kK_general for r in rows)
+        assert all(r.central == r.general for r in rows)
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_every_larger_family_jumps_somewhere(self, m):
@@ -63,15 +63,16 @@ class TestHirzebruchReport:
         central = fiber_surface(family, True)
         general = fiber_surface(family, False)
         for row in rows:
+            assert row.central.k == row.general.k == row.k
             # Serre column identity and the constant plurigenus columns.
-            assert row.h2_kp1K_central == row.h0_minus_kK_central
-            assert row.h2_kp1K_general == row.h0_minus_kK_general
-            assert row.h0_kp1K_central == row.h0_kp1K_general == 0
+            assert row.central.h2_kp1K == row.central.h0_minus_kK
+            assert row.general.h2_kp1K == row.general.h0_minus_kK
+            assert row.central.h0_kp1K == row.general.h0_kp1K == 0
             # Upper semicontinuity: the special fiber only gains sections.
-            assert row.h2_kp1K_central >= row.h2_kp1K_general
-            assert row.h0_minus_kK_central == dim_enumerated(central, row.k)
-            assert row.h0_minus_kK_general == dim_enumerated(general, row.k)
-            assert row.jump == (row.h2_kp1K_central != row.h2_kp1K_general)
+            assert row.central.h2_kp1K >= row.general.h2_kp1K
+            assert row.central.h0_minus_kK == dim_enumerated(central, row.k)
+            assert row.general.h0_minus_kK == dim_enumerated(general, row.k)
+            assert row.jump == (row.central.h2_kp1K != row.general.h2_kp1K)
 
     def test_kmax_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -80,24 +81,34 @@ class TestHirzebruchReport:
 
 class TestBlowupReport:
     def test_five_collinear_jumps(self):
-        report = noninvariance_report_blowup(generate_configuration("collinear", 5))
-        assert report.v == 5
-        assert (report.h0_minus_K_special, report.h0_minus_K_generic) == (6, 5)
-        assert (report.h2_2K_special, report.h2_2K_generic) == (6, 5)
-        assert (report.h1_2K_special, report.h1_2K_generic) == (1, 0)
-        assert report.h0_2K_special == report.h0_2K_generic == 0
+        special = generate_configuration("collinear", 5)
+        report = noninvariance_report_blowup(special)
+        assert report.central == special[1]
+        s, g = report.central, report.general
+        assert report.k == 1
+        assert (s.h0_minus_kK, g.h0_minus_kK) == (6, 5)
+        assert (s.h2_kp1K, g.h2_kp1K) == (6, 5)
+        assert (s.h1_kp1K, g.h1_kp1K) == (1, 0)
+        assert s.h0_kp1K == g.h0_kp1K == 0
         assert report.jump
 
     def test_six_collinear_jumps_by_two(self):
         report = noninvariance_report_blowup(generate_configuration("collinear", 6))
-        assert (report.h2_2K_special, report.h2_2K_generic) == (6, 4)
-        assert (report.h1_2K_special, report.h1_2K_generic) == (2, 0)
+        assert (report.central.h2_kp1K, report.general.h2_kp1K) == (6, 4)
+        assert (report.central.h1_kp1K, report.general.h1_kp1K) == (2, 0)
+        assert report.jump
+
+    def test_generic_side_follows_the_special_power(self):
+        report = noninvariance_report_blowup(generate_configuration("collinear", 5, k=2))
+        assert report.k == report.general.k == 2
+        # Five general points: 1 + k(k+1)(9-v)/2 = 13 sections at k = 2.
+        assert (report.central.h0_minus_kK, report.general.h0_minus_kK) == (16, 13)
         assert report.jump
 
     def test_generic_against_generic_does_not_jump(self):
         special = generate_configuration("generic", 5, seed=11)
         report = noninvariance_report_blowup(special, generic_seed=12)
-        assert report.h0_minus_K_special == report.h0_minus_K_generic == 5
+        assert report.central.h0_minus_kK == report.general.h0_minus_kK == 5
         assert not report.jump
 
     def test_forced_regime_rejected(self):
@@ -108,5 +119,5 @@ class TestBlowupReport:
         config = PointConfiguration.from_coordinates(
             [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 1, 1), (2, 2, 2)]
         )
-        with pytest.raises(ValueError):
-            noninvariance_report_blowup(config)
+        with pytest.raises(ValueError, match="plane only"):
+            noninvariance_report_blowup((config, blowup_row(config, 1)))

@@ -13,6 +13,8 @@ from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import (
+    CheckResult,
+    _run,
     count_sections_by_lattice_points,
     naive_det,
     naive_nullspace_dimension,
@@ -50,10 +52,10 @@ class TestRunSelfcheck:
         results = run_selfcheck(budget=budget)
         assert results
         assert all(r.passed for r in results)
-        # The h1 chain compares powers k >= 2, so budget 1 gives it no case.
-        assert all(
-            r.cases > 0 for r in results if (r.name, budget) != ("h1_formula_vs_rr_chain", 1)
-        )
+        assert all(r.cases > 0 for r in results)
+
+    def test_a_check_without_cases_fails(self):
+        assert _run("empty", iter(())) == CheckResult("empty", False, 0, "no case ran")
 
     def test_default_budget_case_counts(self):
         # The same pairs are pinned by the benchmark's golden selfcheck record.
