@@ -3,19 +3,21 @@
 Sections of the k-th anticanonical power on the blow-up of P^n at v
 distinct points correspond to polynomials of degree at most (n+1)k whose
 partial derivatives of every order below (n-1)k vanish at each point.
-Those vanishing conditions are rows of an exact rational matrix against
+Those vanishing conditions are rows of an exact integer matrix against
 the monomial basis, so each dimension is
 
     h0 = (number of monomials) - rank(condition matrix)
 
-computed entirely over the rationals.  The module also ships deterministic
-configuration generators (generic, collinear, on a conic) and a
-sweep that certifies, point replacement by point replacement, every
+with each point's rows scaled by a power of its coordinate denominator,
+which clears every fraction and changes no rank.  The module also ships
+deterministic configuration generators (generic, collinear, on a conic)
+and a sweep that certifies, point replacement by point replacement, every
 dimension achievable for a given number of points.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,13 +89,13 @@ class JetConditionMatrix:
 
     Row order: points in configuration order, then derivative multi-indices
     in graded order.  Column order: monomial exponents in graded order with
-    the first variable largest.  Entries are true derivatives, with the
-    falling-factorial factors included; scaling rows changes no rank, but a
-    single convention keeps matrices byte-reproducible.
+    the first variable largest.  Entries are integers: the row of a point
+    with coordinate denominators of lcm d and of multi-index alpha holds the
+    true derivatives, falling-factorial factors included, times
+    d^((n+1)k - |alpha|).  Scaling rows changes no rank, and integer points
+    (d = 1) give the true derivatives.
     """
 
-    config: PointConfiguration
-    k: int
     row_labels: tuple[tuple[int, tuple[int, ...]], ...]
     col_monomials: tuple[tuple[int, ...], ...]
     matrix: RatMatrix
@@ -120,17 +122,14 @@ def _graded_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
 
 
 def _derivative_at(
-    beta: tuple[int, ...], alpha: tuple[int, ...], point: tuple[Fraction, ...]
-) -> Fraction:
-    """Value at `point` of the alpha-th partial derivative of the monomial z^beta."""
-    value = Fraction(1)
-    for b, a, q in zip(beta, alpha, point):
+    beta: tuple[int, ...], alpha: tuple[int, ...], point: tuple[int, ...], top: int
+) -> int:
+    """Value at the integer point (x0, x) of d^alpha/dx^alpha of x0^(top - |beta|) x^beta."""
+    value = point[0] ** (top - sum(beta))
+    for b, a, q in zip(beta, alpha, point[1:]):
         if a > b:
-            return Fraction(0)
-        coeff = 1
-        for t in range(b, b - a, -1):
-            coeff *= t
-        value *= coeff * q ** (b - a)
+            return 0
+        value *= math.perm(b, a) * q ** (b - a)
     return value
 
 
@@ -145,9 +144,10 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     """Build the matrix of vanishing conditions defining h0 of power k.
 
     One row per (point, multi-index alpha with |alpha| < (n-1)k), one column
-    per monomial of degree <= (n+1)k.  For n = 2, k = 1 the conditions
-    degenerate to plain evaluation, mapping each point (x, y) to the row
-    (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3).
+    per monomial of degree <= (n+1)k; integer entries, scaled as described
+    on ``JetConditionMatrix``, with no Fraction formed.  For n = 2, k = 1 the
+    conditions degenerate to plain evaluation, mapping each integer point
+    (x, y) to the row (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3).
 
     n = 1 is rejected: there (n-1)k = 0 and the condition set would be
     vacuous, so the blow-up would not constrain sections at all.
@@ -157,22 +157,20 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     if k < 1:
         raise ValueError("k must be positive")
     n = config.n
-    cols = tuple(_graded_exponents(n, (n + 1) * k))
+    top = (n + 1) * k
+    cols = tuple(_graded_exponents(n, top))
     alphas = tuple(_graded_exponents(n, (n - 1) * k - 1))
     labels = []
     entries = []
     for point_index, point in enumerate(config.points):
+        # The point lifted to (d, d*x): d^(top - |alpha|) times the true derivatives.
+        d = math.lcm(*(c.denominator for c in point))
+        lifted = (d, *(c.numerator * (d // c.denominator) for c in point))
         for alpha in alphas:
             labels.append((point_index, alpha))
-            entries.extend(_derivative_at(beta, alpha, point) for beta in cols)
+            entries.extend(_derivative_at(beta, alpha, lifted, top) for beta in cols)
     matrix = RatMatrix(rows=len(labels), cols=len(cols), entries=tuple(entries))
-    return JetConditionMatrix(
-        config=config,
-        k=k,
-        row_labels=tuple(labels),
-        col_monomials=cols,
-        matrix=matrix,
-    )
+    return JetConditionMatrix(row_labels=tuple(labels), col_monomials=cols, matrix=matrix)
 
 
 def h0_blowup(config: PointConfiguration, k: int) -> int:

@@ -27,11 +27,11 @@ def _fraction(value: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable dense matrix of rationals, stored row-major."""
+    """Immutable dense matrix of rationals (Fractions or ints), stored row-major."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -51,10 +51,10 @@ class RatMatrix:
             raise ValueError("rows have inconsistent lengths")
         return cls(len(grid), width, tuple(x for row in grid for x in row))
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def transpose(self) -> "RatMatrix":
@@ -68,7 +68,7 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
+def _integer_row(row: Sequence[Rational]) -> list[int]:
     # Scaling a row by the lcm of its denominators changes no rank.
     scale = math.lcm(*(x.denominator for x in row)) if row else 1
     return [(x * scale).numerator for x in row]

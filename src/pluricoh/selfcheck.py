@@ -26,7 +26,7 @@ def naive_rank(matrix: RatMatrix) -> int:
     eliminate below, count pivots.  Shares nothing with the fraction-free
     production route beyond the definition of rank.
     """
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
     r = 0
     for c in range(matrix.cols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -45,7 +45,7 @@ def naive_rank(matrix: RatMatrix) -> int:
 
 def naive_nullspace_dimension(matrix: RatMatrix) -> int:
     """Number of free columns after full reduced row reduction over Fraction."""
-    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
+    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
     pivot_cols = []
     r = 0
     for c in range(matrix.cols):

@@ -5,7 +5,9 @@ Fraction-elimination oracle (`naive_rank` / `naive_nullspace_dimension`)
 and are asserted against both routes where it matters.
 """
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,8 @@ from pluricoh.blowup import (
 )
 from pluricoh.exact_linalg import rank
 from pluricoh.selfcheck import naive_nullspace_dimension, naive_rank
+
+DATA = Path(__file__).resolve().parent / "data"
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points_2d = st.tuples(coords, coords)
@@ -141,6 +145,41 @@ class TestJetMatrix:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             jet_matrix(PointConfiguration.from_coordinates([(0, 0)]), 0)
+
+    @given(configs(1, 4), st.integers(1, 3))
+    @settings(max_examples=50)
+    def test_rows_are_scaled_true_derivatives(self, config, k):
+        _assert_scaled_true_derivatives(config, k)
+
+    def test_space_point_file_rows_are_scaled_true_derivatives(self):
+        config = parse_point_file((DATA / "space_points.txt").read_text())
+        _assert_scaled_true_derivatives(config, 1)
+
+
+def _true_derivative(beta, alpha, point) -> Fraction:
+    """The alpha-th partial derivative of the monomial z^beta at `point`, over Fraction."""
+    value = Fraction(1)
+    for b, a, q in zip(beta, alpha, point):
+        if a > b:
+            return Fraction(0)
+        coeff = 1
+        for t in range(b, b - a, -1):
+            coeff *= t
+        value *= coeff * q ** (b - a)
+    return value
+
+
+def _assert_scaled_true_derivatives(config: PointConfiguration, k: int) -> None:
+    # Each row is the true derivatives at its point times d^((n+1)k - |alpha|),
+    # with d the lcm of the point's coordinate denominators.
+    jet = jet_matrix(config, k)
+    top = (config.n + 1) * k
+    for i, (point_index, alpha) in enumerate(jet.row_labels):
+        point = config.points[point_index]
+        scale = math.lcm(*(c.denominator for c in point)) ** (top - sum(alpha))
+        row = jet.matrix.row(i)
+        assert all(type(x) is int for x in row)
+        assert row == tuple(scale * _true_derivative(b, alpha, point) for b in jet.col_monomials)
 
 
 class TestH0Blowup:

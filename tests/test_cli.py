@@ -88,6 +88,12 @@ class TestHirzebruchCommand:
         assert record["results"]["h1_kK_rr_chain"] == 1
         assert record["results"]["h2_kK"] == 10
 
+    def test_huge_power_is_constant_time(self, capsys):
+        code, record = run_json(capsys, "hirzebruch", "--m", "4", "--k", "100000000")
+        assert code == 0
+        assert record["results"]["dim_enumerated"] == 45000000450000001
+        assert record["results"]["dim_formula"] == 45000000450000001
+
     def test_basis_flag(self, capsys):
         code, record = run_json(capsys, "hirzebruch", "--m", "4", "--k", "1", "--basis")
         assert code == 0

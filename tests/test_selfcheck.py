@@ -23,11 +23,16 @@ from pluricoh.selfcheck import (
 )
 
 
+# Integer entries with determinant -1: float elimination would call it singular.
+NEAR_SINGULAR_INT = RatMatrix(2, 2, (2**60, 2**60 + 1, 2**60 + 1, 2**60 + 2))
+
+
 class TestOracles:
     def test_naive_rank_on_small_matrices(self):
         assert naive_rank(RatMatrix(0, 4, ())) == 0
         assert naive_rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
         assert naive_rank(RatMatrix.from_rows([[0, 1], [1, 0]])) == 2
+        assert naive_rank(NEAR_SINGULAR_INT) == 2
 
     def test_naive_det(self):
         assert naive_det(RatMatrix(0, 0, ())) == 1
@@ -39,6 +44,7 @@ class TestOracles:
     def test_naive_nullspace_dimension(self):
         assert naive_nullspace_dimension(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
         assert naive_nullspace_dimension(RatMatrix(0, 3, ())) == 3
+        assert naive_nullspace_dimension(NEAR_SINGULAR_INT) == 0
 
     def test_lattice_walk_base_cases(self):
         assert count_sections_by_lattice_points(5, 0) == 1
