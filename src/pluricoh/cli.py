@@ -52,6 +52,10 @@ EXIT_OK = 0
 EXIT_CROSSCHECK = 1
 EXIT_USAGE = 2
 
+# Largest k for `hirzebruch --basis`, which lists up to 2k+1 terms (the
+# count itself has no cap: it is constant time in k).
+BASIS_MAX_K = 10**4
+
 # Output column of each cohomology-row field in a family report, at general k and at k = 1.
 _COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
 _K1_COLUMNS = {"h0_minus_kK": "h0_minus_K", "h0_kp1K": "h0_2K", "h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"}
@@ -130,6 +134,11 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         raise ValueError("--m must be nonnegative")
     if args.k < 1:
         raise ValueError("--k must be positive")
+    if args.basis and args.k > BASIS_MAX_K:
+        raise ValueError(
+            f"--basis is capped at k <= {BASIS_MAX_K}: k = {args.k} would list "
+            f"up to 2k+1 = {2 * args.k + 1} terms"
+        )
     surface = HirzebruchSurface(args.m)
     record = OutputRecord("hirzebruch", {"m": args.m, "k": args.k, "basis": bool(args.basis)})
     failures: list[str] = []
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hirzebruch", parents=[common], help="section and cohomology counts on a twisted ruled surface")
     p.add_argument("--m", type=int, required=True, help="twist of the surface (m >= 0)")
     p.add_argument("--k", type=int, required=True, help="anticanonical power (k >= 1)")
-    p.add_argument("--basis", action="store_true", help="include the section basis description")
+    p.add_argument("--basis", action="store_true", help=f"include the section basis description (k <= {BASIS_MAX_K})")
 
     p = sub.add_parser("blowup", parents=[common], help="section counts on a blow-up of the plane")
     p.add_argument("--points", metavar="FILE", help="point file: one point per line, rational coordinates")

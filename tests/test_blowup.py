@@ -298,7 +298,7 @@ class TestGenerateConfiguration:
         config, row = generate_configuration("generic", 10, seed=7)
         assert h0_blowup(config, 1) == row.h0_minus_kK == 0
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("v, seed", [(3, 0), (5, 1), (9, 3), (11, 2)])
     def test_generic_rank_certificate(self, v, seed, k):
         config, row = generate_configuration("generic", v, seed=seed, k=k)

@@ -12,7 +12,7 @@ import pluricoh.blowup
 import pluricoh.exact_linalg
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
-from pluricoh.cli import main
+from pluricoh.cli import BASIS_MAX_K, main
 from pluricoh.hirzebruch import FormulaEvaluation
 
 SCHEMA = json.loads(
@@ -99,6 +99,14 @@ class TestHirzebruchCommand:
         assert code == 0
         assert record["results"]["section_basis"] == [[1, 2], [2, 6]]
         assert record["results"]["section_basis_dimension"] == 10
+
+    def test_basis_cap(self, capsys):
+        code, record = run_json(capsys, "hirzebruch", "--m", "1", "--k", str(BASIS_MAX_K), "--basis")
+        assert code == 0
+        assert len(record["results"]["section_basis"]) == 2 * BASIS_MAX_K + 1
+        code, out, err = run_cli(capsys, "hirzebruch", "--m", "1", "--k", str(BASIS_MAX_K + 1), "--basis")
+        assert (code, out) == (2, "")
+        assert f"2k+1 = {2 * BASIS_MAX_K + 3} terms" in err
 
     def test_basis_flag_invalid_on_product_surface(self, capsys):
         code, _, err = run_cli(capsys, "hirzebruch", "--m", "0", "--k", "1", "--basis")

@@ -9,10 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pluricoh import exact_linalg
 from pluricoh.exact_linalg import (
+    MODULAR_PRIME,
+    MODULAR_RULE_BITS,
     RatMatrix,
     binomial,
     rank,
@@ -127,6 +130,89 @@ class TestRank:
         xs = list(range(1, 11))
         assert vandermonde_det(xs) > 2**63
         assert rank(vandermonde_matrix(xs)) == 10
+
+
+def _integer_matrix(grid: list[list[int]]) -> RatMatrix:
+    return RatMatrix(len(grid), len(grid[0]), tuple(x for row in grid for x in row))
+
+
+def _bareiss(m: RatMatrix) -> int:
+    return exact_linalg._bareiss_rank([list(m.row(i)) for i in range(m.rows)], m.cols)
+
+
+def _large_grid(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Random integers just large enough that the matrix passes the modular rule."""
+    bound = 2 ** (MODULAR_RULE_BITS // min(rows, cols) + 1)
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def large_entry_matrices(draw):
+    """Integer matrices past the modular rule, some with planted dependent rows."""
+    rows, cols = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+    grid = _large_grid(random.Random(draw(st.integers(0, 2**32))), rows, cols)
+    for target in draw(st.lists(st.integers(2, rows - 1), max_size=3, unique=True)):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        grid[target] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
+    m = _integer_matrix(grid)
+    assert min(rows, cols) * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
+    return m
+
+
+class TestModularRoute:
+    @settings(max_examples=40)
+    @given(large_entry_matrices())
+    def test_matches_naive_elimination_and_bareiss(self, m):
+        assert rank(m) == naive_rank(m) == _bareiss(m)
+
+    @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
+    def test_every_maximal_minor_divisible_by_p_falls_back(self, rows, cols):
+        # Scaling a row (a column, when the matrix is tall) by p puts a
+        # factor p in every maximal minor: full rank over Q, not mod p.
+        grid = _large_grid(random.Random(f"p-divides-minors:{rows}x{cols}"), rows, cols)
+        if rows <= cols:
+            grid[0] = [MODULAR_PRIME * x for x in grid[0]]
+        else:
+            grid = [[MODULAR_PRIME * row[0], *row[1:]] for row in grid]
+        m = _integer_matrix(grid)
+        assert not exact_linalg._has_full_rank_mod_p([list(m.row(i)) for i in range(rows)], cols)
+        assert rank(m) == naive_rank(m) == min(rows, cols)
+
+    def test_full_rank_large_entries_never_enter_bareiss(self, monkeypatch):
+        m = _integer_matrix(_large_grid(random.Random("route-full"), 12, 10))
+
+        def forbidden(work, n):
+            raise AssertionError("Bareiss ran on a matrix the modular route certifies")
+
+        monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
+        assert rank(m) == 10
+
+    def test_deficient_large_entries_fall_back_to_bareiss(self, monkeypatch):
+        grid = _large_grid(random.Random("route-deficient"), 10, 12)
+        grid[-1] = [x - y for x, y in zip(grid[0], grid[1])]
+        m = _integer_matrix(grid)
+        calls = []
+        bareiss = exact_linalg._bareiss_rank
+
+        def spy(work, n):
+            calls.append(n)
+            return bareiss(work, n)
+
+        monkeypatch.setattr(exact_linalg, "_bareiss_rank", spy)
+        assert rank(m) == 9
+        assert calls == [12]
+
+    def test_small_matrices_skip_the_modular_route(self, monkeypatch):
+        def forbidden(rows, cols):
+            raise AssertionError("modular route ran below the rule")
+
+        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", forbidden)
+        bits = MODULAR_RULE_BITS // 8
+        m = _integer_matrix(
+            [[2 ** (bits - 1) if i == j else 1 for j in range(8)] for i in range(8)]
+        )
+        assert 8 * bits == MODULAR_RULE_BITS
+        assert rank(m) == 8
 
 
 class TestVandermonde:
