@@ -21,11 +21,10 @@ from .blowup import (
     monomial_count,
     parse_point_file,
 )
-from .exact_linalg import RatMatrix, binomial, rank, vandermonde_det, vandermonde_matrix
+from .exact_linalg import RatMatrix, rank, vandermonde_det, vandermonde_matrix
 from .family import (
     FiberReportRow,
     KodairaFamily,
-    fiber_surface,
     noninvariance_report_blowup,
     noninvariance_report_hirzebruch,
 )
@@ -63,11 +62,9 @@ __all__ = [
     "SectionBasisDescription",
     "SurfaceInvariants",
     "achievable_dims",
-    "binomial",
     "blowup_row",
     "dim_enumerated",
     "dim_formula",
-    "fiber_surface",
     "generate_configuration",
     "h0_blowup",
     "h1_2K",

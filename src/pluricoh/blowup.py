@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import RatMatrix, Rational, binomial, rank
+from .exact_linalg import RatMatrix, Rational, rank
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
@@ -72,15 +72,11 @@ class PointConfiguration:
         return len(self.points)
 
     @classmethod
-    def from_coordinates(
-        cls, coords: Sequence[Sequence[Rational]], n: int | None = None
-    ) -> "PointConfiguration":
+    def from_coordinates(cls, coords: Sequence[Sequence[Rational]]) -> "PointConfiguration":
         points = tuple(tuple(Fraction(c) for c in point) for point in coords)
-        if n is None:
-            if not points:
-                raise ValueError("cannot infer ambient dimension from an empty point list")
-            n = len(points[0])
-        return cls(n=n, points=points)
+        if not points:
+            raise ValueError("cannot infer ambient dimension from an empty point list")
+        return cls(n=len(points[0]), points=points)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,6 @@ class JetConditionMatrix:
     (d = 1) give the true derivatives.
     """
 
-    row_labels: tuple[tuple[int, tuple[int, ...]], ...]
     col_monomials: tuple[tuple[int, ...], ...]
     matrix: RatMatrix
 
@@ -137,7 +132,7 @@ def monomial_count(n: int, k: int) -> int:
     """Number of monomials of degree <= (n+1)k in n variables."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    return binomial((n + 1) * k + n, n)
+    return math.comb((n + 1) * k + n, n)
 
 
 def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
@@ -160,17 +155,15 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     top = (n + 1) * k
     cols = tuple(_graded_exponents(n, top))
     alphas = tuple(_graded_exponents(n, (n - 1) * k - 1))
-    labels = []
     entries = []
-    for point_index, point in enumerate(config.points):
+    for point in config.points:
         # The point lifted to (d, d*x): d^(top - |alpha|) times the true derivatives.
         d = math.lcm(*(c.denominator for c in point))
         lifted = (d, *(c.numerator * (d // c.denominator) for c in point))
         for alpha in alphas:
-            labels.append((point_index, alpha))
             entries.extend(_derivative_at(beta, alpha, lifted, top) for beta in cols)
-    matrix = RatMatrix(rows=len(labels), cols=len(cols), entries=tuple(entries))
-    return JetConditionMatrix(row_labels=tuple(labels), col_monomials=cols, matrix=matrix)
+    matrix = RatMatrix(rows=config.v * len(alphas), cols=len(cols), entries=tuple(entries))
+    return JetConditionMatrix(col_monomials=cols, matrix=matrix)
 
 
 def h0_blowup(config: PointConfiguration, k: int) -> int:
@@ -239,7 +232,7 @@ def generate_configuration(
     if v < 1:
         raise ValueError("v must be positive")
     if kind == "generic":
-        h0 = max(monomial_count(2, k) - v * binomial(k + 1, 2), 0)
+        h0 = max(monomial_count(2, k) - v * math.comb(k + 1, 2), 0)
         samples = (_sample_configuration(_rng(seed, a), v) for a in range(GENERIC_SAMPLE_ATTEMPTS))
         return _first_with_h0(samples, k, h0)
     if kind == "collinear":

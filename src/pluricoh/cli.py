@@ -56,6 +56,12 @@ EXIT_USAGE = 2
 # count itself has no cap: it is constant time in k).
 BASIS_MAX_K = 10**4
 
+# Largest `family --kodaira --kmax`: 10^4 rows take about 0.5 s and 3.4 MB of JSON.
+FAMILY_MAX_KMAX = 10**4
+
+# Largest `selfcheck --budget`: about 3 s at 50, doubling with every 10 above 30.
+SELFCHECK_MAX_BUDGET = 50
+
 # Output column of each cohomology-row field in a family report, at general k and at k = 1.
 _COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
 _K1_COLUMNS = {"h0_minus_kK": "h0_minus_K", "h0_kp1K": "h0_2K", "h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"}
@@ -129,16 +135,19 @@ def _render_table(record: OutputRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_cap(option: str, value: int, cap: int, size: str) -> None:
+    """Reject a value above its cap; `size` says what that value would have produced."""
+    if value > cap:
+        raise ValueError(f"{option} is capped at {cap}: {size}")
+
+
 def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.m < 0:
         raise ValueError("--m must be nonnegative")
     if args.k < 1:
         raise ValueError("--k must be positive")
-    if args.basis and args.k > BASIS_MAX_K:
-        raise ValueError(
-            f"--basis is capped at k <= {BASIS_MAX_K}: k = {args.k} would list "
-            f"up to 2k+1 = {2 * args.k + 1} terms"
-        )
+    if args.basis:
+        _check_cap("--basis k", args.k, BASIS_MAX_K, f"k = {args.k} would list up to 2k+1 = {2 * args.k + 1} terms")
     surface = HirzebruchSurface(args.m)
     record = OutputRecord("hirzebruch", {"m": args.m, "k": args.k, "basis": bool(args.basis)})
     failures: list[str] = []
@@ -188,26 +197,22 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     return record, EXIT_CROSSCHECK if failures else EXIT_OK
 
 
-def _load_blowup_config(args: argparse.Namespace):
-    """The configuration, its row at power --k (None off the plane), and its source parameters."""
-    if args.points and args.generate:
-        raise ValueError("--points and --generate are mutually exclusive")
-    if args.points:
-        config = parse_point_file(Path(args.points).read_text())
-        row = blowup_row(config, args.k) if config.n == 2 else None
-        return config, row, {"points_file": args.points}
-    if args.generate:
-        if args.v is None:
-            raise ValueError("--generate requires --v")
-        config, row = generate_configuration(args.generate, args.v, seed=args.seed, k=args.k)
-        return config, row, {"generate": args.generate, "v": args.v, "seed": args.seed}
-    raise ValueError("one of --points or --generate is required")
+def _load_configuration(path: str | None, kind: str | None, v: int | None, seed: int, k: int):
+    """A configuration from a point file or of a stock kind, with its row at power k (None off the plane)."""
+    if path:
+        config = parse_point_file(Path(path).read_text())
+        return config, blowup_row(config, k) if config.n == 2 else None
+    if v is None:
+        raise ValueError(f"a {kind} configuration requires --v")
+    return generate_configuration(kind, v, seed=seed, k=k)
 
 
 def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.k < 1:
         raise ValueError("--k must be positive")
-    config, row, source = _load_blowup_config(args)
+    config, row = _load_configuration(args.points, args.generate, args.v, args.seed, args.k)
+    generated = {"generate": args.generate, "v": args.v, "seed": args.seed}
+    source = {"points_file": args.points} if args.points else generated
     h0 = row.h0_minus_kK if row else h0_blowup(config, args.k)
     count = monomial_count(config.n, args.k)
 
@@ -252,6 +257,7 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.kodaira:
         if args.m is None or args.ell is None:
             raise ValueError("--kodaira requires --m and --ell")
+        _check_cap("--kmax", args.kmax, FAMILY_MAX_KMAX, f"kmax = {args.kmax} would tabulate {args.kmax} rows")
         rows = noninvariance_report_hirzebruch(KodairaFamily(args.m, args.ell), args.kmax)
         jump_found = any(row.jump for row in rows)
         record = OutputRecord(
@@ -261,20 +267,15 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         record.put_rows([values for values, _ in table], **table[0][1])
         record.put("jump_found", jump_found)
     else:
-        if args.special_file:
-            config = parse_point_file(Path(args.special_file).read_text())
-            special = config, blowup_row(config, 1)
-            source = {"special_file": args.special_file}
-        elif args.special:
-            if args.v is None:
-                raise ValueError("--special requires --v")
-            special = generate_configuration(args.special, args.v)
-            source = {"special": args.special, "v": args.v}
-        else:
+        if not (args.special or args.special_file):
             raise ValueError("--blowup requires --special or --special-file")
-        report = noninvariance_report_blowup(special, generic_seed=args.seed)
+        config, row = _load_configuration(args.special_file, args.special, args.v, args.seed, 1)
+        if row is None:
+            raise ValueError("family reports are implemented for blow-ups of the plane only")
+        source = {"special_file": args.special_file} if args.special_file else {"special": args.special, "v": args.v}
+        report = noninvariance_report_blowup((config, row), generic_seed=args.seed)
         jump_found = report.jump
-        v = special[0].v
+        v = config.v
         parameters = {"mode": "blowup", **source, "seed": args.seed}
         record = OutputRecord(
             "family", parameters, *_report_columns(report, _K1_COLUMNS, ("special", "generic"), v=v)
@@ -295,6 +296,9 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 def cmd_selfcheck(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.budget < 0:
         raise ValueError("--budget must be nonnegative")
+    budget = args.budget
+    size = f"budget = {budget} would sweep twists up to {budget + 2} and {4 * budget} random cases per check"
+    _check_cap("--budget", budget, SELFCHECK_MAX_BUDGET, size)
     checks = run_selfcheck(args.budget, seed=args.seed)
     rows = [
         {
@@ -341,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", action="store_true", help=f"include the section basis description (k <= {BASIS_MAX_K})")
 
     p = sub.add_parser("blowup", parents=[common], help="section counts on a blow-up of the plane")
-    p.add_argument("--points", metavar="FILE", help="point file: one point per line, rational coordinates")
-    p.add_argument("--generate", choices=("generic", "collinear", "on_conic"), help="generate a stock configuration")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--points", metavar="FILE", help="point file: one point per line, rational coordinates")
+    source.add_argument("--generate", choices=("generic", "collinear", "on_conic"), help="generate a stock configuration")
     p.add_argument("--v", type=int, help="number of points for --generate")
     p.add_argument("--k", type=int, default=1, help="anticanonical power (default: 1)")
 
@@ -352,14 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--blowup", action="store_true", help="plane blow-up family")
     p.add_argument("--m", type=int, help="central-fiber twist (kodaira mode)")
     p.add_argument("--ell", type=int, help="twist drop parameter, 2*ell <= m (kodaira mode)")
-    p.add_argument("--kmax", type=int, default=3, help="number of power rows (default: 3)")
-    p.add_argument("--special", choices=("collinear", "on_conic"), help="special configuration kind (blowup mode)")
-    p.add_argument("--special-file", metavar="FILE", help="special configuration from a point file (blowup mode)")
+    p.add_argument("--kmax", type=int, default=3, help=f"number of power rows (default: 3; at most {FAMILY_MAX_KMAX})")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--special", choices=("collinear", "on_conic"), help="special configuration kind (blowup mode)")
+    source.add_argument("--special-file", metavar="FILE", help="special configuration from a point file (blowup mode)")
     p.add_argument("--v", type=int, help="number of points for --special")
     p.add_argument("--expect-jump", action="store_true", help="exit 1 if no jump is found")
 
     p = sub.add_parser("selfcheck", parents=[common], help="run the internal cross-check suite")
-    p.add_argument("--budget", type=int, default=10, help="sweep size control (default: 10; 0 runs nothing)")
+    p.add_argument(
+        "--budget", type=int, default=10,
+        help=f"sweep size control (default: 10; 0 runs nothing; at most {SELFCHECK_MAX_BUDGET})",
+    )
 
     return parser
 

@@ -206,9 +206,3 @@ def vandermonde_matrix(xs: Sequence[Rational]) -> RatMatrix:
     size = len(values)
     return RatMatrix.from_rows([[x**j for j in range(size)] for x in values])
 
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient; zero when b exceeds a."""
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return math.comb(a, b)

@@ -58,11 +58,6 @@ class FiberReportRow:
         return self.central.h2_kp1K != self.general.h2_kp1K
 
 
-def fiber_surface(family: KodairaFamily, at_zero: bool) -> HirzebruchSurface:
-    """The central fiber has twist m; every other fiber has twist m - 2*ell."""
-    return HirzebruchSurface(family.m if at_zero else family.m - 2 * family.ell)
-
-
 def noninvariance_report_hirzebruch(
     family: KodairaFamily, k_max: int
 ) -> list[FiberReportRow]:
@@ -74,8 +69,8 @@ def noninvariance_report_hirzebruch(
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    central = fiber_surface(family, at_zero=True)
-    general = fiber_surface(family, at_zero=False)
+    central = HirzebruchSurface(family.m)
+    general = HirzebruchSurface(family.m - 2 * family.ell)
     rows = []
     for k in range(1, k_max + 1):
         c = hirzebruch_row(central, k)

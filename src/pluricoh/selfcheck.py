@@ -119,13 +119,8 @@ class CheckResult:
 Cases = Iterator[str | None]
 
 
-def _random_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix.from_rows(
-        [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-    )
+def _random_grid(rng: random.Random, rows: int, cols: int) -> list[list[Fraction]]:
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)] for _ in range(rows)]
 
 
 def _random_small_config(rng: random.Random, v: int) -> blowup.PointConfiguration:
@@ -177,7 +172,7 @@ def run_selfcheck(budget: int = 10, seed: int = 0) -> list[CheckResult]:
         "enumeration_vs_lattice_walk": _check_enumeration_matches_lattice_walk(m_max, k_max),
         "h1_formula_vs_rr_chain": _check_h1_formula_matches_rr_chain(m_max, k_max),
         "noether_exactness": _check_noether_exactness(m_max, v_max),
-        "production_rank_vs_naive_elimination": _check_bareiss_matches_naive_rank(budget, seed),
+        "production_rank_vs_naive_elimination": _check_rank_matches_naive_rank(budget, seed),
         "vandermonde_determinant_and_rank": _check_vandermonde(budget, seed),
         "blowup_forced_regime_v_le_4": _check_forced_blowup_regime(budget, seed),
         "jet_rank_production_vs_naive": _check_jet_rank_cross_check(jets),
@@ -238,17 +233,28 @@ def _check_noether_exactness(m_max: int, v_max: int) -> Cases:
             yield None
 
 
-def _check_bareiss_matches_naive_rank(budget: int, seed: int) -> Cases:
+def _check_rank_matches_naive_rank(budget: int, seed: int) -> Cases:
     rng = random.Random(f"selfcheck-rank:{seed}")
-    for _ in range(4 * budget):
-        rows = rng.randint(0, 8)
-        cols = rng.randint(0, 10)
-        matrix = _random_matrix(rng, rows, cols)
-        if rng.random() < 0.5 and rows >= 2:
-            # Plant a dependent row so rank-deficient inputs are exercised too.
-            grid = [list(matrix.row(i)) for i in range(rows)]
+    # One case in four is 3x4 with entries of `bits` bits, so 3 * bits exceeds
+    # MODULAR_RULE_BITS and rank tries the modular route first; every other
+    # one of those is rank deficient and falls back to Bareiss.
+    bits = exact_linalg.MODULAR_RULE_BITS // 3 + 1
+    for case in range(4 * budget):
+        if case % 4 == 3:
+            rows, cols = 3, 4
+            grid = [
+                [rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            plant = case % 8 == 7
+        else:
+            rows, cols = rng.randint(0, 8), rng.randint(0, 10)
+            grid = _random_grid(rng, rows, cols)
+            plant = rng.random() < 0.5 and rows >= 2
+        if plant:
+            # A dependent row, so rank-deficient inputs are exercised too.
             grid[rows - 1] = [2 * x for x in grid[0]]
-            matrix = RatMatrix.from_rows(grid)
+        matrix = RatMatrix(rows, cols, tuple(x for row in grid for x in row))
         got = exact_linalg.rank(matrix)
         expected = naive_rank(matrix)
         ok = got == expected and exact_linalg.rank(matrix.transpose()) == expected

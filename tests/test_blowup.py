@@ -118,9 +118,10 @@ class TestJetMatrix:
         assert jet.matrix.row(0) == (1, x, y, x**2, x * y, y**2, x**3, x**2 * y, x * y**2, y**3)
 
     def test_power_two_at_origin_selects_low_coefficients(self):
+        # Rows: the derivatives alpha = (0, 0), (1, 0), (0, 1), the first three monomials.
         jet = jet_matrix(PointConfiguration.from_coordinates([(0, 0)]), 2)
         assert (jet.matrix.rows, jet.matrix.cols) == (3, 28)
-        assert jet.row_labels == ((0, (0, 0)), (0, (1, 0)), (0, (0, 1)))
+        assert jet.col_monomials[:3] == ((0, 0), (1, 0), (0, 1))
         for row_index in range(3):
             row = jet.matrix.row(row_index)
             assert row[row_index] == 1
@@ -174,8 +175,12 @@ def _assert_scaled_true_derivatives(config: PointConfiguration, k: int) -> None:
     # with d the lcm of the point's coordinate denominators.
     jet = jet_matrix(config, k)
     top = (config.n + 1) * k
-    for i, (point_index, alpha) in enumerate(jet.row_labels):
-        point = config.points[point_index]
+    # The documented row order: points in configuration order, then the
+    # multi-indices of order below (n-1)k in the graded order of the columns.
+    alphas = [alpha for alpha in jet.col_monomials if sum(alpha) < (config.n - 1) * k]
+    labels = [(point, alpha) for point in config.points for alpha in alphas]
+    assert jet.matrix.rows == len(labels)
+    for i, (point, alpha) in enumerate(labels):
         scale = math.lcm(*(c.denominator for c in point)) ** (top - sum(alpha))
         row = jet.matrix.row(i)
         assert all(type(x) is int for x in row)

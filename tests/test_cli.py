@@ -9,12 +9,15 @@ import jsonschema
 import pytest
 
 import pluricoh.blowup
+import pluricoh.cli
 import pluricoh.exact_linalg
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
-from pluricoh.cli import BASIS_MAX_K, main
+from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
+from pluricoh.selfcheck import run_selfcheck
 
+DATA = Path(__file__).resolve().parent / "data"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output-schema.json").read_text()
 )
@@ -180,6 +183,13 @@ class TestBlowupCommand:
         assert run_cli(capsys, "blowup", "--k", "1")[0] == 2
         assert run_cli(capsys, "blowup", "--generate", "generic")[0] == 2
 
+    def test_conflicting_sources_are_usage_error(self, capsys):
+        path = str(DATA / "plane_points.txt")
+        code, out, err = run_cli(capsys, "blowup", "--points", path, "--generate", "collinear", "--v", "5")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
 
 def _record_calls(monkeypatch, original) -> list[tuple]:
     """Record the arguments of every call to `original`, wherever pluricoh binds it."""
@@ -295,6 +305,38 @@ class TestFamilyCommand:
         assert run_cli(capsys, "family", "--blowup", "--special", "collinear")[0] == 2
         assert run_cli(capsys, "family", "--blowup", "--v", "5")[0] == 2
 
+    def test_conflicting_special_sources_are_usage_error(self, capsys):
+        path = str(DATA / "plane_points.txt")
+        argv = ["family", "--blowup", "--special", "on_conic", "--v", "9", "--special-file", path]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    def test_blowup_special_file_off_the_plane_is_usage_error(self, capsys):
+        path = str(DATA / "space_points.txt")
+        code, out, err = run_cli(capsys, "family", "--blowup", "--special-file", path)
+        assert code == 2
+        assert out == ""
+        assert "plane only" in err
+
+    def test_kmax_cap_is_accepted(self, capsys):
+        code, record = run_json(
+            capsys, "family", "--kodaira", "--m", "4", "--ell", "1", "--kmax", str(FAMILY_MAX_KMAX)
+        )
+        assert code == 0
+        assert len(record["results"]["rows"]) == FAMILY_MAX_KMAX
+
+    def test_kmax_above_cap_names_the_size(self, capsys):
+        kmax = FAMILY_MAX_KMAX + 1
+        code, out, err = run_cli(
+            capsys, "family", "--kodaira", "--m", "4", "--ell", "1", "--kmax", str(kmax)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"capped at {FAMILY_MAX_KMAX}" in err
+        assert f"{kmax} rows" in err
+
 
 class TestSelfcheckCommand:
     def test_default_budget_passes(self, capsys):
@@ -308,6 +350,28 @@ class TestSelfcheckCommand:
         assert code == 0
         assert record["results"]["rows"] == []
         assert any("nothing was verified" in w for w in record["warnings"])
+
+    def test_budget_cap_is_accepted(self, capsys, monkeypatch):
+        # The sweep at the cap takes seconds; a budget-1 sweep stands in for it.
+        budgets = []
+
+        def small_sweep(budget, seed):
+            budgets.append(budget)
+            return run_selfcheck(1, seed=seed)
+
+        monkeypatch.setattr(pluricoh.cli, "run_selfcheck", small_sweep)
+        code, record = run_json(capsys, "selfcheck", "--budget", str(SELFCHECK_MAX_BUDGET))
+        assert code == 0
+        assert budgets == [SELFCHECK_MAX_BUDGET]
+        assert record["parameters"]["budget"] == SELFCHECK_MAX_BUDGET
+
+    def test_budget_above_cap_names_the_size(self, capsys):
+        budget = SELFCHECK_MAX_BUDGET + 1
+        code, out, err = run_cli(capsys, "selfcheck", "--budget", str(budget))
+        assert code == 2
+        assert out == ""
+        assert f"capped at {SELFCHECK_MAX_BUDGET}" in err
+        assert f"{4 * budget} random cases" in err
 
     def test_corrupted_formula_fails_with_counterexample(self, capsys, monkeypatch):
         original = pluricoh.hirzebruch.dim_formula

@@ -17,7 +17,6 @@ from pluricoh.exact_linalg import (
     MODULAR_PRIME,
     MODULAR_RULE_BITS,
     RatMatrix,
-    binomial,
     rank,
     vandermonde_det,
     vandermonde_matrix,
@@ -237,29 +236,3 @@ class TestVandermonde:
         assert rank(vandermonde_matrix(xs)) == distinct
         assert (vandermonde_det(xs) != 0) == (distinct == len(xs))
 
-
-class TestBinomial:
-    def test_cubics_in_two_variables(self):
-        assert binomial(5, 2) == 10
-
-    @pytest.mark.parametrize("a", [0, 1, 7, 40])
-    def test_choose_zero(self, a):
-        assert binomial(a, 0) == 1
-
-    def test_counts_monomials_of_bounded_degree(self):
-        # binomial(d + 2, 2) counts pairs (i, j) with i + j <= d.
-        for d, expected in [(8, 45), (6, 28)]:
-            enumerated = sum(
-                1 for i in range(d + 1) for j in range(d + 1) if i + j <= d
-            )
-            assert enumerated == expected
-            assert binomial(d + 2, 2) == expected
-
-    def test_zero_when_b_exceeds_a(self):
-        assert binomial(2, 5) == 0
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)

@@ -4,18 +4,17 @@ import pytest
 
 from pluricoh.family import (
     KodairaFamily,
-    fiber_surface,
     noninvariance_report_blowup,
     noninvariance_report_hirzebruch,
 )
 from pluricoh.blowup import PointConfiguration, blowup_row, generate_configuration
-from pluricoh.hirzebruch import HirzebruchSurface, dim_enumerated
+from pluricoh.hirzebruch import HirzebruchSurface, dim_enumerated, hirzebruch_row
 
 
 class TestKodairaFamily:
     def test_valid_family(self):
-        family = KodairaFamily(m=4, ell=2)
-        assert fiber_surface(family, at_zero=False) == HirzebruchSurface(0)
+        rows = noninvariance_report_hirzebruch(KodairaFamily(m=4, ell=2), 1)
+        assert rows[0].general == hirzebruch_row(HirzebruchSurface(0), 1)
 
     def test_twist_drop_too_large(self):
         with pytest.raises(ValueError):
@@ -26,11 +25,15 @@ class TestKodairaFamily:
             KodairaFamily(m=4, ell=0)
 
     @pytest.mark.parametrize(
-        "m, ell, at_zero, expected",
-        [(4, 1, True, 4), (4, 1, False, 2), (2, 1, False, 0)],
+        "m, ell, central, general",
+        [(4, 1, 4, 2), (5, 2, 5, 1), (7, 3, 7, 1), (12, 1, 12, 10), (2, 1, 2, 0)],
     )
-    def test_fiber_surfaces(self, m, ell, at_zero, expected):
-        assert fiber_surface(KodairaFamily(m, ell), at_zero) == HirzebruchSurface(expected)
+    def test_fiber_twists(self, m, ell, central, general):
+        # The central fiber has twist m; every other fiber has twist m - 2*ell.
+        rows = noninvariance_report_hirzebruch(KodairaFamily(m, ell), 3)
+        for row in rows:
+            assert row.central == hirzebruch_row(HirzebruchSurface(central), row.k)
+            assert row.general == hirzebruch_row(HirzebruchSurface(general), row.k)
 
 
 class TestHirzebruchReport:
@@ -60,8 +63,8 @@ class TestHirzebruchReport:
     def test_row_structure(self, m, ell):
         family = KodairaFamily(m, ell)
         rows = noninvariance_report_hirzebruch(family, 6)
-        central = fiber_surface(family, True)
-        general = fiber_surface(family, False)
+        central = HirzebruchSurface(m)
+        general = HirzebruchSurface(m - 2 * ell)
         for row in rows:
             assert row.central.k == row.general.k == row.k
             # Serre column identity and the constant plurigenus columns.

@@ -9,6 +9,7 @@ import pytest
 
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
+from pluricoh import exact_linalg
 from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
@@ -79,6 +80,21 @@ class TestRunSelfcheck:
             ("kodaira_family_jump_exists", 35),
             ("twists_0_1_2_share_counts", 10),
         ]
+
+    def test_rank_check_takes_both_modular_outcomes(self, monkeypatch):
+        # At budget 10 the rank check certifies some large matrices by the
+        # modular route and sends planted rank-deficient ones on to Bareiss.
+        original = exact_linalg._has_full_rank_mod_p
+        outcomes = []
+
+        def recording(rows, cols):
+            outcomes.append(original(rows, cols))
+            return outcomes[-1]
+
+        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", recording)
+        results = {r.name: r for r in run_selfcheck(10)}
+        assert results["production_rank_vs_naive_elimination"].passed
+        assert set(outcomes) == {True, False}
 
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
