@@ -16,7 +16,6 @@ from .blowup import (
     blowup_row,
     generate_configuration,
     h0_blowup,
-    h1_2K,
     jet_matrix,
     monomial_count,
     parse_point_file,
@@ -67,7 +66,6 @@ __all__ = [
     "dim_formula",
     "generate_configuration",
     "h0_blowup",
-    "h1_2K",
     "h1_from_rr",
     "h1_pluricanonical_formula",
     "hirzebruch_row",

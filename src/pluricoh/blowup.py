@@ -285,15 +285,6 @@ def blowup_row(config: PointConfiguration, k: int) -> CohomologyRow:
     return cohomology_row(k, h0_blowup(config, k), invariants_blowup_p2(config.v), PROV_RANK)
 
 
-def h1_2K(config: PointConfiguration) -> int:
-    """h1 of the second canonical power on the blow-up of the plane.
-
-    The h1 column of the k = 1 row: Serre duality (h2(2K) = h0(-K)) and
-    Riemann-Roch collapse to h0(-K) + v - 10.
-    """
-    return blowup_row(config, 1).h1_kp1K
-
-
 def h1_2K_range(v: int) -> tuple[int, int]:
     """Admissible window of h1(2K) for v points; v <= 4 forces h0(-K) = 10 - v, so 0."""
     return (max(0, v - 10), v - 4) if v >= 5 else (0, 0)

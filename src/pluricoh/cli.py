@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +62,11 @@ FAMILY_MAX_KMAX = 10**4
 
 # Largest `selfcheck --budget`: about 3 s at 50, doubling with every 10 above 30.
 SELFCHECK_MAX_BUDGET = 50
+
+# Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind,
+# on_conic, takes about 10 s just below it (v = 7, k = 7: 49,588 cells) on a
+# 2-CPU host; generic v = 20, k = 5 (40,800 cells) takes about 1.2 s.
+JET_MAX_CELLS = 5 * 10**4
 
 # Output column of each cohomology-row field in a family report, at general k and at k = 1.
 _COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
@@ -197,13 +203,30 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     return record, EXIT_CROSSCHECK if failures else EXIT_OK
 
 
+def _refuse(args: argparse.Namespace, choice: str, *names: str) -> None:
+    """Reject the given options that `choice` (a source or mode) would ignore."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{' and '.join(given)} cannot be used with {choice}")
+
+
 def _load_configuration(path: str | None, kind: str | None, v: int | None, seed: int, k: int):
     """A configuration from a point file or of a stock kind, with its row at power k (None off the plane)."""
+    n = 2
     if path:
+        if v is not None:
+            raise ValueError("--v cannot be used with a point file")
         config = parse_point_file(Path(path).read_text())
-        return config, blowup_row(config, k) if config.n == 2 else None
-    if v is None:
+        n, v = config.n, config.v
+    elif v is None:
         raise ValueError(f"a {kind} configuration requires --v")
+    # Capped before sampling or building: one row per point and multi-index of
+    # order below (n-1)k, one column per monomial of degree at most (n+1)k.
+    rows, cols = v * math.comb((n - 1) * k - 1 + n, n), monomial_count(n, k)
+    size = f"v = {v}, k = {k} gives {rows} x {cols} = {rows * cols}"
+    _check_cap("jet matrix rows x cols", rows * cols, JET_MAX_CELLS, size)
+    if path:
+        return config, blowup_row(config, k) if n == 2 else None
     return generate_configuration(kind, v, seed=seed, k=k)
 
 
@@ -257,18 +280,19 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.kodaira:
         if args.m is None or args.ell is None:
             raise ValueError("--kodaira requires --m and --ell")
-        _check_cap("--kmax", args.kmax, FAMILY_MAX_KMAX, f"kmax = {args.kmax} would tabulate {args.kmax} rows")
-        rows = noninvariance_report_hirzebruch(KodairaFamily(args.m, args.ell), args.kmax)
+        _refuse(args, "--kodaira", "special", "special_file", "v")
+        kmax = 3 if args.kmax is None else args.kmax
+        _check_cap("--kmax", kmax, FAMILY_MAX_KMAX, f"kmax = {kmax} would tabulate {kmax} rows")
+        rows = noninvariance_report_hirzebruch(KodairaFamily(args.m, args.ell), kmax)
         jump_found = any(row.jump for row in rows)
-        record = OutputRecord(
-            "family", {"mode": "kodaira", "m": args.m, "ell": args.ell, "kmax": args.kmax}
-        )
+        record = OutputRecord("family", {"mode": "kodaira", "m": args.m, "ell": args.ell, "kmax": kmax})
         table = [_report_columns(row, _COLUMNS, ("central", "general"), k=row.k) for row in rows]
         record.put_rows([values for values, _ in table], **table[0][1])
         record.put("jump_found", jump_found)
     else:
         if not (args.special or args.special_file):
             raise ValueError("--blowup requires --special or --special-file")
+        _refuse(args, "--blowup", "m", "ell", "kmax")
         config, row = _load_configuration(args.special_file, args.special, args.v, args.seed, 1)
         if row is None:
             raise ValueError("family reports are implemented for blow-ups of the plane only")
@@ -357,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--blowup", action="store_true", help="plane blow-up family")
     p.add_argument("--m", type=int, help="central-fiber twist (kodaira mode)")
     p.add_argument("--ell", type=int, help="twist drop parameter, 2*ell <= m (kodaira mode)")
-    p.add_argument("--kmax", type=int, default=3, help=f"number of power rows (default: 3; at most {FAMILY_MAX_KMAX})")
+    p.add_argument("--kmax", type=int, help=f"number of power rows, kodaira mode (default: 3; at most {FAMILY_MAX_KMAX})")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--special", choices=("collinear", "on_conic"), help="special configuration kind (blowup mode)")
     source.add_argument("--special-file", metavar="FILE", help="special configuration from a point file (blowup mode)")

@@ -1,26 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on integer matrices.
 
-Arbitrary-precision integers and `fractions.Fraction` are the only scalar
-types used anywhere in this package: every rank, determinant and dimension
-is an exact integer, never a float.  The rank routine is the workhorse; it
-backs all section counts for blow-ups, so it is deliberately deterministic
-and every answer it gives is proved.
+`RatMatrix` holds Python integers and refuses any other entry type, so every
+rank, determinant and dimension is an exact integer, never a float; rational
+points are cleared to integers before a matrix is formed (`blowup.jet_matrix`).
+`rank` backs all section counts for blow-ups, so it is deterministic and
+every answer it gives is proved.
 
-`rank` has two routes.  Rows holding a `Fraction` are scaled to integers
-first; integer rows are taken as they are.  When min(rows, cols) times the
-largest entry bit length exceeds MODULAR_RULE_BITS, one elimination modulo
-the prime MODULAR_PRIME runs first.  Reduction mod p is a ring map from the
-integers, so every minor that vanishes over the integers vanishes mod p and
-the rank mod p never exceeds the rational rank; a rank mod p of
-min(rows, cols), the largest any matrix of that shape can have, is therefore
-the rational rank.  Every other matrix, and every small one, goes to
-fraction-free Bareiss elimination over the integers, which is exact on all
-inputs, including those where p divides every maximal minor.
+`rank` has two routes.  When min(rows, cols) times the largest entry bit
+length exceeds MODULAR_RULE_BITS, one elimination modulo the prime
+MODULAR_PRIME runs first.  Reduction mod p is a ring map from the integers,
+so every minor that vanishes over the integers vanishes mod p and the rank
+mod p never exceeds the rational rank; a rank mod p of min(rows, cols), the
+largest any matrix of that shape can have, is therefore the rational rank.
+Every other matrix, and every small one, goes to fraction-free Bareiss
+elimination over the integers, which is exact on all inputs, including
+those where p divides every maximal minor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,11 +36,11 @@ def _fraction(value: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable dense matrix of rationals (Fractions or ints), stored row-major."""
+    """Immutable dense integer matrix, stored row-major; its rank is taken over the rationals."""
 
     rows: int
     cols: int
-    entries: tuple[Rational, ...]
+    entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -51,10 +49,13 @@ class RatMatrix:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        others = set(map(type, self.entries)) - {int}  # exactly int: bool, float and Fraction are refused
+        if others:
+            raise TypeError(f"matrix entries must be int, got {', '.join(sorted(t.__name__ for t in others))}")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Rational]]) -> "RatMatrix":
-        grid = [tuple(_fraction(x) for x in row) for row in rows]
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "RatMatrix":
+        grid = [tuple(row) for row in rows]
         if not grid:
             return cls(0, 0, ())
         width = len(grid[0])
@@ -62,10 +63,10 @@ class RatMatrix:
             raise ValueError("rows have inconsistent lengths")
         return cls(len(grid), width, tuple(x for row in grid for x in row))
 
-    def entry(self, i: int, j: int) -> Rational:
+    def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[Rational, ...]:
+    def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def transpose(self) -> "RatMatrix":
@@ -94,27 +95,17 @@ MODULAR_PRIME = 2**61 - 1
 MODULAR_RULE_BITS = 2048
 
 
-def _integer_row(row: Sequence[Rational]) -> list[int]:
-    # Scaling a row by the lcm of its denominators changes no rank.
-    scale = math.lcm(*(x.denominator for x in row)) if row else 1
-    return [(x * scale).numerator for x in row]
-
-
 def rank(matrix: RatMatrix) -> int:
-    """Rank over the rationals, computed exactly.
+    """Rank over the rationals of the integer matrix, computed exactly.
 
-    Rows holding a `Fraction` are scaled to integers; integer rows are used
-    as they are.  When min(rows, cols) times the largest entry bit length
-    exceeds MODULAR_RULE_BITS, the rows are first eliminated modulo
-    MODULAR_PRIME.  The rank mod p is at most the rational rank, so if it
-    reaches min(rows, cols) it is returned as the certified rank.  Otherwise,
-    or below the rule, one-step fraction-free (Bareiss) elimination runs over
+    When min(rows, cols) times the largest entry bit length exceeds
+    MODULAR_RULE_BITS, the rows are first eliminated modulo MODULAR_PRIME.
+    The rank mod p is at most the rational rank, so if it reaches
+    min(rows, cols) it is returned as the certified rank.  Otherwise, or
+    below the rule, one-step fraction-free (Bareiss) elimination runs over
     the integers and its answer is returned.
     """
-    work = [
-        list(row) if all(type(x) is int for x in row) else _integer_row(row)
-        for row in map(matrix.row, range(matrix.rows))
-    ]
+    work = [list(matrix.row(i)) for i in range(matrix.rows)]
     full = min(matrix.rows, matrix.cols)
     bits = max((max(max(row), -min(row)) for row in work if row), default=0).bit_length()
     if full * bits > MODULAR_RULE_BITS and _has_full_rank_mod_p(work, matrix.cols):
@@ -200,9 +191,7 @@ def vandermonde_det(xs: Sequence[Rational]) -> Fraction:
     return det
 
 
-def vandermonde_matrix(xs: Sequence[Rational]) -> RatMatrix:
-    """Square matrix with i-th row (1, x_i, x_i^2, ..., x_i^{len-1})."""
-    values = [_fraction(x) for x in xs]
-    size = len(values)
-    return RatMatrix.from_rows([[x**j for j in range(size)] for x in values])
+def vandermonde_matrix(xs: Sequence[int]) -> RatMatrix:
+    """Square integer matrix with i-th row (1, x_i, x_i^2, ..., x_i^{len-1})."""
+    return RatMatrix.from_rows([[x**j for j in range(len(xs))] for x in xs])
 

@@ -18,8 +18,8 @@ import pytest
 from pluricoh.blowup import (
     PointConfiguration,
     achievable_dims,
+    blowup_row,
     generate_configuration,
-    h1_2K,
     h0_blowup,
     jet_matrix,
 )
@@ -156,13 +156,13 @@ def test_criterion_06_achievable_dimension_witnesses(witness_corpus):
 
 def test_criterion_07_h1_2K_range(forced_corpus, witness_corpus):
     for config in forced_corpus:
-        assert h1_2K(config) == 0, config
+        assert blowup_row(config, 1).h1_kp1K == 0, config
     for v, data in witness_corpus.items():
         configurations = [config for _, config in data["witnesses"]]
         configurations.append(data["collinear"])
         configurations.append(data["generic"])
         for config in configurations:
-            value = h1_2K(config)
+            value = blowup_row(config, 1).h1_kp1K
             assert max(0, v - 10) <= value <= v - 4, (v, value)
     _report(7, "h1(2K) = 0 for v <= 4 and within [max(0, v-10), v-4] for v = 5..12")
 

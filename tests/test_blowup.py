@@ -23,7 +23,6 @@ from pluricoh.blowup import (
     blowup_row,
     generate_configuration,
     h0_blowup,
-    h1_2K,
     jet_matrix,
     monomial_count,
     parse_point_file,
@@ -374,25 +373,25 @@ class TestAchievableDims:
 class TestH12K:
     def test_three_points_vanish(self):
         config = PointConfiguration.from_coordinates([(0, 0), (3, 1), (2, 2)])
-        assert h1_2K(config) == 0
+        assert blowup_row(config, 1).h1_kp1K == 0
 
     def test_five_collinear(self):
-        assert h1_2K(generate_configuration("collinear", 5)[0]) == 1
+        assert blowup_row(generate_configuration("collinear", 5)[0], 1).h1_kp1K == 1
 
     def test_six_points_both_ends(self):
-        assert h1_2K(generate_configuration("generic", 6, seed=3)[0]) == 0
-        assert h1_2K(generate_configuration("collinear", 6)[0]) == 2
+        assert blowup_row(generate_configuration("generic", 6, seed=3)[0], 1).h1_kp1K == 0
+        assert blowup_row(generate_configuration("collinear", 6)[0], 1).h1_kp1K == 2
 
     def test_plane_only(self):
         config = PointConfiguration.from_coordinates([(1, 2, 3)])
         with pytest.raises(ValueError):
-            h1_2K(config)
+            blowup_row(config, 1)
 
     @given(configs(5, 9))
     @settings(max_examples=40)
     def test_within_admissible_range(self, config):
         v = config.v
-        assert max(0, v - 10) <= h1_2K(config) <= v - 4
+        assert max(0, v - 10) <= blowup_row(config, 1).h1_kp1K <= v - 4
 
 
 class TestPointFile:

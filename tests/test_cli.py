@@ -13,7 +13,7 @@ import pluricoh.cli
 import pluricoh.exact_linalg
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
-from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, SELFCHECK_MAX_BUDGET, main
+from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import run_selfcheck
 
@@ -190,6 +190,42 @@ class TestBlowupCommand:
         assert out == ""
         assert "not allowed with argument" in err
 
+    def test_v_with_a_point_file_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "blowup", "--points", str(DATA / "plane_points.txt"), "--v", "99")
+        assert (code, out) == (2, "")
+        assert "--v" in err
+
+    def test_jet_matrix_cap_is_accepted(self, capsys):
+        # k = 1 has 10 columns, so JET_MAX_CELLS // 10 points fill the cap exactly.
+        v = JET_MAX_CELLS // 10
+        assert v * 10 == JET_MAX_CELLS
+        code, out, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", str(v), "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[-3:] == ["6", "6", f"{v - 4}"]
+
+    def test_jet_matrix_above_cap_names_the_shape(self, capsys, monkeypatch):
+        # With the cap one below it, the same matrix has cap + 1 cells; nothing is sampled.
+        v = JET_MAX_CELLS // 10
+        monkeypatch.setattr(pluricoh.cli, "JET_MAX_CELLS", JET_MAX_CELLS - 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled a configuration above the cap")
+
+        monkeypatch.setattr(pluricoh.cli, "generate_configuration", forbidden)
+        code, out, err = run_cli(capsys, "blowup", "--generate", "generic", "--v", str(v))
+        assert (code, out) == (2, "")
+        assert f"capped at {JET_MAX_CELLS - 1}" in err
+        assert f"{v} x 10 = {JET_MAX_CELLS}" in err
+
+    @pytest.mark.parametrize("name, k", [("plane_points.txt", 1), ("plane_points.txt", 3), ("space_points.txt", 2)])
+    def test_jet_matrix_cap_counts_the_built_shape(self, capsys, monkeypatch, name, k):
+        monkeypatch.setattr(pluricoh.cli, "JET_MAX_CELLS", 0)
+        path = DATA / name
+        code, _, err = run_cli(capsys, "blowup", "--points", str(path), "--k", str(k))
+        matrix = pluricoh.blowup.jet_matrix(pluricoh.blowup.parse_point_file(path.read_text()), k).matrix
+        assert code == 2
+        assert f"gives {matrix.rows} x {matrix.cols} = {matrix.rows * matrix.cols}" in err
+
 
 def _record_calls(monkeypatch, original) -> list[tuple]:
     """Record the arguments of every call to `original`, wherever pluricoh binds it."""
@@ -256,10 +292,11 @@ class TestFamilyCommand:
         assert record["results"]["jump_found"] is True
 
     def test_kodaira_expect_jump_satisfied(self, capsys):
-        code, _ = run_json(
+        code, record = run_json(
             capsys, "family", "--kodaira", "--m", "4", "--ell", "1", "--expect-jump"
         )
         assert code == 0
+        assert record["parameters"]["kmax"] == 3
 
     def test_coincident_pair_never_jumps(self, capsys):
         code, record = run_json(
@@ -312,6 +349,22 @@ class TestFamilyCommand:
         assert code == 2
         assert out == ""
         assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--kodaira", "--m", "4", "--ell", "1", "--special", "collinear"], "--special"),
+            (["--kodaira", "--m", "4", "--ell", "1", "--special-file", str(DATA / "plane_points.txt")], "--special-file"),
+            (["--kodaira", "--m", "4", "--ell", "1", "--v", "3"], "--v"),
+            (["--blowup", "--special", "collinear", "--v", "5", "--kmax", "7"], "--kmax"),
+            (["--blowup", "--special", "collinear", "--v", "5", "--m", "9", "--ell", "2"], "--m and --ell"),
+            (["--blowup", "--special-file", str(DATA / "plane_points.txt"), "--v", "4"], "--v"),
+        ],
+    )
+    def test_flags_the_mode_ignores_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "family", *argv)
+        assert (code, out) == (2, "")
+        assert flag in err
 
     def test_blowup_special_file_off_the_plane_is_usage_error(self, capsys):
         path = str(DATA / "space_points.txt")

@@ -23,14 +23,14 @@ from pluricoh.exact_linalg import (
 )
 from pluricoh.selfcheck import naive_det, naive_rank
 
-small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+small_integers = st.integers(-8, 8)
 
 
 def matrices(max_rows: int = 6, max_cols: int = 8):
     def build(shape):
         rows, cols = shape
         return st.lists(
-            st.lists(small_fractions, min_size=cols, max_size=cols),
+            st.lists(small_integers, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         ).map(lambda grid: RatMatrix(rows, cols, tuple(x for row in grid for x in row)))
@@ -40,14 +40,22 @@ def matrices(max_rows: int = 6, max_cols: int = 8):
 
 class TestRatMatrix:
     def test_from_rows_round_trip(self):
-        m = RatMatrix.from_rows([[1, Fraction(1, 2)], [3, 4]])
+        m = RatMatrix.from_rows([[1, -2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.entry(0, 1) == Fraction(1, 2)
-        assert m.row(1) == (Fraction(3), Fraction(4))
+        assert m.entry(0, 1) == -2
+        assert m.row(1) == (3, 4)
+        assert m.entries == (1, -2, 3, 4)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(3), 0.5, True])
+    def test_entries_other_than_int_rejected(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            RatMatrix(1, 2, (1, value))
+        with pytest.raises(TypeError, match=type(value).__name__):
+            RatMatrix.from_rows([[1], [value]])
 
     def test_entry_count_must_match(self):
         with pytest.raises(ValueError):
-            RatMatrix(2, 2, (Fraction(1),) * 3)
+            RatMatrix(2, 2, (1,) * 3)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +69,7 @@ class TestRatMatrix:
         m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         t = m.transpose()
         assert (t.rows, t.cols) == (3, 2)
-        assert t.row(0) == (Fraction(1), Fraction(4))
+        assert t.row(0) == (1, 4)
 
 
 class TestRank:
@@ -101,7 +109,7 @@ class TestRank:
         expected = rank(m)
         row_perm = data.draw(st.permutations(range(m.rows)))
         col_perm = data.draw(st.permutations(range(m.cols)))
-        scale = data.draw(small_fractions.filter(lambda f: f != 0))
+        scale = data.draw(small_integers.filter(lambda x: x != 0))
         grid = [[m.entry(i, j) for j in col_perm] for i in row_perm]
         if grid:
             grid[0] = [scale * x for x in grid[0]]
@@ -114,10 +122,7 @@ class TestRank:
         for _ in range(25):
             rows = rng.randint(1, 12)
             cols = rng.randint(1, 30)
-            grid = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
+            grid = [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
             if rows >= 3:
                 grid[-1] = [a + b for a, b in zip(grid[0], grid[1])]
             m = RatMatrix.from_rows(grid)
@@ -226,11 +231,11 @@ class TestVandermonde:
     def test_repeated_value_kills_determinant(self):
         assert vandermonde_det([1, 5, 1]) == 0
 
-    @given(st.lists(small_fractions, max_size=5))
+    @given(st.lists(small_integers, max_size=5))
     def test_matches_cofactor_determinant(self, xs):
         assert vandermonde_det(xs) == naive_det(vandermonde_matrix(xs))
 
-    @given(st.lists(small_fractions, max_size=6))
+    @given(st.lists(small_integers, max_size=6))
     def test_rank_counts_distinct_values(self, xs):
         distinct = len(set(xs))
         assert rank(vandermonde_matrix(xs)) == distinct

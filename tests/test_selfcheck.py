@@ -3,7 +3,6 @@ including deliberate fault injection to prove the suite can catch a
 corrupted formula."""
 
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
@@ -37,7 +36,7 @@ class TestOracles:
 
     def test_naive_det(self):
         assert naive_det(RatMatrix(0, 0, ())) == 1
-        assert naive_det(RatMatrix.from_rows([[Fraction(5, 2)]])) == Fraction(5, 2)
+        assert naive_det(RatMatrix.from_rows([[-5]])) == -5
         assert naive_det(RatMatrix.from_rows([[1, 2], [3, 4]])) == -2
         with pytest.raises(ValueError):
             naive_det(RatMatrix.from_rows([[1, 2]]))
