@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,6 +30,10 @@ from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invari
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
 SWEEP_STEP_ATTEMPTS = 32
+
+# A point-file coordinate, checked before Fraction(), which also takes decimals,
+# exponents, underscores and non-ASCII digits: L characters give at most L digits.
+_COORDINATE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class SamplingBudgetError(RuntimeError):
@@ -135,12 +140,23 @@ def monomial_count(n: int, k: int) -> int:
     return math.comb((n + 1) * k + n, n)
 
 
+def jet_shape(n: int, v: int, k: int) -> tuple[int, int]:
+    """(rows, cols) of the jet matrix of v points in dimension n at power k.
+
+    One row per point and multi-index alpha of order |alpha| < (n-1)k, one
+    column per monomial of degree at most (n+1)k.  This is the one closed
+    form of the shape: `jet_matrix` builds to it, the generic sampler
+    targets full rank from it, and the CLI caps the cell count with it.
+    """
+    cols = monomial_count(n, k)  # first, so k < 1 is refused before comb sees it
+    return v * math.comb((n - 1) * k - 1 + n, n), cols
+
+
 def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     """Build the matrix of vanishing conditions defining h0 of power k.
 
-    One row per (point, multi-index alpha with |alpha| < (n-1)k), one column
-    per monomial of degree <= (n+1)k; integer entries, scaled as described
-    on ``JetConditionMatrix``, with no Fraction formed.  For n = 2, k = 1 the
+    Shaped as ``jet_shape`` says; integer entries, scaled as described on
+    ``JetConditionMatrix``, with no Fraction formed.  For n = 2, k = 1 the
     conditions degenerate to plain evaluation, mapping each integer point
     (x, y) to the row (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3).
 
@@ -149,11 +165,10 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     """
     if config.n < 2:
         raise ValueError("blow-ups require n >= 2; n = 1 imposes no vanishing conditions")
-    if k < 1:
-        raise ValueError("k must be positive")
     n = config.n
+    rows, cols = jet_shape(n, config.v, k)
     top = (n + 1) * k
-    cols = tuple(_graded_exponents(n, top))
+    monomials = tuple(_graded_exponents(n, top))
     alphas = tuple(_graded_exponents(n, (n - 1) * k - 1))
     entries = []
     for point in config.points:
@@ -161,9 +176,10 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
         d = math.lcm(*(c.denominator for c in point))
         lifted = (d, *(c.numerator * (d // c.denominator) for c in point))
         for alpha in alphas:
-            entries.extend(_derivative_at(beta, alpha, lifted, top) for beta in cols)
-    matrix = RatMatrix(rows=config.v * len(alphas), cols=len(cols), entries=tuple(entries))
-    return JetConditionMatrix(col_monomials=cols, matrix=matrix)
+            entries.extend(_derivative_at(beta, alpha, lifted, top) for beta in monomials)
+    # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
+    matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))
+    return JetConditionMatrix(col_monomials=monomials, matrix=matrix)
 
 
 def h0_blowup(config: PointConfiguration, k: int) -> int:
@@ -185,11 +201,10 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction]:
 
 
 def _sample_configuration(rng: random.Random, v: int) -> PointConfiguration:
-    points: list[tuple[Fraction, Fraction]] = []
+    # An insertion-ordered dict skips repeated draws in constant time and keeps first-seen order.
+    points: dict[tuple[Fraction, Fraction], None] = {}
     while len(points) < v:
-        candidate = _sample_point(rng)
-        if candidate not in points:
-            points.append(candidate)
+        points[_sample_point(rng)] = None
     return PointConfiguration(n=2, points=tuple(points))
 
 
@@ -217,7 +232,8 @@ def generate_configuration(
 
     generic    v points with integer coordinates drawn deterministically
                from `seed`, resampled until the jet matrix of power k has
-               full rank, i.e. h0(-kK) = max(monomial_count(2, k) - v*C(k+1, 2), 0).
+               full rank, i.e. h0(-kK) = max(cols - rows, 0) for the
+               (rows, cols) of `jet_shape(2, v, k)`.
                That is the least h0 any v points can have, so genericity is
                certified at the power used by that exact rank, never assumed.
                Full rank is reachable at every k: v <= 8 general points give
@@ -232,9 +248,9 @@ def generate_configuration(
     if v < 1:
         raise ValueError("v must be positive")
     if kind == "generic":
-        h0 = max(monomial_count(2, k) - v * math.comb(k + 1, 2), 0)
+        rows, cols = jet_shape(2, v, k)
         samples = (_sample_configuration(_rng(seed, a), v) for a in range(GENERIC_SAMPLE_ATTEMPTS))
-        return _first_with_h0(samples, k, h0)
+        return _first_with_h0(samples, k, max(cols - rows, 0))
     if kind == "collinear":
         coords = [(i, 0) for i in range(1, v + 1)]
     elif kind == "on_conic":
@@ -293,17 +309,22 @@ def h1_2K_range(v: int) -> tuple[int, int]:
 def parse_point_file(text: str) -> PointConfiguration:
     """Parse the plain-text point format: one point per line.
 
-    Coordinates are exact rationals written as ``p/q`` or plain integers,
-    separated by whitespace; blank lines and lines starting with '#' are
-    ignored.  All points must have the same number of coordinates.
+    Coordinates are exact rationals written as ASCII ``[+-]digits`` or
+    ``[+-]digits/digits``, separated by whitespace; any other token is an
+    error.  Blank lines and lines starting with '#' are ignored.  All points
+    must have the same number of coordinates.
     """
     coords: list[tuple[Fraction, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        tokens = line.split()
+        bad = next((token for token in tokens if not _COORDINATE.fullmatch(token)), None)
+        if bad is not None:
+            raise PointFileError(f"line {lineno}: invalid coordinate {bad!r}: expected an integer or p/q")
         try:
-            point = tuple(Fraction(token) for token in line.split())
+            point = tuple(Fraction(token) for token in tokens)
         except (ValueError, ZeroDivisionError) as exc:
             raise PointFileError(f"line {lineno}: {exc}") from None
         if coords and len(point) != len(coords[0]):

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from .blowup import (
     generate_configuration,
     h0_blowup,
     h1_2K_range,
+    jet_shape,
     monomial_count,
     parse_point_file,
 )
@@ -220,9 +220,8 @@ def _load_configuration(path: str | None, kind: str | None, v: int | None, seed:
         n, v = config.n, config.v
     elif v is None:
         raise ValueError(f"a {kind} configuration requires --v")
-    # Capped before sampling or building: one row per point and multi-index of
-    # order below (n-1)k, one column per monomial of degree at most (n+1)k.
-    rows, cols = v * math.comb((n - 1) * k - 1 + n, n), monomial_count(n, k)
+    # Capped before sampling or building.
+    rows, cols = jet_shape(n, v, k)
     size = f"v = {v}, k = {k} gives {rows} x {cols} = {rows * cols}"
     _check_cap("jet matrix rows x cols", rows * cols, JET_MAX_CELLS, size)
     if path:

@@ -24,6 +24,7 @@ from pluricoh.blowup import (
     generate_configuration,
     h0_blowup,
     jet_matrix,
+    jet_shape,
     monomial_count,
     parse_point_file,
 )
@@ -137,6 +138,13 @@ class TestJetMatrix:
         config = PointConfiguration.from_coordinates([(0, 0), (1, 1), (2, 5)])
         assert jet_matrix(config, 2).matrix.rows == 3 * 3
         assert jet_matrix(config, 3).matrix.rows == 3 * 6
+
+    @pytest.mark.parametrize(
+        "n, v, k, shape",
+        [(2, 1, 1, (1, 10)), (2, 3, 2, (9, 28)), (2, 5, 4, (50, 91)), (3, 1, 1, (4, 35)), (3, 5, 3, (280, 455))],
+    )
+    def test_jet_shape(self, n, v, k, shape):
+        assert jet_shape(n, v, k) == shape
 
     def test_line_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -315,6 +323,19 @@ class TestGenerateConfiguration:
             expected = 1 if v == 9 else 0
         assert row.h0_minus_kK == expected
 
+    def test_sampler_skips_repeated_draws_in_first_seen_order(self):
+        class ScriptedDraws:
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def randint(self, low, high):
+                return next(self.values)
+
+        # Coordinate pairs (1, 2), (1, 2), (3, 4), (1, 2), (5, 6): two repeats.
+        rng = ScriptedDraws([1, 2, 1, 2, 3, 4, 1, 2, 5, 6])
+        config = pluricoh.blowup._sample_configuration(rng, 3)
+        assert config.points == tuple((Fraction(x), Fraction(y)) for x, y in [(1, 2), (3, 4), (5, 6)])
+
     def test_generic_is_deterministic_in_seed(self):
         a = generate_configuration("generic", 6, seed=42)
         b = generate_configuration("generic", 6, seed=42)
@@ -396,7 +417,7 @@ class TestH12K:
 
 class TestPointFile:
     def test_parses_integers_comments_and_rationals(self):
-        text = "# comment line\n1 0\n\n2/3 -5/7\n  4   9  \n"
+        text = "# comment line\n1 0\n\n2/3 -5/7\n  4   +9  \n"
         config = parse_point_file(text)
         assert config.n == 2
         assert config.points == (
@@ -409,9 +430,12 @@ class TestPointFile:
         with pytest.raises(PointFileError, match="line 1"):
             parse_point_file("1/0 2\n")
 
-    def test_garbage_token_rejected(self):
-        with pytest.raises(PointFileError, match="line 2"):
-            parse_point_file("1 2\nx y\n")
+    # Fraction() takes all but "x" of these (the last is a fullwidth "12"); the
+    # documented syntax is [+-]digits[/digits] in ASCII.
+    @pytest.mark.parametrize("token", ["x", "1e200000", "1.5", "1_000", "\uff11\uff12"])
+    def test_garbage_token_rejected(self, token):
+        with pytest.raises(PointFileError, match="^line 2: invalid coordinate"):
+            parse_point_file(f"1 2\n{token} 0\n")
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(PointFileError):

@@ -174,10 +174,15 @@ class TestBlowupCommand:
         assert code == 2
         assert "distinct" in err
 
-    def test_parse_failure_is_usage_error(self, capsys, tmp_path):
+    # "1e200000" is refused by its syntax; Fraction() would take it and the
+    # k = 2 rank would run before echoing the point failed.
+    @pytest.mark.parametrize("line", ["foo bar", "1e200000 0"])
+    def test_parse_failure_is_usage_error(self, capsys, tmp_path, line):
         path = tmp_path / "bad.txt"
-        path.write_text("1 2\nfoo bar\n")
-        assert run_cli(capsys, "blowup", "--points", str(path))[0] == 2
+        path.write_text(f"1 2\n{line}\n")
+        code, out, err = run_cli(capsys, "blowup", "--points", str(path), "--k", "2")
+        assert (code, out) == (2, "")
+        assert "line 2: invalid coordinate" in err
 
     def test_missing_source_is_usage_error(self, capsys):
         assert run_cli(capsys, "blowup", "--k", "1")[0] == 2
@@ -216,6 +221,12 @@ class TestBlowupCommand:
         assert (code, out) == (2, "")
         assert f"capped at {JET_MAX_CELLS - 1}" in err
         assert f"{v} x 10 = {JET_MAX_CELLS}" in err
+
+    def test_space_jet_matrix_above_cap(self, capsys):
+        # Five points of P^3 at k = 3: 5 * C(8, 3) rows against C(15, 3) columns.
+        code, out, err = run_cli(capsys, "blowup", "--points", str(DATA / "space_points.txt"), "--k", "3")
+        assert (code, out) == (2, "")
+        assert "280 x 455 = 127400" in err
 
     @pytest.mark.parametrize("name, k", [("plane_points.txt", 1), ("plane_points.txt", 3), ("space_points.txt", 2)])
     def test_jet_matrix_cap_counts_the_built_shape(self, capsys, monkeypatch, name, k):
