@@ -20,7 +20,7 @@ from .blowup import (
     monomial_count,
     parse_point_file,
 )
-from .exact_linalg import RatMatrix, rank, vandermonde_det, vandermonde_matrix
+from .exact_linalg import RatMatrix, rank
 from .family import (
     FiberReportRow,
     KodairaFamily,
@@ -78,6 +78,4 @@ __all__ = [
     "parse_point_file",
     "rank",
     "section_basis",
-    "vandermonde_det",
-    "vandermonde_matrix",
 ]

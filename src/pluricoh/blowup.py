@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import RatMatrix, Rational, rank
+from .exact_linalg import RatMatrix, rank
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
@@ -77,7 +77,7 @@ class PointConfiguration:
         return len(self.points)
 
     @classmethod
-    def from_coordinates(cls, coords: Sequence[Sequence[Rational]]) -> "PointConfiguration":
+    def from_coordinates(cls, coords: Sequence[Sequence[Fraction | int]]) -> "PointConfiguration":
         points = tuple(tuple(Fraction(c) for c in point) for point in coords)
         if not points:
             raise ValueError("cannot infer ambient dimension from an empty point list")

@@ -7,7 +7,7 @@ randomness flows from an explicit --seed, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 cross-check or jump-expectation failure,
-2 usage or parse error.
+2 usage, parse or output error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,6 +69,11 @@ SELFCHECK_MAX_BUDGET = 50
 # on_conic, takes about 10 s just below it (v = 7, k = 7: 49,588 cells) on a
 # 2-CPU host; generic v = 20, k = 5 (40,800 cells) takes about 1.2 s.
 JET_MAX_CELLS = 5 * 10**4
+
+# Largest point-file dimension n.  Above it one point at k = 1 already
+# exceeds JET_MAX_CELLS (n = 6: 210 x 1,716), so such a file is refused
+# before any binomial coefficient of its n is formed.
+JET_MAX_DIMENSION = next(n for n in itertools.count(1) if math.prod(jet_shape(n + 1, 1, 1)) > JET_MAX_CELLS)
 
 # Output column of each cohomology-row field in a family report, at general k and at k = 1.
 _COLUMNS = {name: name for name in ("h0_minus_kK", "h0_kp1K", "h2_kp1K", "h1_kp1K")}
@@ -218,6 +225,8 @@ def _load_configuration(path: str | None, kind: str | None, v: int | None, seed:
             raise ValueError("--v cannot be used with a point file")
         config = parse_point_file(Path(path).read_text())
         n, v = config.n, config.v
+        size = f"one point with n = {n} coordinates at k = 1 already exceeds {JET_MAX_CELLS} jet matrix cells"
+        _check_cap("point dimension n", n, JET_MAX_DIMENSION, size)
     elif v is None:
         raise ValueError(f"a {kind} configuration requires --v")
     # Capped before sampling or building.
@@ -412,17 +421,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         record, code = _COMMANDS[args.command](args)
+        # Rendering fails on a number above Python's int-to-str digit limit,
+        # writing on a bad --output path: both are usage errors.
+        text = render(record, args.format)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    text = render(record, args.format)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -1,8 +1,9 @@
-"""Exact linear algebra over the rationals on integer matrices.
+"""Exact rank over the rationals of integer matrices.
 
-`RatMatrix` holds Python integers and refuses any other entry type, so every
-rank, determinant and dimension is an exact integer, never a float; rational
-points are cleared to integers before a matrix is formed (`blowup.jet_matrix`).
+The module holds two things: `RatMatrix`, a dense matrix that refuses any
+entry but a Python int, and `rank`, its rank over the rationals.  Points
+with rational coordinates are cleared to integers before a matrix is formed
+(`blowup.jet_matrix`), so every rank is an exact integer, never a float.
 `rank` backs all section counts for blow-ups, so it is deterministic and
 every answer it gives is proved.
 
@@ -20,18 +21,7 @@ those where p divides every maximal minor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction | int
-
-
-def _fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -174,24 +164,3 @@ def _bareiss_rank(work: list[list[int]], n: int) -> int:
         if r == m:
             break
     return r
-
-
-def vandermonde_det(xs: Sequence[Rational]) -> Fraction:
-    """Product of pairwise differences prod_{i<j} (xs[j] - xs[i]).
-
-    Equals the determinant of the square matrix whose i-th row is
-    (1, x_i, x_i^2, ..., x_i^{len-1}).  Empty and singleton inputs give the
-    empty product 1; a repeated value forces 0.
-    """
-    values = [_fraction(x) for x in xs]
-    det = Fraction(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            det *= values[j] - values[i]
-    return det
-
-
-def vandermonde_matrix(xs: Sequence[int]) -> RatMatrix:
-    """Square integer matrix with i-th row (1, x_i, x_i^2, ..., x_i^{len-1})."""
-    return RatMatrix.from_rows([[x**j for j in range(len(xs))] for x in xs])
-

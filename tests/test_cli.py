@@ -13,7 +13,7 @@ import pluricoh.cli
 import pluricoh.exact_linalg
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
-from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, SELFCHECK_MAX_BUDGET, main
+from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, JET_MAX_DIMENSION, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import run_selfcheck
 
@@ -35,6 +35,13 @@ def run_json(capsys, *argv: str) -> tuple[int, dict]:
     jsonschema.validate(record, SCHEMA)
     _assert_provenance_complete(record)
     return code, record
+
+
+def _assert_usage_error(code: int, out: str, err: str) -> None:
+    """Exit 2 with nothing on stdout and one `error:` line, no traceback, on stderr."""
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def _assert_provenance_complete(record: dict) -> None:
@@ -227,6 +234,29 @@ class TestBlowupCommand:
         code, out, err = run_cli(capsys, "blowup", "--points", str(DATA / "space_points.txt"), "--k", "3")
         assert (code, out) == (2, "")
         assert "280 x 455 = 127400" in err
+
+    @pytest.mark.parametrize("n", [JET_MAX_DIMENSION + 1, 10**4])
+    def test_point_dimension_above_cap_is_refused_before_the_shape(self, capsys, tmp_path, monkeypatch, n):
+        # From n = 6 on one point at k = 1 exceeds the cell cap; the binomials
+        # of a large n alone would take seconds, so none is formed.
+        def forbidden(*args):
+            raise AssertionError("jet_shape ran above the dimension cap")
+
+        monkeypatch.setattr(pluricoh.cli, "jet_shape", forbidden)
+        path = tmp_path / "wide.txt"
+        path.write_text("0 " * n + "\n")
+        code, out, err = run_cli(capsys, "blowup", "--points", str(path))
+        _assert_usage_error(code, out, err)
+        assert f"capped at {JET_MAX_DIMENSION}: one point with n = {n} coordinates" in err
+
+    def test_point_file_at_the_dimension_cap_runs(self, capsys, tmp_path):
+        # One point in dimension 5 at k = 1: 56 x 462 cells, under the cap.
+        assert JET_MAX_DIMENSION == 5
+        path = tmp_path / "five.txt"
+        path.write_text("1 2 3 4 5\n")
+        code, record = run_json(capsys, "blowup", "--points", str(path))
+        assert code == 0
+        assert (record["results"]["jet_rank"], record["results"]["h0_minus_kK"]) == (56, 406)
 
     @pytest.mark.parametrize("name, k", [("plane_points.txt", 1), ("plane_points.txt", 3), ("space_points.txt", 2)])
     def test_jet_matrix_cap_counts_the_built_shape(self, capsys, monkeypatch, name, k):
@@ -489,6 +519,19 @@ class TestOutputContract:
         assert out == ""
         record = json.loads(target.read_text())
         assert record["results"]["dim_enumerated"] == 10
+
+    def test_output_to_a_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "hirzebruch", "--m", "4", "--k", "1", "--output", str(tmp_path))
+        _assert_usage_error(code, out, err)
+        assert "Is a directory" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_numbers_above_the_digit_limit_are_usage_error(self, capsys, fmt):
+        # h0 grows like k^2, so a 2,200-digit k prints numbers past 4,300 digits.
+        code, out, err = run_cli(capsys, "hirzebruch", "--m", "4", "--k", "9" * 2200, "--format", fmt)
+        _assert_usage_error(code, out, err)
+        assert "digits" in err
 
     def test_usage_errors_from_argparse(self, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 2

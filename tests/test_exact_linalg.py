@@ -1,10 +1,11 @@
 """Tests for the exact rational linear algebra layer.
 
 Expected values marked as derived were computed first with the naive
-Fraction-elimination and cofactor oracles in `pluricoh.selfcheck`, which
-share no code with the fraction-free production routines.
+Fraction-elimination oracle in `pluricoh.selfcheck`, which shares no code
+with the fraction-free production routines.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,8 @@ from pluricoh.exact_linalg import (
     MODULAR_RULE_BITS,
     RatMatrix,
     rank,
-    vandermonde_det,
-    vandermonde_matrix,
 )
-from pluricoh.selfcheck import naive_det, naive_rank
+from pluricoh.selfcheck import naive_rank
 
 small_integers = st.integers(-8, 8)
 
@@ -132,8 +131,8 @@ class TestRank:
         # The 10-point integer Vandermonde determinant already exceeds
         # 64-bit range, so exactness here depends on unbounded integers.
         xs = list(range(1, 11))
-        assert vandermonde_det(xs) > 2**63
-        assert rank(vandermonde_matrix(xs)) == 10
+        assert math.prod(b - a for i, a in enumerate(xs) for b in xs[i + 1 :]) > 2**63
+        assert rank(RatMatrix.from_rows([[x**j for j in range(10)] for x in xs])) == 10
 
 
 def _integer_matrix(grid: list[list[int]]) -> RatMatrix:
@@ -220,24 +219,10 @@ class TestModularRoute:
 
 
 class TestVandermonde:
-    def test_empty_and_singleton_products(self):
-        assert vandermonde_det([]) == 1
-        assert vandermonde_det([Fraction(7, 3)]) == 1
-
-    def test_three_values(self):
-        assert vandermonde_det([0, 1, 2]) == 2
-        assert naive_det(vandermonde_matrix([0, 1, 2])) == 2
-
-    def test_repeated_value_kills_determinant(self):
-        assert vandermonde_det([1, 5, 1]) == 0
-
-    @given(st.lists(small_integers, max_size=5))
-    def test_matches_cofactor_determinant(self, xs):
-        assert vandermonde_det(xs) == naive_det(vandermonde_matrix(xs))
-
     @given(st.lists(small_integers, max_size=6))
     def test_rank_counts_distinct_values(self, xs):
+        # Rows (1, x, ..., x^(len-1)); the determinant is the product of the pairwise differences.
         distinct = len(set(xs))
-        assert rank(vandermonde_matrix(xs)) == distinct
-        assert (vandermonde_det(xs) != 0) == (distinct == len(xs))
-
+        det = math.prod(b - a for i, a in enumerate(xs) for b in xs[i + 1 :])
+        assert rank(RatMatrix.from_rows([[x**j for j in range(len(xs))] for x in xs])) == distinct
+        assert (det != 0) == (distinct == len(xs))

@@ -38,6 +38,8 @@ class TestOracles:
         assert naive_det(RatMatrix(0, 0, ())) == 1
         assert naive_det(RatMatrix.from_rows([[-5]])) == -5
         assert naive_det(RatMatrix.from_rows([[1, 2], [3, 4]])) == -2
+        # The Vandermonde matrix of 0, 1, 2: the product of the differences is 1 * 2 * 1.
+        assert naive_det(RatMatrix.from_rows([[1, 0, 0], [1, 1, 1], [1, 2, 4]])) == 2
         with pytest.raises(ValueError):
             naive_det(RatMatrix.from_rows([[1, 2]]))
 
@@ -139,6 +141,15 @@ class TestRunSelfcheck:
         assert failed[0].cases == 17
         assert failed[0].counterexample.startswith("v=3: Noether's formula fails")
         assert main(["selfcheck", "--budget", "1"]) == 1
+
+    def test_detects_a_rank_that_ignores_repeated_rows(self, monkeypatch):
+        # Fault injection: a rank that always reports min(rows, cols) must
+        # fail the Vandermonde row at its first repeated value.
+        monkeypatch.setattr(exact_linalg, "rank", lambda matrix: min(matrix.rows, matrix.cols))
+        results = {r.name: r for r in run_selfcheck(budget=10)}
+        vandermonde = results["vandermonde_determinant_and_rank"]
+        assert not vandermonde.passed
+        assert vandermonde.counterexample.endswith("rank != distinct count")
 
     def test_detects_a_corrupted_enumeration(self, monkeypatch):
         original = pluricoh.hirzebruch.dim_enumerated
