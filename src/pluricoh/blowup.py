@@ -18,6 +18,7 @@ dimension achievable for a given number of points.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -121,16 +122,12 @@ def _graded_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _derivative_at(
-    beta: tuple[int, ...], alpha: tuple[int, ...], point: tuple[int, ...], top: int
-) -> int:
-    """Value at the integer point (x0, x) of d^alpha/dx^alpha of x0^(top - |beta|) x^beta."""
-    value = point[0] ** (top - sum(beta))
-    for b, a, q in zip(beta, alpha, point[1:]):
-        if a > b:
-            return 0
-        value *= math.perm(b, a) * q ** (b - a)
-    return value
+def _powers(x: int, top: int) -> list[int]:
+    """x^0, x^1, ..., x^top."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def monomial_count(n: int, k: int) -> int:
@@ -168,15 +165,30 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     n = config.n
     rows, cols = jet_shape(n, config.v, k)
     top = (n + 1) * k
+    order = (n - 1) * k - 1
     monomials = tuple(_graded_exponents(n, top))
-    alphas = tuple(_graded_exponents(n, (n - 1) * k - 1))
-    entries = []
+    alphas = tuple(_graded_exponents(n, order))
+    falling = [[math.perm(b, a) for a in range(order + 1)] for b in range(top + 1)]
+    # Per monomial: the power of the lifted x0 it carries, and each variable's exponent.
+    homogenizing = [top - sum(beta) for beta in monomials]
+    exponents = list(zip(*monomials))
+    entries: list[int] = []
     for point in config.points:
         # The point lifted to (d, d*x): d^(top - |alpha|) times the true derivatives.
         d = math.lcm(*(c.denominator for c in point))
         lifted = (d, *(c.numerator * (d // c.denominator) for c in point))
+        d_powers, *q_powers = (_powers(x, top) for x in lifted)
+        lead = [d_powers[e] for e in homogenizing]
+        # derivatives[i][a][b] = d^a/dx_i^a of x_i^b at q_i: perm(b, a) q_i^(b - a), 0 for b < a.
+        derivatives = [
+            [[falling[b][a] * q[b - a] if b >= a else 0 for b in range(top + 1)] for a in range(order + 1)]
+            for q in q_powers
+        ]
         for alpha in alphas:
-            entries.extend(_derivative_at(beta, alpha, lifted, top) for beta in monomials)
+            row = lead
+            for column_exponents, by_order, a in zip(exponents, derivatives, alpha):
+                row = list(map(operator.mul, row, map(by_order[a].__getitem__, column_exponents)))
+            entries.extend(row)
     # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
     matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))
     return JetConditionMatrix(col_monomials=monomials, matrix=matrix)

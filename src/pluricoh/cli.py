@@ -231,8 +231,11 @@ def _load_configuration(path: str | None, kind: str | None, v: int | None, seed:
         raise ValueError(f"a {kind} configuration requires --v")
     # Capped before sampling or building.
     rows, cols = jet_shape(n, v, k)
-    size = f"v = {v}, k = {k} gives {rows} x {cols} = {rows * cols}"
-    _check_cap("jet matrix rows x cols", rows * cols, JET_MAX_CELLS, size)
+    cells = rows * cols
+    if cells > JET_MAX_CELLS:
+        # Compared before formatting: a huge k gives a shape too long to print.
+        shape = f"{rows} x {cols} = {cells}" if cells < 10**18 else "at least 10^18 cells"
+        _check_cap("jet matrix rows x cols", cells, JET_MAX_CELLS, f"v = {v}, k = {k} gives {shape}")
     if path:
         return config, blowup_row(config, k) if n == 2 else None
     return generate_configuration(kind, v, seed=seed, k=k)

@@ -8,8 +8,10 @@ with rational coordinates are cleared to integers before a matrix is formed
 every answer it gives is proved.
 
 `rank` has two routes.  When min(rows, cols) times the largest entry bit
-length exceeds MODULAR_RULE_BITS, one elimination modulo the prime
-MODULAR_PRIME runs first.  Reduction mod p is a ring map from the integers,
+length exceeds MODULAR_RULE_BITS, one elimination modulo the Mersenne prime
+MODULAR_PRIME = 2^31 - 1 runs first.  It packs each row into one Python int
+with a fixed-width slot per column, so updating a row is one big-int
+multiply-add done in C.  Reduction mod p is a ring map from the integers,
 so every minor that vanishes over the integers vanishes mod p and the rank
 mod p never exceeds the rational rank; a rank mod p of min(rows, cols), the
 largest any matrix of that shape can have, is therefore the rational rank.
@@ -70,18 +72,22 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-# The modular route's prime, the Mersenne prime 2^61 - 1.  It is fixed, so the
+# The modular route's prime, the Mersenne prime 2^31 - 1.  It is fixed, so the
 # route each matrix takes is reproducible; the rank itself never depends on it.
-MODULAR_PRIME = 2**61 - 1
+MODULAR_PRIME = 2**31 - 1
 
 # min(rows, cols) * (largest entry bit length) above which `rank` tries the
 # modular route first.  A rank-deficient matrix above it pays for a modular
 # elimination that proves nothing, so the rule waits until the modular route
 # is well ahead, not just ahead.  On random full-rank integer matrices
 # (square and 2:1 both ways, smaller side 8 to 64, entries of 4 to 320
-# bits) the modular route first wins near a product of 400, and 2048 is the
-# smallest product at which Bareiss took at least three times as long on
-# every shape swept.
+# bits) the packed pass first wins near a product of 256 for side 8 and
+# already at 128 from side 16, wins on every shape from 768, and 2048 is
+# still the smallest product at which Bareiss took at least three times as
+# long on every shape swept (8 x 8 at 1536: 2.7 times).  Special plane
+# configurations are rank-deficient and many fall just below 2048 (12
+# collinear points at k = 3, product 1815: a 2.4 ms pass would be wasted
+# before an 11 ms Bareiss), so a lower rule would slow them.
 MODULAR_RULE_BITS = 2048
 
 
@@ -103,32 +109,65 @@ def rank(matrix: RatMatrix) -> int:
     return _bareiss_rank(work, matrix.cols)
 
 
+def _slot_width(full: int) -> int:
+    """Bits per packed slot for an elimination mod MODULAR_PRIME with `full` pivots.
+
+    A slot starts reduced, below p, and each update adds (p - f) * y with
+    f, y < p, so less than p^2.  A row takes at most `full` updates before
+    it is reduced as a pivot or the pass ends, so no slot reaches
+    (p - 1) + full * (p - 1)^2.  The width is that bound's bit length rounded
+    up to whole bytes, so a row unpacks by byte slicing.
+    """
+    p = MODULAR_PRIME
+    bound = (p - 1) + full * (p - 1) ** 2
+    width = -(-bound.bit_length() // 8) * 8
+    assert bound < 1 << width, "a slot could carry into its neighbour"
+    return width
+
+
 def _has_full_rank_mod_p(rows: list[list[int]], cols: int) -> bool:
     """Whether the integer rows have rank min(rows, cols) modulo MODULAR_PRIME.
 
-    Gaussian elimination over GF(p) that drops each pivot row once used and
-    each column once processed, so the work shrinks as it goes.  It gives up
-    as soon as more columns lack a pivot than a full-rank matrix can afford,
-    which keeps the cost of a rank-deficient matrix low before Bareiss.
+    Gaussian elimination over GF(p) on packed rows: each row is one int with
+    a W-bit slot per column (W from `_slot_width`), the current first column
+    in the low bits.  Processing a column shifts it out of every row.  Only
+    the pivot row is unpacked, reduced mod p and scaled to a leading 1; with
+    `tail` the rest of it, repacked, every other row r with leading residue
+    f becomes (r >> W) + (p - f) * tail, one big-int multiply-add.  Slots
+    stay nonnegative and below 2^W, so no carry crosses a slot and each slot
+    stays congruent to its entry mod p.  The pass gives up as soon as more
+    columns lack a pivot than a full-rank matrix can afford, which keeps the
+    cost of a rank-deficient matrix low before Bareiss.
     """
     p = MODULAR_PRIME
-    work = [[x % p for x in row] for row in rows]
-    full = min(len(work), cols)
+    full = min(len(rows), cols)
+    width = _slot_width(full)
+    size = width // 8
+    mask = (1 << width) - 1
+
+    def pack(residues: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in residues), "little")
+
+    work = [pack(x % p for x in row) for row in rows]
     spare = cols - full
     found = 0
+    remaining = cols
     while found < full:
-        index = next((i for i, row in enumerate(work) if row[0]), None)
+        remaining -= 1  # columns after the one processed now
+        index = next((i for i, row in enumerate(work) if (row & mask) % p), None)
         if index is None:
             spare -= 1
             if spare < 0:
                 return False
-            work = [row[1:] for row in work]
+            work = [row >> width for row in work]
             continue
         pivot = work.pop(index)
-        inverse = pow(pivot[0], -1, p)
-        tail = pivot[1:]
+        inverse = pow((pivot & mask) % p, -1, p)
+        data = (pivot >> width).to_bytes(remaining * size, "little")
+        slots = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+        tail = pack(x * inverse % p for x in slots)
         work = [
-            [(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0] * inverse % p) else row[1:]
+            (row >> width) + (p - f) * tail if (f := (row & mask) % p) else row >> width
             for row in work
         ]
         found += 1

@@ -44,27 +44,6 @@ def naive_rank(matrix: RatMatrix) -> int:
     return r
 
 
-def naive_nullspace_dimension(matrix: RatMatrix) -> int:
-    """Number of free columns after full reduced row reduction over Fraction."""
-    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(matrix.cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    return matrix.cols - len(pivot_cols)
-
-
 def naive_det(matrix: RatMatrix) -> int:
     """Determinant by cofactor expansion along the first row; square input only."""
     if matrix.rows != matrix.cols:

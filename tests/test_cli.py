@@ -229,6 +229,13 @@ class TestBlowupCommand:
         assert f"capped at {JET_MAX_CELLS - 1}" in err
         assert f"{v} x 10 = {JET_MAX_CELLS}" in err
 
+    def test_jet_matrix_cap_message_with_a_huge_k(self, capsys):
+        # rows x cols has about 8,800 digits, past Python's int-to-str limit,
+        # so the cap is compared before the shape is formatted.
+        code, out, err = run_cli(capsys, "blowup", "--generate", "generic", "--v", "1", "--k", "9" * 2200)
+        _assert_usage_error(code, out, err)
+        assert f"capped at {JET_MAX_CELLS}: v = 1, k = {'9' * 2200} gives at least 10^18 cells" in err
+
     def test_space_jet_matrix_above_cap(self, capsys):
         # Five points of P^3 at k = 3: 5 * C(8, 3) rows against C(15, 3) columns.
         code, out, err = run_cli(capsys, "blowup", "--points", str(DATA / "space_points.txt"), "--k", "3")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluricoh import exact_linalg
+from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import (
     MODULAR_PRIME,
     MODULAR_RULE_BITS,
@@ -151,22 +152,50 @@ def _large_grid(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
 
 @st.composite
 def large_entry_matrices(draw):
-    """Integer matrices past the modular rule, some with planted dependent rows."""
-    rows, cols = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+    """Tall, wide and square matrices past the modular rule, with zero rows,
+    negative entries, rows and columns divisible by p, and dependent rows."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     grid = _large_grid(random.Random(draw(st.integers(0, 2**32))), rows, cols)
-    for target in draw(st.lists(st.integers(2, rows - 1), max_size=3, unique=True)):
-        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        grid[target] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
+    # One entry of the largest size the grid can draw puts the matrix past the rule.
+    grid[0][0] = -(2 ** (MODULAR_RULE_BITS // min(rows, cols) + 1))
+    later_rows = st.lists(st.integers(1, rows - 1), max_size=3, unique=True) if rows > 1 else st.just([])
+    for i in draw(later_rows):
+        grid[i] = [0] * cols
+    for i in draw(later_rows):
+        grid[i] = [MODULAR_PRIME * x for x in grid[i]]
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2, unique=True)):
+        for row in grid:
+            row[j] *= MODULAR_PRIME
+    if rows > 2:
+        for i in draw(later_rows):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            grid[i] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
     m = _integer_matrix(grid)
     assert min(rows, cols) * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
     return m
 
 
 class TestModularRoute:
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(large_entry_matrices())
     def test_matches_naive_elimination_and_bareiss(self, m):
         assert rank(m) == naive_rank(m) == _bareiss(m)
+
+    def test_slot_width_holds_at_the_cell_cap(self):
+        # A jet matrix within the cell cap has min(rows, cols) <= isqrt(cap).
+        full = math.isqrt(JET_MAX_CELLS)
+        width = exact_linalg._slot_width(full)
+        p = MODULAR_PRIME
+        assert (p - 1) + full * (p - 1) ** 2 < 2**width
+        assert width % 8 == 0
+        assert width == 72
+
+    @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
+    def test_rows_all_divisible_by_p_fail_the_pass(self, rows, cols):
+        grid = _large_grid(random.Random(f"all-p:{rows}x{cols}"), rows, cols)
+        m = _integer_matrix([[MODULAR_PRIME * x for x in row] for row in grid])
+        assert not exact_linalg._has_full_rank_mod_p([list(m.row(i)) for i in range(rows)], cols)
+        assert rank(m) == _bareiss(m) == min(rows, cols)
 
     @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
     def test_every_maximal_minor_divisible_by_p_falls_back(self, rows, cols):
