@@ -8,20 +8,23 @@ with rational coordinates are cleared to integers before a matrix is formed
 every answer it gives is proved.
 
 `rank` has two routes.  When min(rows, cols) times the largest entry bit
-length exceeds MODULAR_RULE_BITS, one elimination modulo the Mersenne prime
-MODULAR_PRIME = 2^31 - 1 runs first.  It packs each row into one Python int
-with a fixed-width slot per column, so updating a row is one big-int
-multiply-add done in C.  Reduction mod p is a ring map from the integers,
-so every minor that vanishes over the integers vanishes mod p and the rank
-mod p never exceeds the rational rank; a rank mod p of min(rows, cols), the
-largest any matrix of that shape can have, is therefore the rational rank.
-Every other matrix, and every small one, goes to fraction-free Bareiss
-elimination over the integers, which is exact on all inputs, including
-those where p divides every maximal minor.
+length exceeds MODULAR_RULE_BITS and min(rows, cols) is at most
+MODULAR_MAX_PIVOTS, one elimination modulo the prime MODULAR_PRIME =
+2^27 - 39 runs first.  It packs each row into one Python int with a 64-bit
+slot per column, so packing and unpacking run in C through `array("Q")`
+and updating a row is one big-int multiply-add.  Reduction mod p is a ring
+map from the integers, so every minor that vanishes over the integers
+vanishes mod p and the rank mod p never exceeds the rational rank; a rank
+mod p of min(rows, cols), the largest any matrix of that shape can have,
+is therefore the rational rank.  Every other matrix, and every small one,
+goes to fraction-free Bareiss elimination over the integers, which is
+exact on all inputs, including those where p divides every maximal minor.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,9 +75,20 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-# The modular route's prime, the Mersenne prime 2^31 - 1.  It is fixed, so the
-# route each matrix takes is reproducible; the rank itself never depends on it.
-MODULAR_PRIME = 2**31 - 1
+# The modular route's prime, 2^27 - 39, the largest prime below 2^27.  It is
+# fixed, so the route each matrix takes is reproducible; the rank itself never
+# depends on it.  It is this small so that every packed slot is exactly 64
+# bits: a slot starts reduced, below p, and each of a row's at most `full`
+# updates adds (p - f) * y with f, y < p, so no slot reaches
+# (p - 1) + full * (p - 1)^2, which is below 2^64 for up to
+# MODULAR_MAX_PIVOTS = 1024 pivots and not for 1025.  That covers every jet
+# matrix within the cell cap (smaller side at most isqrt(50,000) = 223) and
+# the Halphen target at k = 10 (495 rows).  A matrix whose smaller side is
+# larger goes straight to Bareiss.
+MODULAR_PRIME = 2**27 - 39
+MODULAR_MAX_PIVOTS = 1024
+assert (MODULAR_PRIME - 1) + MODULAR_MAX_PIVOTS * (MODULAR_PRIME - 1) ** 2 < 2**64
+assert array("Q").itemsize == 8, "packed slots need 64-bit unsigned array items"
 
 # min(rows, cols) * (largest entry bit length) above which `rank` tries the
 # modular route first.  A rank-deficient matrix above it pays for a modular
@@ -95,63 +109,52 @@ def rank(matrix: RatMatrix) -> int:
     """Rank over the rationals of the integer matrix, computed exactly.
 
     When min(rows, cols) times the largest entry bit length exceeds
-    MODULAR_RULE_BITS, the rows are first eliminated modulo MODULAR_PRIME.
-    The rank mod p is at most the rational rank, so if it reaches
-    min(rows, cols) it is returned as the certified rank.  Otherwise, or
-    below the rule, one-step fraction-free (Bareiss) elimination runs over
-    the integers and its answer is returned.
+    MODULAR_RULE_BITS and min(rows, cols) is at most MODULAR_MAX_PIVOTS, the
+    rows are first eliminated modulo MODULAR_PRIME.  The rank mod p is at
+    most the rational rank, so if it reaches min(rows, cols) it is returned
+    as the certified rank.  Otherwise, or below the rule, one-step
+    fraction-free (Bareiss) elimination runs over the integers and its
+    answer is returned.
     """
-    work = [list(matrix.row(i)) for i in range(matrix.rows)]
     full = min(matrix.rows, matrix.cols)
-    bits = max((max(max(row), -min(row)) for row in work if row), default=0).bit_length()
-    if full * bits > MODULAR_RULE_BITS and _has_full_rank_mod_p(work, matrix.cols):
+    entries = matrix.entries
+    bits = max(max(entries), -min(entries)).bit_length() if entries else 0
+    if full * bits > MODULAR_RULE_BITS and full <= MODULAR_MAX_PIVOTS and _has_full_rank_mod_p(matrix):
         return full
-    return _bareiss_rank(work, matrix.cols)
+    return _bareiss_rank([list(matrix.row(i)) for i in range(matrix.rows)], matrix.cols)
 
 
-def _slot_width(full: int) -> int:
-    """Bits per packed slot for an elimination mod MODULAR_PRIME with `full` pivots.
-
-    A slot starts reduced, below p, and each update adds (p - f) * y with
-    f, y < p, so less than p^2.  A row takes at most `full` updates before
-    it is reduced as a pivot or the pass ends, so no slot reaches
-    (p - 1) + full * (p - 1)^2.  The width is that bound's bit length rounded
-    up to whole bytes, so a row unpacks by byte slicing.
-    """
-    p = MODULAR_PRIME
-    bound = (p - 1) + full * (p - 1) ** 2
-    width = -(-bound.bit_length() // 8) * 8
-    assert bound < 1 << width, "a slot could carry into its neighbour"
-    return width
-
-
-def _has_full_rank_mod_p(rows: list[list[int]], cols: int) -> bool:
-    """Whether the integer rows have rank min(rows, cols) modulo MODULAR_PRIME.
+def _has_full_rank_mod_p(matrix: RatMatrix) -> bool:
+    """Whether the integer matrix has rank min(rows, cols) modulo MODULAR_PRIME.
 
     Gaussian elimination over GF(p) on packed rows: each row is one int with
-    a W-bit slot per column (W from `_slot_width`), the current first column
-    in the low bits.  Processing a column shifts it out of every row.  Only
-    the pivot row is unpacked, reduced mod p and scaled to a leading 1; with
-    `tail` the rest of it, repacked, every other row r with leading residue
-    f becomes (r >> W) + (p - f) * tail, one big-int multiply-add.  Slots
-    stay nonnegative and below 2^W, so no carry crosses a slot and each slot
-    stays congruent to its entry mod p.  The pass gives up as soon as more
-    columns lack a pivot than a full-rank matrix can afford, which keeps the
-    cost of a rank-deficient matrix low before Bareiss.
+    a 64-bit slot per column, the current first column in the low bits, and
+    min(rows, cols) must be at most MODULAR_MAX_PIVOTS.  All entries are
+    reduced and packed in one pass through `array("Q")`.  Processing a
+    column shifts it out of every row.  Only the pivot row is unpacked,
+    reduced mod p and scaled to a leading 1; with `tail` the rest of it,
+    repacked, every other row r with leading residue f becomes
+    (r >> 64) + (p - f) * tail, one big-int multiply-add.  Slots stay
+    nonnegative and below 2^64 (see MODULAR_PRIME), so no carry crosses a
+    slot and each slot stays congruent to its entry mod p.  The pass gives
+    up as soon as more columns lack a pivot than a full-rank matrix can
+    afford, which keeps the cost of a rank-deficient matrix low before
+    Bareiss.
+
+    `array` buffers are in native byte order, so every bytes-int conversion
+    uses `sys.byteorder`.  On a big-endian host the columns are then
+    eliminated last to first, which leaves the rank unchanged.
     """
     p = MODULAR_PRIME
-    full = min(len(rows), cols)
-    width = _slot_width(full)
-    size = width // 8
-    mask = (1 << width) - 1
-
-    def pack(residues: Iterable[int]) -> int:
-        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in residues), "little")
-
-    work = [pack(x % p for x in row) for row in rows]
-    spare = cols - full
+    mask = (1 << 64) - 1
+    order = sys.byteorder
+    full = min(matrix.rows, matrix.cols)
+    stride = 8 * matrix.cols
+    data = array("Q", map(p.__rmod__, matrix.entries)).tobytes()
+    work = [int.from_bytes(data[i * stride : (i + 1) * stride], order) for i in range(matrix.rows)]
+    spare = matrix.cols - full
     found = 0
-    remaining = cols
+    remaining = matrix.cols
     while found < full:
         remaining -= 1  # columns after the one processed now
         index = next((i for i, row in enumerate(work) if (row & mask) % p), None)
@@ -159,15 +162,15 @@ def _has_full_rank_mod_p(rows: list[list[int]], cols: int) -> bool:
             spare -= 1
             if spare < 0:
                 return False
-            work = [row >> width for row in work]
+            work = [row >> 64 for row in work]
             continue
         pivot = work.pop(index)
         inverse = pow((pivot & mask) % p, -1, p)
-        data = (pivot >> width).to_bytes(remaining * size, "little")
-        slots = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
-        tail = pack(x * inverse % p for x in slots)
+        slots = array("Q")
+        slots.frombytes((pivot >> 64).to_bytes(8 * remaining, order))
+        tail = int.from_bytes(array("Q", map(p.__rmod__, map(inverse.__mul__, slots))).tobytes(), order)
         work = [
-            (row >> width) + (p - f) * tail if (f := (row & mask) % p) else row >> width
+            (row >> 64) + (p - f) * tail if (f := (row & mask) % p) else row >> 64
             for row in work
         ]
         found += 1

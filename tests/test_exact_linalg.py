@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from pluricoh import exact_linalg
 from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import (
+    MODULAR_MAX_PIVOTS,
     MODULAR_PRIME,
     MODULAR_RULE_BITS,
     RatMatrix,
@@ -175,26 +176,93 @@ def large_entry_matrices(draw):
     return m
 
 
+def _oracle_rank_mod_p(m: RatMatrix) -> int:
+    """Rank over GF(MODULAR_PRIME) by textbook Gaussian elimination on lists."""
+    p = MODULAR_PRIME
+    grid = [[x % p for x in m.row(i)] for i in range(m.rows)]
+    found = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(found, m.rows) if grid[i][c]), None)
+        if pivot is None:
+            continue
+        grid[found], grid[pivot] = grid[pivot], grid[found]
+        inverse = pow(grid[found][c], -1, p)
+        for i in range(found + 1, m.rows):
+            f = grid[i][c] * inverse % p
+            grid[i] = [(a - f * b) % p for a, b in zip(grid[i], grid[found])]
+        found += 1
+    return found
+
+
+@st.composite
+def mod_p_matrices(draw):
+    """Tall, wide and square matrices with entries of 3 to 200 bits, both
+    signs, rows and columns scaled by p, and rows dependent mod p only."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bound = 2 ** draw(st.sampled_from([3, 40, 70, 200]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    indices = st.lists(st.integers(0, rows - 1), max_size=2, unique=True)
+    for i in draw(indices):
+        grid[i] = [MODULAR_PRIME * x for x in grid[i]]
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2, unique=True)):
+        for row in grid:
+            row[j] *= MODULAR_PRIME
+    if rows > 2:
+        for c in draw(indices):
+            a, b = draw(st.lists(st.integers(0, rows - 1).filter(lambda i: i != c), min_size=2, max_size=2))
+            grid[c] = [x + MODULAR_PRIME * y for x, y in zip(grid[a], grid[b])]
+    return _integer_matrix(grid)
+
+
 class TestModularRoute:
     @settings(max_examples=60)
     @given(large_entry_matrices())
     def test_matches_naive_elimination_and_bareiss(self, m):
         assert rank(m) == naive_rank(m) == _bareiss(m)
 
-    def test_slot_width_holds_at_the_cell_cap(self):
+    @settings(max_examples=200)
+    @given(mod_p_matrices())
+    def test_pass_matches_an_independent_elimination_mod_p(self, m):
+        full = min(m.rows, m.cols)
+        assert exact_linalg._has_full_rank_mod_p(m) == (_oracle_rank_mod_p(m) == full)
+        assert rank(m) == naive_rank(m)
+
+    def test_prime_is_the_largest_below_2_27(self):
+        def is_prime(n):
+            return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert MODULAR_PRIME < 2**27 and is_prime(MODULAR_PRIME)
+        assert not any(map(is_prime, range(MODULAR_PRIME + 1, 2**27)))
+
+    def test_slot_bound_holds_exactly_up_to_the_pivot_limit(self):
+        # A slot that starts below p and takes `full` updates of (p - f) * y,
+        # f and y below p, must stay below 2^64.
+        def bound(full):
+            return (MODULAR_PRIME - 1) + full * (MODULAR_PRIME - 1) ** 2
+
+        assert bound(MODULAR_MAX_PIVOTS) < 2**64
+        assert bound(MODULAR_MAX_PIVOTS + 1) >= 2**64
+
+    def test_pivot_limit_covers_the_cell_cap(self):
         # A jet matrix within the cell cap has min(rows, cols) <= isqrt(cap).
-        full = math.isqrt(JET_MAX_CELLS)
-        width = exact_linalg._slot_width(full)
-        p = MODULAR_PRIME
-        assert (p - 1) + full * (p - 1) ** 2 < 2**width
-        assert width % 8 == 0
-        assert width == 72
+        assert MODULAR_MAX_PIVOTS >= math.isqrt(JET_MAX_CELLS)
+
+    def test_smaller_side_above_the_pivot_limit_goes_to_bareiss(self, monkeypatch):
+        def forbidden(matrix):
+            raise AssertionError("modular pass ran above the pivot limit")
+
+        monkeypatch.setattr(exact_linalg, "MODULAR_MAX_PIVOTS", 4)
+        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", forbidden)
+        m = _integer_matrix(_large_grid(random.Random("pivot-limit"), 6, 6))
+        assert 6 * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
+        assert rank(m) == 6
 
     @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
     def test_rows_all_divisible_by_p_fail_the_pass(self, rows, cols):
         grid = _large_grid(random.Random(f"all-p:{rows}x{cols}"), rows, cols)
         m = _integer_matrix([[MODULAR_PRIME * x for x in row] for row in grid])
-        assert not exact_linalg._has_full_rank_mod_p([list(m.row(i)) for i in range(rows)], cols)
+        assert not exact_linalg._has_full_rank_mod_p(m)
         assert rank(m) == _bareiss(m) == min(rows, cols)
 
     @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
@@ -207,7 +275,7 @@ class TestModularRoute:
         else:
             grid = [[MODULAR_PRIME * row[0], *row[1:]] for row in grid]
         m = _integer_matrix(grid)
-        assert not exact_linalg._has_full_rank_mod_p([list(m.row(i)) for i in range(rows)], cols)
+        assert not exact_linalg._has_full_rank_mod_p(m)
         assert rank(m) == naive_rank(m) == min(rows, cols)
 
     def test_full_rank_large_entries_never_enter_bareiss(self, monkeypatch):
@@ -235,7 +303,7 @@ class TestModularRoute:
         assert calls == [12]
 
     def test_small_matrices_skip_the_modular_route(self, monkeypatch):
-        def forbidden(rows, cols):
+        def forbidden(matrix):
             raise AssertionError("modular route ran below the rule")
 
         monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", forbidden)

@@ -88,8 +88,8 @@ class TestRunSelfcheck:
         original = exact_linalg._has_full_rank_mod_p
         outcomes = []
 
-        def recording(rows, cols):
-            outcomes.append(original(rows, cols))
+        def recording(matrix):
+            outcomes.append(original(matrix))
             return outcomes[-1]
 
         monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", recording)
