@@ -2,6 +2,7 @@
 formats, schema conformance, provenance completeness and determinism."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from pluricoh.blowup import generate_configuration
 from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, JET_MAX_DIMENSION, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import run_selfcheck
+from test_golden_cli import ENTRIES, _run
 
 DATA = Path(__file__).resolve().parent / "data"
 SCHEMA = json.loads(
@@ -547,3 +549,30 @@ class TestOutputContract:
     def test_help_and_version_exit_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
         assert run_cli(capsys, "--version")[0] == 0
+
+
+class TestParserReuse:
+    def test_importing_the_cli_builds_no_parser(self):
+        src = Path(pluricoh.cli.__file__).resolve().parents[1]
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); import pluricoh.cli as cli; assert cli._PARSER is None"
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_one_build_serves_every_call_and_leaks_no_state(self, capsys, monkeypatch):
+        """Errors, --version and call order leave later outputs byte-identical to the corpus."""
+        builds = []
+
+        def counting(original=pluricoh.cli.build_parser):
+            builds.append(None)
+            return original()
+
+        monkeypatch.setattr(pluricoh.cli, "_PARSER", None)
+        monkeypatch.setattr(pluricoh.cli, "build_parser", counting)
+        assert run_cli(capsys, "hirzebruch", "--m", "4", "--k", "1", "--basis")[0] == 0
+        assert run_cli(capsys, "blowup", "--points", "F", "--generate", "generic")[0] == 2
+        assert run_cli(capsys, "--version") == (0, f"pluricoh {pluricoh.__version__}\n", "")
+        assert run_cli(capsys, "family", "--kodaira", "--m", "4", "--ell", "1")[0] == 0
+        assert len(builds) == 1
+
+        for entry in ENTRIES[::-1][::13]:
+            assert _run(entry["argv"]) == (entry["exit"], entry["stdout"]), entry["argv"]
+        assert len(builds) == 1
