@@ -66,9 +66,10 @@ FAMILY_MAX_KMAX = 10**4
 SELFCHECK_MAX_BUDGET = 50
 
 # Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind,
-# on_conic, takes about 10 s just below it (v = 7, k = 7: 49,588 cells) on a
-# 2-CPU host; generic v = 20, k = 5 (40,800 cells) takes about 0.1 s as a whole
-# process, interpreter start included.
+# on_conic, takes about 0.7 s just below it (v = 7, k = 7: 49,588 cells, its
+# deficient rank certified with seven primes) on a 2-CPU host; generic v = 20,
+# k = 5 (40,800 cells) takes about 0.1 s.  Both are whole processes,
+# interpreter start included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

@@ -213,7 +213,8 @@ def _check_rank_matches_naive_rank(budget: int, seed: int) -> Cases:
     rng = random.Random(f"selfcheck-rank:{seed}")
     # One case in four is 3x4 with entries of `bits` bits, so 3 * bits exceeds
     # MODULAR_RULE_BITS and rank tries the modular route first; every other
-    # one of those is rank deficient and falls back to Bareiss.
+    # one of those is rank deficient, and its planted row dependency is the
+    # kernel vector that certifies its rank.
     bits = exact_linalg.MODULAR_RULE_BITS // 3 + 1
     for case in range(4 * budget):
         if case % 4 == 3:

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluricoh import exact_linalg
+from pluricoh.blowup import PointConfiguration, jet_matrix
 from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import (
     MODULAR_MAX_PIVOTS,
     MODULAR_PRIME,
+    MODULAR_PRIMES,
     MODULAR_RULE_BITS,
     RatMatrix,
     rank,
@@ -71,6 +73,15 @@ class TestRatMatrix:
         t = m.transpose()
         assert (t.rows, t.cols) == (3, 2)
         assert t.row(0) == (1, 4)
+        assert t.entries == (1, 4, 2, 5, 3, 6)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (3, 4), (4, 3)])
+    def test_transpose_round_trip(self, rows, cols):
+        m = RatMatrix(rows, cols, tuple(range(rows * cols)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
+        assert t.transpose() == m
 
 
 class TestRank:
@@ -176,12 +187,21 @@ def large_entry_matrices(draw):
     return m
 
 
-def _oracle_rank_mod_p(m: RatMatrix) -> int:
-    """Rank over GF(MODULAR_PRIME) by textbook Gaussian elimination on lists."""
-    p = MODULAR_PRIME
+def _rows(m: RatMatrix) -> list[tuple[int, ...]]:
+    return [m.row(i) for i in range(m.rows)]
+
+
+def _echelon(m: RatMatrix, p: int) -> exact_linalg.Echelon:
+    """The packed elimination of the matrix's rows mod p."""
+    return exact_linalg._eliminate_mod_p(exact_linalg._packed_rows(m, p), m.cols, p)
+
+
+def _oracle_pivots_mod_p(m: RatMatrix, p: int) -> list[int]:
+    """Pivot columns over GF(p) by textbook Gaussian elimination on lists."""
     grid = [[x % p for x in m.row(i)] for i in range(m.rows)]
-    found = 0
+    pivots = []
     for c in range(m.cols):
+        found = len(pivots)
         pivot = next((i for i in range(found, m.rows) if grid[i][c]), None)
         if pivot is None:
             continue
@@ -190,8 +210,8 @@ def _oracle_rank_mod_p(m: RatMatrix) -> int:
         for i in range(found + 1, m.rows):
             f = grid[i][c] * inverse % p
             grid[i] = [(a - f * b) % p for a, b in zip(grid[i], grid[found])]
-        found += 1
-    return found
+        pivots.append(c)
+    return pivots
 
 
 @st.composite
@@ -215,25 +235,107 @@ def mod_p_matrices(draw):
     return _integer_matrix(grid)
 
 
+@st.composite
+def deficient_matrices(draw):
+    """Rank-deficient tall, wide and square matrices past the modular rule.
+
+    Rows and columns are scaled by p first, so the first prime may see a
+    lower rank or other pivot columns than the rationals.  Then planted
+    dependent columns (small combinations of two others, or zero when one
+    of the two is the column itself) make the right kernel small, and
+    dependent rows the left one, so both sides of the certificate are
+    exercised.
+    """
+    rows, cols = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = _large_grid(rng, rows, cols)
+    grid[0][0] = -(2 ** (MODULAR_RULE_BITS // min(rows, cols) + 1))
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2, unique=True)):
+        for row in grid:
+            row[j] *= MODULAR_PRIME
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=1)):
+        grid[i] = [MODULAR_PRIME * x for x in grid[i]]
+    coefficient = st.integers(-3, 3)
+    # A dependent line on the side that bounds the rank, and maybe on the other too.
+    if rows >= cols or draw(st.booleans()):
+        for j in draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=2, unique=True)):
+            a, b, j1, j2 = draw(coefficient), draw(coefficient), rng.randrange(cols), rng.randrange(cols)
+            for row in grid:
+                row[j] = a * row[j1] + b * row[j2] if j not in (j1, j2) else 0
+    if rows <= cols or draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=2, unique=True)):
+            a, b, i1, i2 = draw(coefficient), draw(coefficient), rng.randrange(rows), rng.randrange(rows)
+            grid[i] = [a * x + b * y for x, y in zip(grid[i1], grid[i2])] if i not in (i1, i2) else [0] * cols
+    return _integer_matrix(grid)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to exact_linalg.<name>, then call it."""
+    calls = []
+    original = getattr(exact_linalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact_linalg, name, spy)
+    return calls
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 class TestModularRoute:
     @settings(max_examples=60)
     @given(large_entry_matrices())
     def test_matches_naive_elimination_and_bareiss(self, m):
         assert rank(m) == naive_rank(m) == _bareiss(m)
 
+    @settings(max_examples=80, deadline=None)
+    @given(deficient_matrices())
+    def test_deficient_matrices_match_naive_elimination_and_bareiss(self, m):
+        expected = naive_rank(m)
+        assert expected < min(m.rows, m.cols)
+        assert rank(m) == expected == _bareiss(m)
+
     @settings(max_examples=200)
-    @given(mod_p_matrices())
-    def test_pass_matches_an_independent_elimination_mod_p(self, m):
-        full = min(m.rows, m.cols)
-        assert exact_linalg._has_full_rank_mod_p(m) == (_oracle_rank_mod_p(m) == full)
+    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
+    def test_pass_matches_an_independent_elimination_mod_p(self, m, p):
+        echelon = _echelon(m, p)
+        assert echelon.columns == _oracle_pivots_mod_p(m, p)
+        # The recorded pivot rows are independent mod p.
+        picked = RatMatrix(len(echelon.rows), m.cols, tuple(x for i in echelon.rows for x in m.row(i)))
+        assert len(_oracle_pivots_mod_p(picked, p)) == len(echelon.rows)
         assert rank(m) == naive_rank(m)
 
-    def test_prime_is_the_largest_below_2_27(self):
-        def is_prime(n):
-            return all(n % d for d in range(2, math.isqrt(n) + 1))
+    @settings(max_examples=100)
+    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
+    def test_kernel_mod_p_is_the_reduced_echelon_kernel(self, m, p):
+        echelon = _echelon(m, p)
+        d = m.cols - len(echelon.columns)
+        free = [j for j in range(m.cols) if j not in echelon.columns]
+        flat = exact_linalg._kernel_mod_p(echelon, free, p)
+        assert len(flat) == d * len(echelon.columns)
+        for t in range(d):
+            vector = [0] * m.cols
+            vector[free[t]] = 1
+            for column, x in zip(echelon.columns, flat[t::d]):
+                assert 0 <= x < p
+                vector[column] = x
+            assert all(sum(a * b for a, b in zip(m.row(i), vector)) % p == 0 for i in range(m.rows))
 
-        assert MODULAR_PRIME < 2**27 and is_prime(MODULAR_PRIME)
-        assert not any(map(is_prime, range(MODULAR_PRIME + 1, 2**27)))
+    def test_certificate_primes(self):
+        # Distinct primes below 2^27, the first the largest, each the next
+        # prime down from the one before, and each within the slot bound
+        # that MODULAR_MAX_PIVOTS pivots need.
+        assert MODULAR_PRIMES[0] == MODULAR_PRIME
+        assert len(set(MODULAR_PRIMES)) == len(MODULAR_PRIMES) >= 2
+        assert all(map(_is_prime, MODULAR_PRIMES))
+        assert all(p < 2**27 for p in MODULAR_PRIMES)
+        for above, p in zip((2**27, *MODULAR_PRIMES), MODULAR_PRIMES):
+            assert above > p and not any(map(_is_prime, range(p + 1, above)))
+        assert all((p - 1) + MODULAR_MAX_PIVOTS * (p - 1) ** 2 < 2**64 for p in MODULAR_PRIMES)
 
     def test_slot_bound_holds_exactly_up_to_the_pivot_limit(self):
         # A slot that starts below p and takes `full` updates of (p - f) * y,
@@ -249,11 +351,11 @@ class TestModularRoute:
         assert MODULAR_MAX_PIVOTS >= math.isqrt(JET_MAX_CELLS)
 
     def test_smaller_side_above_the_pivot_limit_goes_to_bareiss(self, monkeypatch):
-        def forbidden(matrix):
+        def forbidden(*args):
             raise AssertionError("modular pass ran above the pivot limit")
 
         monkeypatch.setattr(exact_linalg, "MODULAR_MAX_PIVOTS", 4)
-        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", forbidden)
+        monkeypatch.setattr(exact_linalg, "_eliminate_mod_p", forbidden)
         m = _integer_matrix(_large_grid(random.Random("pivot-limit"), 6, 6))
         assert 6 * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
         assert rank(m) == 6
@@ -262,11 +364,11 @@ class TestModularRoute:
     def test_rows_all_divisible_by_p_fail_the_pass(self, rows, cols):
         grid = _large_grid(random.Random(f"all-p:{rows}x{cols}"), rows, cols)
         m = _integer_matrix([[MODULAR_PRIME * x for x in row] for row in grid])
-        assert not exact_linalg._has_full_rank_mod_p(m)
+        assert _echelon(m, MODULAR_PRIME).columns == []
         assert rank(m) == _bareiss(m) == min(rows, cols)
 
     @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
-    def test_every_maximal_minor_divisible_by_p_falls_back(self, rows, cols):
+    def test_every_maximal_minor_divisible_by_p_falls_back(self, rows, cols, monkeypatch):
         # Scaling a row (a column, when the matrix is tall) by p puts a
         # factor p in every maximal minor: full rank over Q, not mod p.
         grid = _large_grid(random.Random(f"p-divides-minors:{rows}x{cols}"), rows, cols)
@@ -275,44 +377,213 @@ class TestModularRoute:
         else:
             grid = [[MODULAR_PRIME * row[0], *row[1:]] for row in grid]
         m = _integer_matrix(grid)
-        assert not exact_linalg._has_full_rank_mod_p(m)
+        assert len(_echelon(m, MODULAR_PRIME).columns) < min(rows, cols)
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == naive_rank(m) == min(rows, cols)
+        assert len(bareiss) == 1
 
     def test_full_rank_large_entries_never_enter_bareiss(self, monkeypatch):
         m = _integer_matrix(_large_grid(random.Random("route-full"), 12, 10))
 
-        def forbidden(work, n):
+        def forbidden(*args):
             raise AssertionError("Bareiss ran on a matrix the modular route certifies")
 
         monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
+        monkeypatch.setattr(exact_linalg, "_kernel_certificate", forbidden)
         assert rank(m) == 10
 
-    def test_deficient_large_entries_fall_back_to_bareiss(self, monkeypatch):
-        grid = _large_grid(random.Random("route-deficient"), 10, 12)
-        grid[-1] = [x - y for x, y in zip(grid[0], grid[1])]
+    @pytest.mark.parametrize("rows, cols", [(10, 12), (12, 10), (11, 11)])
+    def test_deficient_large_entries_are_certified_without_bareiss(self, rows, cols, monkeypatch):
+        # A planted dependent row (column, when the matrix is tall) gives a
+        # one-dimensional kernel on the side the route picks.
+        grid = _large_grid(random.Random(f"route-deficient:{rows}x{cols}"), rows, cols)
+        if rows < cols:
+            grid[-1] = [x - y for x, y in zip(grid[0], grid[1])]
+        else:
+            grid = [[*row[:-1], row[0] - 2 * row[1]] for row in grid]
         m = _integer_matrix(grid)
-        calls = []
-        bareiss = exact_linalg._bareiss_rank
 
-        def spy(work, n):
-            calls.append(n)
-            return bareiss(work, n)
+        def forbidden(*args):
+            raise AssertionError("Bareiss ran on a deficient matrix the certificate proves")
 
-        monkeypatch.setattr(exact_linalg, "_bareiss_rank", spy)
-        assert rank(m) == 9
-        assert calls == [12]
+        monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        assert rank(m) == min(rows, cols) - 1 == naive_rank(m)
+        [(side, basis, width, _)] = certificates
+        assert (len(side), len(basis), width) == (max(rows, cols), min(rows, cols) - 1, min(rows, cols))
+        assert all(len(row) == width for row in side + basis)
+
+    def test_uncertifiable_deficient_matrix_falls_back_to_bareiss_once(self, monkeypatch):
+        # A = B C with C of full row rank 9: the kernel of A is that of C,
+        # spanned by its 9 x 9 minors of about 370 bits, which the primes
+        # cannot reach, so every prime is spent and Bareiss runs once.
+        rng = random.Random("route-fallback")
+        b = [[rng.randint(-(2**40), 2**40) for _ in range(9)] for _ in range(12)]
+        c = [[rng.randint(-(2**40), 2**40) for _ in range(10)] for _ in range(9)]
+        m = _integer_matrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b])
+        assert 10 * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 9 == naive_rank(m)
+        assert [args[-1] for args in eliminations] == list(MODULAR_PRIMES)
+        assert len(bareiss) == 1
+
+    def test_primes_that_disagree_on_pivot_columns_fall_back(self, monkeypatch):
+        # Column 0 is p times a random column and column 9 is column 0 plus
+        # column 1: rank 9 over Q with pivots 0..8, but mod p column 0
+        # vanishes and column 9 repeats column 1, so the first prime sees
+        # rank 8 with pivots 1..8 and the second prime pivots from column 0.
+        grid = _large_grid(random.Random("route-disagree"), 12, 10)
+        grid = [[MODULAR_PRIME * row[0], *row[1:9], MODULAR_PRIME * row[0] + row[1]] for row in grid]
+        m = _integer_matrix(grid)
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 9 == naive_rank(m)
+        assert [args[-1] for args in eliminations] == list(MODULAR_PRIMES[:2])
+        first = _echelon(m, MODULAR_PRIMES[0]).columns
+        assert first == list(range(1, 9))
+        assert _oracle_pivots_mod_p(m, MODULAR_PRIMES[1]) == list(range(9))
+        assert len(bareiss) == 1
 
     def test_small_matrices_skip_the_modular_route(self, monkeypatch):
-        def forbidden(matrix):
+        def forbidden(*args):
             raise AssertionError("modular route ran below the rule")
 
-        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", forbidden)
+        monkeypatch.setattr(exact_linalg, "_eliminate_mod_p", forbidden)
         bits = MODULAR_RULE_BITS // 8
         m = _integer_matrix(
             [[2 ** (bits - 1) if i == j else 1 for j in range(8)] for i in range(8)]
         )
         assert 8 * bits == MODULAR_RULE_BITS
         assert rank(m) == 8
+
+
+def _fraction_free(vector: list[int], lcm: int) -> list[int]:
+    """The vector divided by lcm with each entry's denominator dropped."""
+    return [Fraction(x, lcm).numerator for x in vector]
+
+
+class TestCertificateFaults:
+    """Faults planted in the certificate must be caught by the exact check
+    and leave the rank to Bareiss, which still gets it right."""
+
+    @staticmethod
+    def _sixths_matrix() -> RatMatrix:
+        # Columns 0 and 1 are 2a and 3b and column 9 is a + b, so the kernel
+        # is spanned by (-1/2, -1/3, 0, ..., 0, 1): its two denominators show
+        # up one entry after the other.
+        rng = random.Random("sixths")
+        grid = _large_grid(rng, 12, 9)
+        for row in grid:
+            a, b = rng.randint(-(2**80), 2**80), rng.randint(-(2**80), 2**80)
+            row[0], row[1] = 2 * a, 3 * b
+            row.append(a + b)
+        return _integer_matrix(grid)
+
+    def _assert_rejected_then_bareiss(self, monkeypatch, m, fault):
+        original = exact_linalg._integer_kernel
+        monkeypatch.setattr(exact_linalg, "_integer_kernel", lambda *args: fault(original(*args)))
+        checks = []
+        check = exact_linalg._proves_kernel
+
+        def recording(matrix, vectors, free):
+            checks.append(check(matrix, vectors, free))
+            return checks[-1]
+
+        monkeypatch.setattr(exact_linalg, "_proves_kernel", recording)
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == naive_rank(m)
+        assert checks and not any(checks)
+        assert len(bareiss) == 1
+
+    def test_true_certificate_clears_both_denominators(self):
+        m = self._sixths_matrix()
+        [vector] = exact_linalg._kernel_certificate(_rows(m), _rows(m), m.cols, None)
+        assert vector == [-3, -2, 0, 0, 0, 0, 0, 0, 0, 6]
+        assert rank(m) == 9
+
+    def test_perturbed_entry_is_rejected(self, monkeypatch):
+        def perturb(vectors):
+            if vectors is not None:
+                vectors[0][0] += 1
+            return vectors
+
+        self._assert_rejected_then_bareiss(monkeypatch, self._sixths_matrix(), perturb)
+
+    def test_dropped_lcm_is_rejected(self, monkeypatch):
+        def drop_lcm(vectors):
+            if vectors is not None:
+                vectors = [_fraction_free(vector, vector[-1]) for vector in vectors]
+                assert vectors == [[-1, -1, 0, 0, 0, 0, 0, 0, 0, 1]]
+            return vectors
+
+        self._assert_rejected_then_bareiss(monkeypatch, self._sixths_matrix(), drop_lcm)
+
+    def test_slot_one_bit_too_narrow_would_accept_what_the_check_rejects(self, monkeypatch):
+        # Rank 2 with free columns 2 and 3.  The bogus candidates carry the
+        # right pattern on the free columns.  Row 0 times v0 is 8 M 2^j and
+        # times v1 is -1; the other rows are (c, -c, 0, 0), which both
+        # vectors annihilate.  The check's bound is 4 * M * 3 * 2^j, just
+        # under 2^(w + 1) with w = log2(8 M 2^j); with slots of w bits, one
+        # fewer than the bound needs, row 0's 8 M 2^j carries into slot 1
+        # and cancels the -1, so that packing sees zero in every row.
+        big, unit = 2**200, 2**15
+        rng = random.Random("narrow-slot")
+        grid = [[big, big, big, 1]] + [[c, -c, 0, 0] for c in (rng.randint(1, big - 1) for _ in range(5))]
+        m = _integer_matrix(grid)
+        bogus = [[3 * unit, 3 * unit, 2 * unit, 0], [0, 0, 0, -1]]
+        narrow = (m.cols * big * 3 * unit).bit_length() - 1
+        packed = [x + (y << narrow) for x, y in zip(*bogus)]
+        assert all(sum(a * b for a, b in zip(m.row(i), packed)) == 0 for i in range(m.rows))
+        assert _echelon(m, MODULAR_PRIME).columns == [0, 1]
+        assert not exact_linalg._proves_kernel(_rows(m), bogus, [2, 3])
+        # Planted as the candidate of every prime, it is rejected each time.
+        self._assert_rejected_then_bareiss(monkeypatch, m, lambda vectors: [list(v) for v in bogus])
+        assert rank(m) == 2
+
+    def test_candidate_without_its_free_column_is_rejected(self, monkeypatch):
+        # The zero vector annihilates everything but proves nothing.
+        def zero(vectors):
+            return [[0] * len(vector) for vector in vectors] if vectors is not None else None
+
+        self._assert_rejected_then_bareiss(monkeypatch, self._sixths_matrix(), zero)
+
+
+class TestHalphenSections:
+    """The right kernel of the jet matrix of the grid {0, 1, 2}^2 at power k
+    is the space of degree-3k curves through the Halphen pencil's base
+    points with multiplicity k: the span of F^a G^(k-a), F = x(x-1)(x-2),
+    G = y(y-1)(y-2)."""
+
+    @staticmethod
+    def _product_vector(monomials, a: int, k: int) -> list[int]:
+        # Coefficients of F^a G^(k-a) over the jet matrix's monomials.
+        def power(poly: dict, e: int) -> dict:
+            out = {0: 1}
+            for _ in range(e):
+                new: dict = {}
+                for i, x in out.items():
+                    for j, y in poly.items():
+                        new[i + j] = new.get(i + j, 0) + x * y
+                out = new
+            return out
+
+        cubic = {3: 1, 2: -3, 1: 2}  # t(t-1)(t-2)
+        fx, gy = power(cubic, a), power(cubic, k - a)
+        return [fx.get(i, 0) * gy.get(j, 0) for i, j in monomials]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_certified_kernel_spans_the_pencil_powers(self, k):
+        config = PointConfiguration.from_coordinates([(x, y) for x in range(3) for y in range(3)])
+        jets = jet_matrix(config, k)
+        m = jets.matrix
+        vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), m.cols, None)
+        assert vectors is not None and len(vectors) == k + 1
+        assert rank(m) == m.cols - (k + 1)
+        products = [self._product_vector(jets.col_monomials, a, k) for a in range(k + 1)]
+        assert naive_rank(RatMatrix.from_rows(products)) == k + 1
+        assert naive_rank(RatMatrix.from_rows(vectors)) == k + 1
+        assert naive_rank(RatMatrix.from_rows(vectors + products)) == k + 1
 
 
 class TestVandermonde:

@@ -83,20 +83,33 @@ class TestRunSelfcheck:
         ]
 
     def test_rank_check_takes_both_modular_outcomes(self, monkeypatch):
-        # At budget 10 the rank check certifies some large matrices by the
-        # modular route and sends planted rank-deficient ones on to Bareiss.
-        original = exact_linalg._has_full_rank_mod_p
+        # At budget 10 the rank check's large matrices all take the modular
+        # route: some have full rank mod p, and the planted rank-deficient
+        # ones are certified by their kernel with no Bareiss call.
+        log = []
+        for name in ("_eliminate_mod_p", "_kernel_certificate", "_bareiss_rank"):
+            def spy(*args, _original=getattr(exact_linalg, name), _name=name):
+                log.append((_name, _original(*args)))
+                return log[-1][1]
+
+            monkeypatch.setattr(exact_linalg, name, spy)
+        original_rank = exact_linalg.rank
         outcomes = []
 
-        def recording(matrix):
-            outcomes.append(original(matrix))
-            return outcomes[-1]
+        def recording_rank(matrix):
+            log.clear()
+            result = original_rank(matrix)
+            if log and log[0][0] == "_eliminate_mod_p":
+                full = len(log[0][1].columns) == min(matrix.rows, matrix.cols)
+                certified = any(name == "_kernel_certificate" and out is not None for name, out in log)
+                route = "full" if full else "certified" if certified else "fallback"
+                outcomes.append((route, sum(name == "_bareiss_rank" for name, _ in log)))
+            return result
 
-        monkeypatch.setattr(exact_linalg, "_has_full_rank_mod_p", recording)
+        monkeypatch.setattr(exact_linalg, "rank", recording_rank)
         results = {r.name: r for r in run_selfcheck(10)}
         assert results["production_rank_vs_naive_elimination"].passed
-        assert set(outcomes) == {True, False}
-
+        assert set(outcomes) == {("full", 0), ("certified", 0)}
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
 
