@@ -91,14 +91,14 @@ class JetConditionMatrix:
 
     Row order: points in configuration order, then derivative multi-indices
     in graded order.  Column order: monomial exponents in graded order with
-    the first variable largest.  Entries are integers: the row of a point
-    with coordinate denominators of lcm d and of multi-index alpha holds the
-    true derivatives, falling-factorial factors included, times
+    the first variable largest, as `_graded_exponents(n, (n+1)k)` lists
+    them.  Entries are integers: the row of a point with coordinate
+    denominators of lcm d and of multi-index alpha holds the true
+    derivatives, falling-factorial factors included, times
     d^((n+1)k - |alpha|).  Scaling rows changes no rank, and integer points
     (d = 1) give the true derivatives.
     """
 
-    col_monomials: tuple[tuple[int, ...], ...]
     matrix: RatMatrix
 
 
@@ -166,7 +166,7 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     rows, cols = jet_shape(n, config.v, k)
     top = (n + 1) * k
     order = (n - 1) * k - 1
-    monomials = tuple(_graded_exponents(n, top))
+    monomials = _graded_exponents(n, top)
     alphas = tuple(_graded_exponents(n, order))
     falling = [[math.perm(b, a) for a in range(order + 1)] for b in range(top + 1)]
     # Per monomial: the power of the lifted x0 it carries, and each variable's exponent.
@@ -191,7 +191,7 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
             entries.extend(row)
     # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
     matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))
-    return JetConditionMatrix(col_monomials=monomials, matrix=matrix)
+    return JetConditionMatrix(matrix=matrix)
 
 
 def h0_blowup(config: PointConfiguration, k: int) -> int:

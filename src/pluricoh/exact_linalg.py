@@ -11,9 +11,10 @@ every answer it gives is proved.
 length exceeds MODULAR_RULE_BITS and min(rows, cols) is at most
 MODULAR_MAX_PIVOTS, the modular route runs first.  One elimination of the
 matrix A modulo the prime MODULAR_PRIME = 2^27 - 39 gives its rank r mod p
-and its pivot rows and columns.  It packs each row into one Python int with
-a 64-bit slot per column, so packing and unpacking run in C through
-`array("Q")` and updating a row is one big-int multiply-add.
+and its pivot rows and columns.  `_eliminate_mod_p`, the one elimination
+mod p, packs each row into one Python int with a 64-bit slot per column, so
+packing and unpacking run in C through `array("Q")` and updating a row is
+one big-int multiply-add.
 
 - Reduction mod p is a ring map from the integers, so every minor that
   vanishes over the integers vanishes mod p: r is at most the rational
@@ -80,9 +81,6 @@ class RatMatrix:
         if any(len(row) != width for row in grid):
             raise ValueError("rows have inconsistent lengths")
         return cls(len(grid), width, tuple(x for row in grid for x in row))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
@@ -157,20 +155,6 @@ MODULAR_RULE_BITS = 640
 RECONSTRUCTION_MARGIN = 2**8
 
 
-class Echelon:
-    """A row echelon form modulo a prime, as `_eliminate_mod_p` builds it.
-
-    A plain class: creating a NamedTuple class costs about 0.3 ms at import.
-    """
-
-    __slots__ = ("columns", "rows", "tails")
-
-    def __init__(self) -> None:
-        self.columns: list[int] = []  # pivot columns, ascending
-        self.rows: list[int] = []  # for each pivot, its input row
-        self.tails: list[int] = []  # for each pivot, its packed normalized row
-
-
 def rank(matrix: RatMatrix) -> int:
     """Rank over the rationals of the integer matrix, computed exactly.
 
@@ -187,21 +171,25 @@ def rank(matrix: RatMatrix) -> int:
     full = min(matrix.rows, matrix.cols)
     entries = matrix.entries
     bits = max(max(entries), -min(entries)).bit_length() if entries else 0
+    # The rule keeps small matrices, most of the CLI's ranks, on Bareiss, which is faster there.
     if full * bits > MODULAR_RULE_BITS and full <= MODULAR_MAX_PIVOTS:
-        echelon = _eliminate_mod_p(_packed_rows(matrix, MODULAR_PRIME), matrix.cols, MODULAR_PRIME)
-        found = len(echelon.columns)
+        first = _eliminate_mod_p(entries, matrix.cols, MODULAR_PRIME)
+        columns, pivot_rows, _ = first
+        found = len(columns)
         if found == full:
             return full
         # The side with the smaller right kernel, `full` entries per row,
         # and `found` of its rows independent mod p: the matrix and its
         # pivot rows when it is at least as tall as wide, else its columns
-        # and its pivot columns.
+        # and its pivot columns.  The certificate's cost grows with the
+        # kernel dimension, and transposing before the first pass would
+        # slow the full-rank wide matrices that need no certificate.
         if matrix.cols <= matrix.rows:
             side = [matrix.row(i) for i in range(matrix.rows)]
-            basis, first = [side[i] for i in echelon.rows], echelon
+            basis = [side[i] for i in pivot_rows]
         else:
             side = [entries[j :: matrix.cols] for j in range(matrix.cols)]
-            basis, first = [side[j] for j in echelon.columns], None
+            basis, first = [side[j] for j in columns], None
         if _kernel_certificate(side, basis, full, first) is not None:
             return found
     return _bareiss_rank([list(matrix.row(i)) for i in range(matrix.rows)], matrix.cols)
@@ -223,41 +211,39 @@ def _unpack(packed: int, count: int) -> array:
     return slots
 
 
-def _packed_rows(matrix: RatMatrix, p: int) -> list[int]:
-    """The rows of the matrix reduced mod p, each packed with one 64-bit
-    slot per entry; all entries are reduced and packed in one pass through
-    `array("Q")`."""
-    data = array("Q", map(p.__rmod__, matrix.entries))
+def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[int], list[int], list[int]]:
+    """Row echelon form modulo the prime p of flat row-major integer entries
+    in rows of `cols` >= 1.
+
+    Returns (columns, rows, tails): the pivot columns, ascending, whose
+    count is the rank mod p; for each pivot, the index of the input row it
+    came from; and for each pivot its normalized row: the entries right of
+    the pivot, whose own entry is 1, packed from the next column up.
+    Pivoting is deterministic: the first remaining row with a nonzero
+    residue in the column.
+
+    Gaussian elimination over GF(p) on packed rows.  All entries are
+    reduced mod p and packed in one pass through `array("Q")`, each row
+    into one int with a 64-bit slot per column, the current first column
+    in the low bits, each slot below 2^64 and congruent to its entry mod p;
+    the number of pivots must be at most MODULAR_MAX_PIVOTS.  Processing a
+    column shifts it out of every row.  Only the pivot row is unpacked,
+    reduced mod p and scaled to a leading 1; with `tail` the rest of it,
+    repacked, every other row r with leading residue f becomes (r >> 64) +
+    (p - f) * tail, one big-int multiply-add.  Slots stay nonnegative and
+    below 2^64 (see MODULAR_PRIMES), so no carry crosses a slot and each
+    slot stays congruent to its entry mod p.
+    """
+    data = array("Q", map(p.__rmod__, entries))
     if sys.byteorder == "big":
         data.byteswap()
     data = data.tobytes()
-    stride = 8 * matrix.cols
-    return [int.from_bytes(data[i * stride : (i + 1) * stride], "little") for i in range(matrix.rows)]
-
-
-def _eliminate_mod_p(work: list[int], cols: int, p: int) -> Echelon:
-    """Row echelon form modulo the prime p of packed rows of `cols` entries.
-
-    Returns the pivot columns, ascending, whose count is the rank mod p;
-    for each pivot, the index of the input row it came from and its
-    normalized row: the entries right of the pivot, whose own entry is 1,
-    packed from the next column up.  Pivoting is deterministic: the first
-    remaining row with a nonzero residue in the column.
-
-    Gaussian elimination over GF(p) on packed rows: each row is one int with
-    a 64-bit slot per column, the current first column in the low bits,
-    each slot below 2^64 and congruent to its entry mod p, and the number
-    of pivots must be at most MODULAR_MAX_PIVOTS.  Processing a column
-    shifts it out of every row.  Only the pivot row is unpacked, reduced
-    mod p and scaled to a leading 1; with `tail` the rest of it, repacked,
-    every other row r with leading residue f becomes (r >> 64) +
-    (p - f) * tail, one big-int multiply-add.  Slots stay nonnegative and
-    below 2^64 (see MODULAR_PRIMES), so no carry crosses a slot and each
-    slot stays congruent to its entry mod p.  The rows are consumed.
-    """
+    stride = 8 * cols
+    work = [int.from_bytes(data[i : i + stride], "little") for i in range(0, len(data), stride)]
+    del data  # the packed rows hold the same residues; keep one copy through the elimination
     mask = (1 << 64) - 1  # local and literal: these loops run once per row per pivot
     unused = list(range(len(work)))
-    echelon = Echelon()
+    columns, rows, tails = [], [], []
     for column in range(cols):
         if not work:
             break
@@ -266,17 +252,17 @@ def _eliminate_mod_p(work: list[int], cols: int, p: int) -> Echelon:
             work = [row >> 64 for row in work]
             continue
         pivot = work.pop(index)
-        echelon.rows.append(unused.pop(index))
+        rows.append(unused.pop(index))
         inverse = pow((pivot & mask) % p, -1, p)
         slots = _unpack(pivot >> 64, cols - column - 1)
         tail = _pack(map(p.__rmod__, map(inverse.__mul__, slots)))
         work = [(row >> 64) + (p - f) * tail if (f := (row & mask) % p) else row >> 64 for row in work]
-        echelon.columns.append(column)
-        echelon.tails.append(tail)
-    return echelon
+        columns.append(column)
+        tails.append(tail)
+    return columns, rows, tails
 
 
-def _kernel_mod_p(echelon: Echelon, free: list[int], p: int) -> list[int]:
+def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int) -> list[int]:
     """The reduced echelon right-kernel basis mod p, at the pivot columns.
 
     Vector t of the basis is 1 at the free (non-pivot) column free[t] and 0
@@ -287,48 +273,45 @@ def _kernel_mod_p(echelon: Echelon, free: list[int], p: int) -> list[int]:
     later columns; a slot sums at most cols - 1 products of residues, below
     2^64 for cols <= MODULAR_MAX_PIVOTS.
     """
-    cols = len(echelon.columns) + len(free)
+    cols = len(columns) + len(free)
     packed = [0] * cols
     for t, column in enumerate(free):
         packed[column] = 1 << (64 * t)
-    for column, tail in zip(reversed(echelon.columns), reversed(echelon.tails)):
+    for column, tail in zip(reversed(columns), reversed(tails)):
         total = sum(map(int.__mul__, _unpack(tail, cols - column - 1), packed[column + 1 :]))
         packed[column] = _pack(map(p.__rmod__, map(int.__neg__, _unpack(total, len(free)))))
-    return [x for column in echelon.columns for x in _unpack(packed[column], len(free))]
+    return [x for column in columns for x in _unpack(packed[column], len(free))]
 
 
 def _kernel_certificate(
-    rows: list[Sequence[int]], basis: list[Sequence[int]], cols: int, first: Echelon | None
+    rows: list[Sequence[int]], basis: list[Sequence[int]], cols: int, first: tuple[list[int], ...] | None
 ) -> list[list[int]] | None:
     """cols - r integer vectors that prove the rows have rank <= r, or None.
 
     `basis` holds rows whose rank mod MODULAR_PRIME is r and whose span
     lies in that of the rows: r independent ones of them, or all of them.
-    `first` is an elimination mod MODULAR_PRIME with the same row space as
-    the basis, when the caller has one.  The right-kernel bases of the
-    basis mod each prime of MODULAR_PRIMES in turn are combined by the
-    Chinese remainder theorem; after each prime the vectors are
-    reconstructed and returned as soon as `_proves_kernel` accepts them for
-    all the rows.  The basis has rank at least r over the rationals, so if
-    the rows have rank r its kernel is theirs.  None means no proof: a
-    later prime found other pivot columns, or the primes ran out.
+    `first` is `_eliminate_mod_p`'s result mod MODULAR_PRIME for rows with
+    the same span mod p as the basis, when the caller has one; otherwise,
+    and at every later prime, the basis's flat entries are eliminated.  The
+    right-kernel bases of the basis mod each prime of MODULAR_PRIMES in
+    turn are combined by the Chinese remainder theorem; after each prime
+    the vectors are reconstructed and returned as soon as `_proves_kernel`
+    accepts them for all the rows.  The basis has rank at least r over the
+    rationals, so if the rows have rank r its kernel is theirs.  None means
+    no proof: a later prime found other pivot columns, or the primes ran
+    out.
     """
-
-    def eliminate(p: int) -> Echelon:
-        return _eliminate_mod_p([_pack(map(p.__rmod__, row)) for row in basis], cols, p)
-
-    echelon = eliminate(MODULAR_PRIME) if first is None else first
-    pivots = echelon.columns
+    pivots, _, tails = first or _eliminate_mod_p(chain.from_iterable(basis), cols, MODULAR_PRIME)
     free = sorted(set(range(cols)) - set(pivots))
     values = [0] * (len(pivots) * len(free))
     modulus = 1
     for p in MODULAR_PRIMES:
         if p != MODULAR_PRIME:
-            echelon = eliminate(p)
-            if echelon.columns != pivots:
+            columns, _, tails = _eliminate_mod_p(chain.from_iterable(basis), cols, p)
+            if columns != pivots:
                 return None
         inverse = pow(modulus, -1, p)
-        residues = _kernel_mod_p(echelon, free, p)
+        residues = _kernel_mod_p(pivots, tails, free, p)
         values = [x + modulus * ((y - x) * inverse % p) for x, y in zip(values, residues)]
         modulus *= p
         vectors = _integer_kernel(values, modulus, pivots, free)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluricoh import exact_linalg
-from pluricoh.blowup import PointConfiguration, jet_matrix
+from pluricoh.blowup import PointConfiguration, _graded_exponents, jet_matrix
 from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import (
     MODULAR_MAX_PIVOTS,
@@ -45,7 +45,7 @@ class TestRatMatrix:
     def test_from_rows_round_trip(self):
         m = RatMatrix.from_rows([[1, -2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.entry(0, 1) == -2
+        assert m.row(0)[1] == -2
         assert m.row(1) == (3, 4)
         assert m.entries == (1, -2, 3, 4)
 
@@ -80,7 +80,7 @@ class TestRatMatrix:
         m = RatMatrix(rows, cols, tuple(range(rows * cols)))
         t = m.transpose()
         assert (t.rows, t.cols) == (cols, rows)
-        assert all(t.entry(j, i) == m.entry(i, j) for i in range(rows) for j in range(cols))
+        assert all(t.row(j)[i] == m.row(i)[j] for i in range(rows) for j in range(cols))
         assert t.transpose() == m
 
 
@@ -122,7 +122,7 @@ class TestRank:
         row_perm = data.draw(st.permutations(range(m.rows)))
         col_perm = data.draw(st.permutations(range(m.cols)))
         scale = data.draw(small_integers.filter(lambda x: x != 0))
-        grid = [[m.entry(i, j) for j in col_perm] for i in row_perm]
+        grid = [[m.row(i)[j] for j in col_perm] for i in row_perm]
         if grid:
             grid[0] = [scale * x for x in grid[0]]
         assert rank(RatMatrix.from_rows(grid)) == expected
@@ -191,9 +191,9 @@ def _rows(m: RatMatrix) -> list[tuple[int, ...]]:
     return [m.row(i) for i in range(m.rows)]
 
 
-def _echelon(m: RatMatrix, p: int) -> exact_linalg.Echelon:
-    """The packed elimination of the matrix's rows mod p."""
-    return exact_linalg._eliminate_mod_p(exact_linalg._packed_rows(m, p), m.cols, p)
+def _echelon(m: RatMatrix, p: int) -> tuple[list[int], list[int], list[int]]:
+    """The packed elimination of the matrix's rows mod p: (columns, rows, tails)."""
+    return exact_linalg._eliminate_mod_p(m.entries, m.cols, p)
 
 
 def _oracle_pivots_mod_p(m: RatMatrix, p: int) -> list[int]:
@@ -302,25 +302,25 @@ class TestModularRoute:
     @settings(max_examples=200)
     @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
     def test_pass_matches_an_independent_elimination_mod_p(self, m, p):
-        echelon = _echelon(m, p)
-        assert echelon.columns == _oracle_pivots_mod_p(m, p)
+        columns, pivot_rows, _ = _echelon(m, p)
+        assert columns == _oracle_pivots_mod_p(m, p)
         # The recorded pivot rows are independent mod p.
-        picked = RatMatrix(len(echelon.rows), m.cols, tuple(x for i in echelon.rows for x in m.row(i)))
-        assert len(_oracle_pivots_mod_p(picked, p)) == len(echelon.rows)
+        picked = RatMatrix(len(pivot_rows), m.cols, tuple(x for i in pivot_rows for x in m.row(i)))
+        assert len(_oracle_pivots_mod_p(picked, p)) == len(pivot_rows)
         assert rank(m) == naive_rank(m)
 
     @settings(max_examples=100)
     @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
     def test_kernel_mod_p_is_the_reduced_echelon_kernel(self, m, p):
-        echelon = _echelon(m, p)
-        d = m.cols - len(echelon.columns)
-        free = [j for j in range(m.cols) if j not in echelon.columns]
-        flat = exact_linalg._kernel_mod_p(echelon, free, p)
-        assert len(flat) == d * len(echelon.columns)
+        columns, _, tails = _echelon(m, p)
+        d = m.cols - len(columns)
+        free = [j for j in range(m.cols) if j not in columns]
+        flat = exact_linalg._kernel_mod_p(columns, tails, free, p)
+        assert len(flat) == d * len(columns)
         for t in range(d):
             vector = [0] * m.cols
             vector[free[t]] = 1
-            for column, x in zip(echelon.columns, flat[t::d]):
+            for column, x in zip(columns, flat[t::d]):
                 assert 0 <= x < p
                 vector[column] = x
             assert all(sum(a * b for a, b in zip(m.row(i), vector)) % p == 0 for i in range(m.rows))
@@ -364,7 +364,7 @@ class TestModularRoute:
     def test_rows_all_divisible_by_p_fail_the_pass(self, rows, cols):
         grid = _large_grid(random.Random(f"all-p:{rows}x{cols}"), rows, cols)
         m = _integer_matrix([[MODULAR_PRIME * x for x in row] for row in grid])
-        assert _echelon(m, MODULAR_PRIME).columns == []
+        assert _echelon(m, MODULAR_PRIME)[0] == []
         assert rank(m) == _bareiss(m) == min(rows, cols)
 
     @pytest.mark.parametrize("rows, cols", [(10, 10), (8, 12), (12, 8)])
@@ -377,7 +377,7 @@ class TestModularRoute:
         else:
             grid = [[MODULAR_PRIME * row[0], *row[1:]] for row in grid]
         m = _integer_matrix(grid)
-        assert len(_echelon(m, MODULAR_PRIME).columns) < min(rows, cols)
+        assert len(_echelon(m, MODULAR_PRIME)[0]) < min(rows, cols)
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == naive_rank(m) == min(rows, cols)
         assert len(bareiss) == 1
@@ -413,19 +413,26 @@ class TestModularRoute:
         assert (len(side), len(basis), width) == (max(rows, cols), min(rows, cols) - 1, min(rows, cols))
         assert all(len(row) == width for row in side + basis)
 
-    def test_uncertifiable_deficient_matrix_falls_back_to_bareiss_once(self, monkeypatch):
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_uncertifiable_deficient_matrix_falls_back_to_bareiss_once(self, wide, monkeypatch):
         # A = B C with C of full row rank 9: the kernel of A is that of C,
         # spanned by its 9 x 9 minors of about 370 bits, which the primes
-        # cannot reach, so every prime is spent and Bareiss runs once.
+        # cannot reach, so every prime is spent and Bareiss runs once.  The
+        # tall 12 x 10 matrix reuses its first pass at the first prime; its
+        # wide transpose is certified on its columns, whose basis is
+        # eliminated again at the first prime.
         rng = random.Random("route-fallback")
         b = [[rng.randint(-(2**40), 2**40) for _ in range(9)] for _ in range(12)]
         c = [[rng.randint(-(2**40), 2**40) for _ in range(10)] for _ in range(9)]
         m = _integer_matrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b])
+        if wide:
+            m = m.transpose()
         assert 10 * max(abs(x) for x in m.entries).bit_length() > MODULAR_RULE_BITS
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == 9 == naive_rank(m)
-        assert [args[-1] for args in eliminations] == list(MODULAR_PRIMES)
+        expected = [MODULAR_PRIMES[0], *MODULAR_PRIMES] if wide else list(MODULAR_PRIMES)
+        assert [args[-1] for args in eliminations] == expected
         assert len(bareiss) == 1
 
     def test_primes_that_disagree_on_pivot_columns_fall_back(self, monkeypatch):
@@ -440,7 +447,7 @@ class TestModularRoute:
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == 9 == naive_rank(m)
         assert [args[-1] for args in eliminations] == list(MODULAR_PRIMES[:2])
-        first = _echelon(m, MODULAR_PRIMES[0]).columns
+        first = _echelon(m, MODULAR_PRIMES[0])[0]
         assert first == list(range(1, 9))
         assert _oracle_pivots_mod_p(m, MODULAR_PRIMES[1]) == list(range(9))
         assert len(bareiss) == 1
@@ -535,7 +542,7 @@ class TestCertificateFaults:
         narrow = (m.cols * big * 3 * unit).bit_length() - 1
         packed = [x + (y << narrow) for x, y in zip(*bogus)]
         assert all(sum(a * b for a, b in zip(m.row(i), packed)) == 0 for i in range(m.rows))
-        assert _echelon(m, MODULAR_PRIME).columns == [0, 1]
+        assert _echelon(m, MODULAR_PRIME)[0] == [0, 1]
         assert not exact_linalg._proves_kernel(_rows(m), bogus, [2, 3])
         # Planted as the candidate of every prime, it is rejected each time.
         self._assert_rejected_then_bareiss(monkeypatch, m, lambda vectors: [list(v) for v in bogus])
@@ -580,7 +587,7 @@ class TestHalphenSections:
         vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), m.cols, None)
         assert vectors is not None and len(vectors) == k + 1
         assert rank(m) == m.cols - (k + 1)
-        products = [self._product_vector(jets.col_monomials, a, k) for a in range(k + 1)]
+        products = [self._product_vector(_graded_exponents(2, 3 * k), a, k) for a in range(k + 1)]
         assert naive_rank(RatMatrix.from_rows(products)) == k + 1
         assert naive_rank(RatMatrix.from_rows(vectors)) == k + 1
         assert naive_rank(RatMatrix.from_rows(vectors + products)) == k + 1

@@ -100,7 +100,7 @@ class TestRunSelfcheck:
             log.clear()
             result = original_rank(matrix)
             if log and log[0][0] == "_eliminate_mod_p":
-                full = len(log[0][1].columns) == min(matrix.rows, matrix.cols)
+                full = len(log[0][1][0]) == min(matrix.rows, matrix.cols)
                 certified = any(name == "_kernel_certificate" and out is not None for name, out in log)
                 route = "full" if full else "certified" if certified else "fallback"
                 outcomes.append((route, sum(name == "_bareiss_rank" for name, _ in log)))
