@@ -79,7 +79,8 @@ class PointConfiguration:
 
     @classmethod
     def from_coordinates(cls, coords: Sequence[Sequence[Fraction | int]]) -> "PointConfiguration":
-        points = tuple(tuple(Fraction(c) for c in point) for point in coords)
+        # Lists first, as in RatMatrix.from_rows.
+        points = tuple([tuple([Fraction(c) for c in point]) for point in coords])
         if not points:
             raise ValueError("cannot infer ambient dimension from an empty point list")
         return cls(n=len(points[0]), points=points)
@@ -108,18 +109,15 @@ def _graded_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
     Within each degree, tuples are listed with the leading exponent
     descending, so for n = 2 the order is 1, x, y, x^2, xy, y^2, ...
     """
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            extend(prefix + (e,), remaining - e, slots - 1)
-
-    for degree in range(max_degree + 1):
-        extend((), degree, n)
-    return out
+    # by_degree[d]: the tuples of the current length that sum to d, in order;
+    # each pass prepends one more leading exponent.
+    by_degree = [[(d,)] for d in range(max_degree + 1)]
+    for _ in range(n - 1):
+        by_degree = [
+            [(e,) + rest for e in range(d, -1, -1) for rest in by_degree[d - e]]
+            for d in range(max_degree + 1)
+        ]
+    return [beta for betas in by_degree for beta in betas]
 
 
 def _powers(x: int, top: int) -> list[int]:

@@ -62,7 +62,8 @@ BASIS_MAX_K = 10**4
 # Largest `family --kodaira --kmax`: 10^4 rows take about 0.5 s and 3.4 MB of JSON.
 FAMILY_MAX_KMAX = 10**4
 
-# Largest `selfcheck --budget`: about 3 s at 50, doubling with every 10 above 30.
+# Largest `selfcheck --budget`: about 2.5 s at 50, doubling with every 10 above 30;
+# most of it is the lattice-walk oracle, count_sections_by_lattice_points.
 SELFCHECK_MAX_BUDGET = 50
 
 # Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind,

@@ -80,15 +80,19 @@ class RatMatrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise ValueError("rows have inconsistent lengths")
-        return cls(len(grid), width, tuple(x for row in grid for x in row))
+        # tuple() of a list allocates the exact size.  Of a generator it
+        # resizes a 10-slot tuple, which moves small tuples between CPython's
+        # per-size free lists, and they pile up there until a full collection.
+        return cls(len(grid), width, tuple([x for row in grid for x in row]))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def transpose(self) -> "RatMatrix":
         # Column j of the row-major entries is the slice entries[j::cols].
-        columns = (self.entries[j :: self.cols] for j in range(self.cols))
-        return RatMatrix(self.cols, self.rows, tuple(chain.from_iterable(columns)))
+        # A list first, as in from_rows.
+        columns = [self.entries[j :: self.cols] for j in range(self.cols)]
+        return RatMatrix(self.cols, self.rows, tuple([x for column in columns for x in column]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RatMatrix({self.rows}x{self.cols})"

@@ -1,7 +1,7 @@
 """Independent cross-check oracles and the runtime invariant suite.
 
-The oracles here re-derive results by the most naive correct route (dense
-Fraction elimination, cofactor expansion, direct lattice walks) so that
+The oracles here re-derive results by the most naive correct route (plain
+integer row elimination, cofactor expansion, direct lattice walks) so that
 the production algorithms have something genuinely different to agree
 with.  ``run_selfcheck`` sweeps every cross-check the package relies on at
 a grid size controlled by a budget and reports the first counterexample
@@ -21,51 +21,66 @@ from .exact_linalg import RatMatrix
 
 
 def naive_rank(matrix: RatMatrix) -> int:
-    """Rank by plain Gaussian elimination over Fraction.
+    """Rank by plain integer row elimination, counting pivots.
 
-    Deliberately the dumbest correct algorithm: normalize each pivot row,
-    eliminate below, count pivots.  Shares nothing with the fraction-free
-    production route beyond the definition of rank.
+    Each row below the pivot row becomes a * row - b * pivot_row, where a is
+    the pivot entry and b the row's own entry in the pivot column, and is
+    then divided by the gcd of its entries.  Both are invertible row
+    operations, so the rank is the number of pivots.  This stays the
+    dumbest correct integer route on purpose: unlike Bareiss it never
+    divides by an earlier pivot, and unlike the modular route it reduces
+    modulo no prime, so a fault in either production route has a genuinely
+    different algorithm to disagree with.
     """
-    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
+    rows = [list(matrix.row(i)) for i in range(matrix.rows)]
     r = 0
     for c in range(matrix.cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(r + 1, len(rows)):
-            factor = rows[i][c]
-            if factor != 0:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        # Rows r and below are zero left of column c, so only their tails change.
+        top = rows[r][c:]
+        a = top[0]
+        for row in rows[r + 1 :]:
+            b = row[c]
+            if b:
+                tail = [a * x - b * y for x, y in zip(row[c:], top)]
+                g = math.gcd(*tail)
+                row[c:] = [x // g for x in tail] if g > 1 else tail
         r += 1
     return r
 
 
 def naive_det(matrix: RatMatrix) -> int:
-    """Determinant by cofactor expansion along the first row; square input only."""
+    """Determinant by cofactor expansion along the first row; square input only.
+
+    Each minor is computed once: minors are memoized by the columns they keep.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    grid = [list(matrix.row(i)) for i in range(matrix.rows)]
+    grid = [matrix.row(i) for i in range(matrix.rows)]
+    return _cofactor_expansion(grid, tuple(range(matrix.cols)), {})
 
-    def expand(rows: list[list[int]]) -> int:
-        size = len(rows)
-        if size == 0:
-            return 1
-        if size == 1:
-            return rows[0][0]
-        total = 0
-        for j, top in enumerate(rows[0]):
-            if top == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * top * expand(minor)
-        return total
 
-    return expand(grid)
+def _cofactor_expansion(
+    grid: list[tuple[int, ...]], columns: tuple[int, ...], minors: dict[tuple[int, ...], int]
+) -> int:
+    """Determinant of the last len(columns) rows of grid, restricted to columns."""
+    if not columns:
+        return 1
+    known = minors.get(columns)
+    if known is not None:
+        return known
+    top = grid[len(grid) - len(columns)]
+    total = 0
+    for j, column in enumerate(columns):
+        entry = top[column]
+        if entry:
+            minor = _cofactor_expansion(grid, columns[:j] + columns[j + 1 :], minors)
+            total += -entry * minor if j % 2 else entry * minor
+    minors[columns] = total
+    return total
 
 
 def count_sections_by_lattice_points(m: int, k: int) -> int:
@@ -231,7 +246,7 @@ def _check_rank_matches_naive_rank(budget: int, seed: int) -> Cases:
         if plant:
             # A dependent row, so rank-deficient inputs are exercised too.
             grid[rows - 1] = [2 * x for x in grid[0]]
-        matrix = RatMatrix(rows, cols, tuple(x for row in grid for x in row))
+        matrix = RatMatrix(rows, cols, tuple([x for row in grid for x in row]))  # see RatMatrix.from_rows
         got = exact_linalg.rank(matrix)
         expected = naive_rank(matrix)
         ok = got == expected and exact_linalg.rank(matrix.transpose()) == expected

@@ -6,7 +6,7 @@ with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  On
 failure, pytest's own report is the FAIL line.
 
 Derived expectations are re-checked here against the independent oracles
-(naive Fraction elimination, lattice walks), never against the code path
+(naive integer elimination, lattice walks), never against the code path
 under test.
 """
 

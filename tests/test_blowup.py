@@ -1,8 +1,8 @@
 """Tests for blow-up section counts, configuration generators and file parsing.
 
 Rank-based expectations below were first computed with the independent
-Fraction-elimination oracle `naive_rank` and are asserted against both
-routes where it matters.
+naive-elimination oracle `naive_rank` (plain integer row elimination with
+gcd reduction) and are asserted against both routes where it matters.
 """
 
 import math

@@ -1,8 +1,9 @@
 """Tests for the exact rational linear algebra layer.
 
 Expected values marked as derived were computed first with the naive
-Fraction-elimination oracle in `pluricoh.selfcheck`, which shares no code
-with the fraction-free production routines.
+elimination oracle in `pluricoh.selfcheck`, which shares no code with the
+production routines: it divides by no earlier pivot and reduces modulo no
+prime.
 """
 
 import math

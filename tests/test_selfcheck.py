@@ -3,12 +3,19 @@ including deliberate fault injection to prove the suite can catch a
 corrupted formula."""
 
 import dataclasses
+import gc
+import itertools
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
 from pluricoh import exact_linalg
+from pluricoh.blowup import PointConfiguration, jet_matrix
 from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
@@ -26,6 +33,49 @@ from pluricoh.selfcheck import (
 NEAR_SINGULAR_INT = RatMatrix(2, 2, (2**60, 2**60 + 1, 2**60 + 1, 2**60 + 2))
 
 
+def fraction_rank(matrix):
+    """Rank by Gaussian elimination over Fraction, the reference for `naive_rank`."""
+    rows = [[Fraction(x) for x in matrix.row(i)] for i in range(matrix.rows)]
+    r = 0
+    for c in range(matrix.cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][c] / rows[r][c]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over permutations."""
+    n = matrix.rows
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix.row(i)[perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def rank_inputs(draw):
+    """Matrices of up to 7x7 with entries of up to 210 bits, some with zero or dependent rows."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    bits = draw(st.sampled_from((3, 64, 210)))
+    entries = st.integers(-(2**bits), 2**bits)
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows >= 3:
+        plant = draw(st.sampled_from(("none", "zero", "dependent")))
+        if plant == "zero":
+            grid[draw(st.integers(0, rows - 1))] = [0] * cols
+        elif plant == "dependent":
+            a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            grid[rows - 1] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
+    return RatMatrix(rows, cols, tuple(x for row in grid for x in row))
+
+
 class TestOracles:
     def test_naive_rank_on_small_matrices(self):
         assert naive_rank(RatMatrix(0, 4, ())) == 0
@@ -41,6 +91,40 @@ class TestOracles:
         assert naive_det(RatMatrix.from_rows([[1, 0, 0], [1, 1, 1], [1, 2, 4]])) == 2
         with pytest.raises(ValueError):
             naive_det(RatMatrix.from_rows([[1, 2]]))
+
+    @given(rank_inputs())
+    @settings(max_examples=200)
+    def test_naive_rank_matches_fraction_elimination_and_production(self, matrix):
+        expected = fraction_rank(matrix)
+        assert naive_rank(matrix) == expected
+        assert exact_linalg.rank(matrix) == expected
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)))
+    @settings(max_examples=60)
+    def test_naive_det_matches_leibniz(self, entries):
+        n = math.isqrt(len(entries))
+        matrix = RatMatrix(n, n, tuple(entries))
+        assert naive_det(matrix) == leibniz_det(matrix)
+
+    @pytest.mark.parametrize("name", ["jet_matrix", "naive_rank", "naive_det"])
+    def test_leaves_no_cyclic_garbage(self, name):
+        # Cyclic garbage waits for the collector, and generation-2 collections
+        # are rare, so every call that leaves some makes the heap grow.
+        config = PointConfiguration(n=2, points=((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 3))))
+        jet = jet_matrix(config, 2).matrix
+        vandermonde = RatMatrix.from_rows([[x**j for j in range(5)] for x in range(5)])
+        call = {
+            "jet_matrix": lambda: jet_matrix(config, 3),
+            "naive_rank": lambda: naive_rank(jet),
+            "naive_det": lambda: naive_det(vandermonde),
+        }[name]
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_naive_nullspace_dimension(self):
         # cols - naive_rank: the free columns after naive elimination.
