@@ -6,8 +6,12 @@ provenance entry naming the computation path behind each number.  All
 randomness flows from an explicit --seed, so identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 cross-check or jump-expectation failure,
-2 usage, parse or output error.
+Exit codes: 0 success; 1 a failed check, in one of two forms: a record whose
+last warnings start with "cross-check failed:" (a closed form against its
+second route, the h1(2K) window, --expect-jump with no jump found, a failing
+selfcheck), or one "error:" line and no stdout when a library check raises
+RuntimeError (a SamplingBudgetError, or a semicontinuity violation in a
+family report); 2 usage, parse or output error.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ class OutputRecord:
     results: dict = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    # Failed cross-checks: rendered after the warnings, and any one makes `main` exit 1.
+    failures: list[str] = field(default_factory=list)
 
     def put(self, key: str, value, tag: str | None = None) -> None:
         """Report one result; `tag` names the computation path behind a number."""
@@ -109,45 +115,30 @@ class OutputRecord:
 
 
 def render(record: OutputRecord, fmt: str) -> str:
+    warnings = record.warnings + [f"cross-check failed: {failure}" for failure in record.failures]
     if fmt == "json":
-        return json.dumps(vars(record), indent=2) + "\n"
+        # The schema's five keys: failures reach JSON only as warnings.
+        fields = {key: getattr(record, key) for key in ("command", "parameters", "results", "provenance")}
+        return json.dumps({**fields, "warnings": warnings}, indent=2) + "\n"
+    # A nonempty rows table, and the rest of the results: CSV prints only the
+    # table when there is one, else the rest that is not a list.
+    results = dict(record.results)
+    rows = results.pop("rows") if results.get("rows") else []
     if fmt == "csv":
-        return _render_csv(record)
-    return _render_table(record)
-
-
-def _render_csv(record: OutputRecord) -> str:
-    rows = record.results.get("rows")
-    buffer = io.StringIO()
-    if isinstance(rows, list) and rows:
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
+        table = rows or [{key: value for key, value in results.items() if not isinstance(value, list)}]
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(table[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
-    else:
-        scalars = {k: v for k, v in record.results.items() if not isinstance(v, list)}
-        writer = csv.DictWriter(buffer, fieldnames=list(scalars.keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(scalars)
-    return buffer.getvalue()
-
-
-def _render_table(record: OutputRecord) -> str:
+        writer.writerows(table)
+        return buffer.getvalue()
     lines = [f"{record.command}  " + " ".join(f"{k}={v}" for k, v in record.parameters.items())]
-    rows = record.results.get("rows")
-    if isinstance(rows, list) and rows:
-        headers = list(rows[0].keys())
-        table = [headers] + [[str(row[h]) for h in headers] for row in rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
-        for line in table:
-            lines.append("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
-        extras = {k: v for k, v in record.results.items() if k != "rows"}
-        for key, value in extras.items():
-            lines.append(f"{key} = {value}")
-    else:
-        for key, value in record.results.items():
-            lines.append(f"{key} = {value}")
-    for warning in record.warnings:
-        lines.append(f"warning: {warning}")
+    if rows:
+        headers = list(rows[0])
+        cells = [headers] + [[str(row[h]) for h in headers] for row in rows]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines += ["  ".join(cell.rjust(width) for cell, width in zip(line, widths)) for line in cells]
+    lines += [f"{key} = {value}" for key, value in results.items()]
+    lines += [f"warning: {warning}" for warning in warnings]
     return "\n".join(lines) + "\n"
 
 
@@ -157,7 +148,7 @@ def _check_cap(option: str, value: int, cap: int, size: str) -> None:
         raise ValueError(f"{option} is capped at {cap}: {size}")
 
 
-def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_hirzebruch(args: argparse.Namespace) -> OutputRecord:
     if args.m < 0:
         raise ValueError("--m must be nonnegative")
     if args.k < 1:
@@ -166,7 +157,6 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         _check_cap("--basis k", args.k, BASIS_MAX_K, f"k = {args.k} would list up to 2k+1 = {2 * args.k + 1} terms")
     surface = HirzebruchSurface(args.m)
     record = OutputRecord("hirzebruch", {"m": args.m, "k": args.k, "basis": bool(args.basis)})
-    failures: list[str] = []
 
     row = hirzebruch_row(surface, args.k)
     enum = row.h0_minus_kK
@@ -176,41 +166,34 @@ def cmd_hirzebruch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         evaluated = dim_formula(surface, args.k)
         record.put("dim_formula", evaluated.value, PROV_FORMULA)
         record.put("formula_in_regime", evaluated.in_regime)
-        if evaluated.in_regime and evaluated.value != enum:
-            failures.append(
-                f"closed formula {evaluated.value} != enumeration {enum} in regime"
-            )
         if not evaluated.in_regime:
             record.warnings.append(
                 f"closed formula out of regime at m={args.m}: value {evaluated.value} "
                 f"overcounts enumeration {enum}; enumeration is ground truth"
             )
+        elif evaluated.value != enum:
+            record.failures.append(f"closed formula {evaluated.value} != enumeration {enum} in regime")
     else:
         record.warnings.append("product surface (m = 0): closed formula undefined, enumeration only")
 
     # h2(kK) and h1(kK) are columns of the row of the previous power.
     previous = hirzebruch_row(surface, args.k - 1)
-    h1_chain = previous.h1_kp1K
     record.put_row(previous, {"h2_kp1K": "h2_kK", "h1_kp1K": "h1_kK_rr_chain"})
     try:
         h1_closed = h1_pluricanonical_formula(surface, args.k)
         record.put("h1_kK_closed_form", h1_closed, PROV_FORMULA)
-        if h1_closed != h1_chain:
-            failures.append(f"h1 closed form {h1_closed} != Riemann-Roch chain {h1_chain}")
+        if h1_closed != previous.h1_kp1K:
+            record.failures.append(f"h1 closed form {h1_closed} != Riemann-Roch chain {previous.h1_kp1K}")
     except RegimeError:
-        record.warnings.append(
-            "closed h1 form out of regime; reporting the Riemann-Roch chain value only"
-        )
+        record.warnings.append("closed h1 form out of regime; reporting the Riemann-Roch chain value only")
 
     if args.basis:
         basis = section_basis(surface, args.k)
         record.put("section_basis", [[i, bound] for i, bound in basis.terms], PROV_ENUMERATION)
         record.put("section_basis_dimension", basis.dimension, PROV_ENUMERATION)
         if basis.dimension != enum:
-            failures.append(f"basis dimension {basis.dimension} != enumeration {enum}")
-
-    record.warnings.extend(f"cross-check failed: {failure}" for failure in failures)
-    return record, EXIT_CROSSCHECK if failures else EXIT_OK
+            record.failures.append(f"basis dimension {basis.dimension} != enumeration {enum}")
+    return record
 
 
 def _refuse(args: argparse.Namespace, choice: str, *names: str) -> None:
@@ -244,7 +227,7 @@ def _load_configuration(path: str | None, kind: str | None, v: int | None, seed:
     return generate_configuration(kind, v, seed=seed, k=k)
 
 
-def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_blowup(args: argparse.Namespace) -> OutputRecord:
     if args.k < 1:
         raise ValueError("--k must be positive")
     config, row = _load_configuration(args.points, args.generate, args.v, args.seed, args.k)
@@ -260,17 +243,12 @@ def cmd_blowup(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     record.put("monomial_count", count, PROV_ENUMERATION)
     record.put("jet_rank", count - h0, PROV_RANK)
     record.put("h0_minus_kK", h0, PROV_RANK)
-    code = EXIT_OK
     if row and args.k == 1:
         record.put_row(row, {"h2_kp1K": "h2_2K", "h1_kp1K": "h1_2K"})
         low, high = h1_2K_range(config.v)
         if not low <= row.h1_kp1K <= high:
-            record.warnings.append(
-                f"cross-check failed: h1(2K) = {row.h1_kp1K} "
-                f"outside the admissible range [{low}, {high}]"
-            )
-            code = EXIT_CROSSCHECK
-    return record, code
+            record.failures.append(f"h1(2K) = {row.h1_kp1K} outside the admissible range [{low}, {high}]")
+    return record
 
 
 def _report_columns(
@@ -290,7 +268,7 @@ def _report_columns(
     return values, tags
 
 
-def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_family(args: argparse.Namespace) -> OutputRecord:
     if args.kodaira:
         if args.m is None or args.ell is None:
             raise ValueError("--kodaira requires --m and --ell")
@@ -324,14 +302,12 @@ def cmd_family(args: argparse.Namespace) -> tuple[OutputRecord, int]:
                 "the smallest point count where position matters"
             )
 
-    code = EXIT_OK
     if args.expect_jump and not jump_found:
-        record.warnings.append("cross-check failed: --expect-jump set but no jump found")
-        code = EXIT_CROSSCHECK
-    return record, code
+        record.failures.append("--expect-jump set but no jump found")
+    return record
 
 
-def cmd_selfcheck(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_selfcheck(args: argparse.Namespace) -> OutputRecord:
     if args.budget < 0:
         raise ValueError("--budget must be nonnegative")
     budget = args.budget
@@ -347,17 +323,16 @@ def cmd_selfcheck(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         }
         for result in checks
     ]
-    all_passed = all(result.passed for result in checks)
+    failed = [result for result in checks if not result.passed]
     record = OutputRecord("selfcheck", {"budget": args.budget, "seed": args.seed})
     record.put_rows(rows, cases=PROV_ENUMERATION)
     record.put("checks_run", len(checks), PROV_ENUMERATION)
-    record.put("all_passed", all_passed)
+    record.put("all_passed", not failed)
     if args.budget == 0:
         record.warnings.append("budget 0: empty suite, nothing was verified")
-    if not all_passed:
-        first = next(result for result in checks if not result.passed)
-        record.warnings.append(f"cross-check failed: {first.name}: {first.counterexample}")
-    return record, EXIT_OK if all_passed else EXIT_CROSSCHECK
+    if failed:
+        record.failures.append(f"{failed[0].name}: {failed[0].counterexample}")
+    return record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        record, code = _COMMANDS[args.command](args)
+        record = _COMMANDS[args.command](args)
         # Rendering fails on a number above Python's int-to-str digit limit,
         # writing on a bad --output path: both are usage errors.
         text = render(record, args.format)
@@ -451,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
-    return code
+    return EXIT_CROSSCHECK if record.failures else EXIT_OK
 
 
 if __name__ == "__main__":
