@@ -18,11 +18,11 @@ dimension achievable for a given number of points.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exact_linalg import RatMatrix, rank
@@ -155,6 +155,12 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     conditions degenerate to plain evaluation, mapping each integer point
     (x, y) to the row (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3).
 
+    A point's rows are the leaves of a product tree over alpha.  A node is a
+    prefix (alpha_1, ..., alpha_i): its parent times d^alpha_i/dx_i^alpha_i of
+    x_i^beta_i, per column beta.  The root, d^((n+1)k - |beta|), is all ones at
+    an integer point (d = 1) and is skipped.  So an entry costs one product
+    beyond the prefixes it shares, and the columns enter only as exponents.
+
     n = 1 is rejected: there (n-1)k = 0 and the condition set would be
     vacuous, so the blow-up would not constrain sections at all.
     """
@@ -165,27 +171,31 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     top = (n + 1) * k
     order = (n - 1) * k - 1
     monomials = _graded_exponents(n, top)
-    alphas = tuple(_graded_exponents(n, order))
-    falling = [[math.perm(b, a) for a in range(order + 1)] for b in range(top + 1)]
+    alphas = _graded_exponents(n, order)
+    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= order and a <= b <= top.
+    falling = [[math.perm(b, a) for b in range(a, top + 1)] for a in range(1, order + 1)]
     # Per monomial: the power of the lifted x0 it carries, and each variable's exponent.
     homogenizing = [top - sum(beta) for beta in monomials]
     exponents = list(zip(*monomials))
+    # Tree levels 2..n: the distinct alpha prefixes of each length; the last is the alphas, in row order.
+    levels = [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)]
     entries: list[int] = []
     for point in config.points:
-        # The point lifted to (d, d*x): d^(top - |alpha|) times the true derivatives.
+        # The point lifted to (d, d*x), integral: d^(top - |alpha|) times the true derivatives.
         d = math.lcm(*(c.denominator for c in point))
-        lifted = (d, *(c.numerator * (d // c.denominator) for c in point))
-        d_powers, *q_powers = (_powers(x, top) for x in lifted)
-        lead = [d_powers[e] for e in homogenizing]
-        # derivatives[i][a][b] = d^a/dx_i^a of x_i^b at q_i: perm(b, a) q_i^(b - a), 0 for b < a.
-        derivatives = [
-            [[falling[b][a] * q[b - a] if b >= a else 0 for b in range(top + 1)] for a in range(order + 1)]
-            for q in q_powers
-        ]
-        for alpha in alphas:
-            row = lead
-            for column_exponents, by_order, a in zip(exponents, derivatives, alpha):
-                row = list(map(operator.mul, row, map(by_order[a].__getitem__, column_exponents)))
+        gathered = []
+        for c, column_exponents in zip(point, exponents):
+            q = _powers(c.numerator * (d // c.denominator), top)  # q[b] = (d*x)^b
+            # Per order a: perm(b, a) q[b - a], the a-th derivative of x^b at d*x, 0 for b < a; order 0 is q.
+            tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(falling, start=1)]
+            gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
+        nodes = {(a,): row for a, row in enumerate(gathered[0])}
+        if d != 1:
+            root = list(map(_powers(d, top).__getitem__, homogenizing))
+            nodes = {prefix: list(map(mul, root, row)) for prefix, row in nodes.items()}
+        for by_order, level in zip(gathered[1:], levels):
+            nodes = {prefix: list(map(mul, nodes[prefix[:-1]], by_order[prefix[-1]])) for prefix in level}
+        for row in nodes.values():
             entries.extend(row)
     # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
     matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))

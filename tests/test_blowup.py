@@ -44,6 +44,12 @@ def configs(min_points: int, max_points: int):
     )
 
 
+def space_configs(n: int):
+    return st.lists(st.tuples(*[coords] * n), unique=True, min_size=1, max_size=3).map(
+        lambda pts: PointConfiguration(n=n, points=tuple(pts))
+    )
+
+
 VERONESE_ORDER = (
     (0, 0),
     (1, 0),
@@ -164,6 +170,22 @@ class TestJetMatrix:
     def test_space_point_file_rows_are_scaled_true_derivatives(self):
         config = parse_point_file((DATA / "space_points.txt").read_text())
         _assert_scaled_true_derivatives(config, 1)
+
+    # Each coordinate is one level of the product tree, so P^3 and P^4 take it
+    # three and four levels deep; k = 2 in P^3 reaches derivative order 3.
+    @given(
+        st.sampled_from([(3, 1), (3, 2), (4, 1)]).flatmap(
+            lambda nk: st.tuples(space_configs(nk[0]), st.just(nk[1]))
+        )
+    )
+    # Integer points: the homogenizing root is all ones and is skipped.
+    @example((PointConfiguration.from_coordinates([(1, -2, 3), (0, 5, 7), (4, 4, -1)]), 2))
+    @example((PointConfiguration.from_coordinates([(2, -1, 0, 3), (1, 1, 1, 1)]), 1))
+    # Fractional points whose denominators have lcm 12, 6 and 4.
+    @example((PointConfiguration.from_coordinates([("1/4", "2/3", 5), ("-3/2", "5/3", "1/6"), (0, 0, "1/4")]), 2))
+    @settings(max_examples=25, deadline=None)
+    def test_space_rows_are_scaled_true_derivatives(self, case):
+        _assert_scaled_true_derivatives(*case)
 
 
 def _true_derivative(beta, alpha, point) -> Fraction:
