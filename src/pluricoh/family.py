@@ -11,7 +11,7 @@ central fiber to the general one; h1 follows through Riemann-Roch.
 Fibers are tracked by surface type only; the deformation parameter enters
 solely as the central/general dichotomy.  A report row is the pair of
 cohomology rows of the two fibers at one power, each row carrying its own
-provenance tags.
+provenance tags, and building it asserts upper semicontinuity.
 """
 
 from __future__ import annotations
@@ -44,10 +44,20 @@ class FiberReportRow:
     The h2 columns repeat the h0(-kK) columns by Serre duality, and the
     plurigenus columns h0((k+1)K) are identically zero on these rational
     surfaces; both rows carry them explicitly so a report says so in print.
+
+    Upper semicontinuity: the central fiber can only gain sections, so
+    building a row with central h2 below the general one raises RuntimeError.
     """
 
     central: CohomologyRow
     general: CohomologyRow
+
+    def __post_init__(self) -> None:
+        if self.central.h2_kp1K < self.general.h2_kp1K:
+            raise RuntimeError(
+                f"semicontinuity violated at k = {self.k}: "
+                f"central {self.central.h2_kp1K} < general {self.general.h2_kp1K}"
+            )
 
     @property
     def k(self) -> int:
@@ -61,27 +71,15 @@ class FiberReportRow:
 def noninvariance_report_hirzebruch(
     family: KodairaFamily, k_max: int
 ) -> list[FiberReportRow]:
-    """Tabulate h0(-kK), h2((k+1)K) and h1((k+1)K) on both fibers for k = 1..k_max.
-
-    Also enforces upper semicontinuity row by row: the central fiber can
-    only gain sections, so central h2 below the general value would mean a
-    computation bug and raises.
-    """
+    """Tabulate h0(-kK), h2((k+1)K) and h1((k+1)K) on both fibers for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
     central = HirzebruchSurface(family.m)
     general = HirzebruchSurface(family.m - 2 * family.ell)
-    rows = []
-    for k in range(1, k_max + 1):
-        c = hirzebruch_row(central, k)
-        g = hirzebruch_row(general, k)
-        if c.h2_kp1K < g.h2_kp1K:
-            raise RuntimeError(
-                f"semicontinuity violated at k = {k}: "
-                f"central {c.h2_kp1K} < general {g.h2_kp1K}"
-            )
-        rows.append(FiberReportRow(c, g))
-    return rows
+    return [
+        FiberReportRow(hirzebruch_row(central, k), hirzebruch_row(general, k))
+        for k in range(1, k_max + 1)
+    ]
 
 
 def noninvariance_report_blowup(
@@ -93,15 +91,11 @@ def noninvariance_report_blowup(
     returns them.  The general fiber blows up the same number of points,
     sampled from `generic_seed` and certified generic by exact rank at the
     special row's power.  The jump flag compares the h2 columns, which equal
-    the h0(-kK) columns by Serre duality.
+    the h0(-kK) columns by Serre duality; a special configuration with fewer
+    sections than the generic one raises RuntimeError as the row is built.
     """
     config, s = special
     if config.v < 5:
         raise ValueError("for v <= 4 every configuration gives the same dimensions")
     _, g = generate_configuration("generic", config.v, seed=generic_seed, k=s.k)
-    if s.h0_minus_kK < g.h0_minus_kK:
-        raise RuntimeError(
-            f"special configuration has fewer sections ({s.h0_minus_kK}) "
-            f"than generic ({g.h0_minus_kK})"
-        )
     return FiberReportRow(s, g)

@@ -129,12 +129,17 @@ def _random_small_config(rng: random.Random, v: int) -> blowup.PointConfiguratio
 def _run(name: str, cases: Cases) -> CheckResult:
     """Count cases in order and stop at the first counterexample.
 
-    A check that runs no case verified nothing, so it fails.
+    A case that raises RuntimeError (a library check failing) fails with the
+    exception's text, so the checks after it still run.  A check that runs
+    no case verified nothing, so it fails.
     """
     count = 0
-    for count, counterexample in enumerate(cases, start=1):
-        if counterexample is not None:
-            return CheckResult(name, False, count, counterexample)
+    try:
+        for count, counterexample in enumerate(cases, start=1):
+            if counterexample is not None:
+                return CheckResult(name, False, count, counterexample)
+    except RuntimeError as exc:
+        return CheckResult(name, False, count + 1, str(exc))
     return CheckResult(name, True, count) if count else CheckResult(name, False, 0, "no case ran")
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pluricoh.blowup
@@ -29,7 +29,7 @@ from pluricoh.blowup import (
     monomial_count,
     parse_point_file,
 )
-from pluricoh.exact_linalg import rank
+from pluricoh.exact_linalg import RatMatrix, rank
 from pluricoh.selfcheck import naive_rank
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -393,6 +393,54 @@ class TestGenerateConfiguration:
         generate_configuration("generic", 5, k=1)
         with pytest.raises(SamplingBudgetError):
             generate_configuration("generic", 5, k=2)
+
+
+def _peeled_h0(kind: str, v: int, k: int) -> int:
+    """h0(-kK) of v stock points on a line or a conic, by Bezout peeling.
+
+    Sections are plane curves of degree d = 3k with multiplicity m = k at
+    each point.  While v * m exceeds d times the degree of the line (1) or
+    the conic (2) through the points, that curve meets the section too often
+    and is a fixed component: strip it, lowering d by its degree and m by 1.
+    The remaining conditions are then taken as independent, which this
+    form checks against the rank rather than proves.
+    """
+    step = {"collinear": 1, "on_conic": 2}[kind]
+    d, m = 3 * k, k
+    while v * m > step * d:
+        d, m = d - step, m - 1
+    return math.comb(d + 2, 2) - v * math.comb(m + 1, 2)
+
+
+class TestClosedFormsAtHigherPowers:
+    """Closed-form and invariance oracles for the special configurations at k > 1."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("v", range(1, 13))
+    @pytest.mark.parametrize("kind", ["collinear", "on_conic"])
+    def test_peeling_forms(self, kind, v, k):
+        _, row = generate_configuration(kind, v, k=k)
+        assert row.h0_minus_kK == _peeled_h0(kind, v, k)
+
+    @given(
+        st.sampled_from(["collinear", "on_conic"]),
+        st.integers(5, 9),
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    )
+    @settings(max_examples=9, deadline=None)
+    def test_invariant_under_projective_maps(self, kind, v, entries):
+        config, _ = generate_configuration(kind, v)
+        a = [entries[0:3], entries[3:6], entries[6:9]]
+        assume(rank(RatMatrix.from_rows(a)) == 3)
+        images = [[r[0] * x + r[1] * y + r[2] for r in a] for x, y in config.points]
+        # No point may go to infinity, and some image must be fractional so
+        # the jet build homogenizes by a denominator.
+        assume(all(z != 0 for _, _, z in images))
+        moved = [(x / z, y / z) for x, y, z in images]
+        assume(any(c.denominator > 1 for point in moved for c in point))
+        moved_config = PointConfiguration(n=2, points=tuple(moved))
+        for k in (1, 2, 3):
+            assert h0_blowup(moved_config, k) == h0_blowup(config, k)
 
 
 class TestAchievableDims:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, schema conformance, provenance completeness and determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import pluricoh.blowup
 import pluricoh.cli
 import pluricoh.exact_linalg
+import pluricoh.family
 import pluricoh.hirzebruch
 from pluricoh.blowup import generate_configuration
 from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, JET_MAX_DIMENSION, SELFCHECK_MAX_BUDGET, main
@@ -44,6 +46,19 @@ def _assert_usage_error(code: int, out: str, err: str) -> None:
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _assert_check_error(code: int, out: str, err: str) -> None:
+    """Exit 1 with nothing on stdout and one `error:` line, no traceback, on stderr."""
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _more_sections(row, extra):
+    return dataclasses.replace(
+        row, h0_minus_kK=row.h0_minus_kK + extra, h2_kp1K=row.h2_kp1K + extra
+    )
 
 
 def _assert_provenance_complete(record: dict) -> None:
@@ -441,6 +456,43 @@ class TestFamilyCommand:
         assert f"{kmax} rows" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+class TestRaisedCheck:
+    """A library check that raises RuntimeError is a failed check: exit 1, one `error:` line."""
+
+    def test_sampler_out_of_attempts(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(pluricoh.blowup, "GENERIC_SAMPLE_ATTEMPTS", 0)
+        code, out, err = run_cli(capsys, "blowup", "--generate", "generic", "--v", "5", "--format", fmt)
+        _assert_check_error(code, out, err)
+        assert "within 0 attempts" in err
+
+    def test_kodaira_general_fiber_with_more_sections(self, capsys, monkeypatch, fmt):
+        original = pluricoh.family.hirzebruch_row
+
+        def inflated(surface, k):
+            row = original(surface, k)
+            return _more_sections(row, 100) if surface.m == 2 else row
+
+        monkeypatch.setattr(pluricoh.family, "hirzebruch_row", inflated)
+        argv = ["family", "--kodaira", "--m", "4", "--ell", "1", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        _assert_check_error(code, out, err)
+        assert err == "error: semicontinuity violated at k = 1: central 10 < general 109\n"
+
+    def test_blowup_generic_fiber_with_more_sections(self, capsys, monkeypatch, fmt):
+        original = pluricoh.family.generate_configuration
+
+        def inflated(*args, **kwargs):
+            config, row = original(*args, **kwargs)
+            return config, _more_sections(row, 100)
+
+        monkeypatch.setattr(pluricoh.family, "generate_configuration", inflated)
+        argv = ["family", "--blowup", "--special", "collinear", "--v", "5", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        _assert_check_error(code, out, err)
+        assert err == "error: semicontinuity violated at k = 1: central 6 < general 105\n"
+
+
 class TestSelfcheckCommand:
     def test_default_budget_passes(self, capsys):
         code, record = run_json(capsys, "selfcheck", "--budget", "4")
@@ -490,6 +542,27 @@ class TestSelfcheckCommand:
         failing = [row for row in record["results"]["rows"] if not row["passed"]]
         assert failing
         assert "m=6, k=2" in failing[0]["counterexample"]
+
+
+    def test_a_check_that_raises_is_a_failed_row(self, capsys, monkeypatch):
+        # 100 extra sections on the twist-1 surface: the Kodaira sweep's first
+        # family (3, 1) raises on semicontinuity, and every other row still runs.
+        original = pluricoh.hirzebruch.dim_enumerated
+
+        def inflated(surface, k):
+            value = original(surface, k)
+            return value + 100 if surface.m == 1 else value
+
+        monkeypatch.setattr(pluricoh.hirzebruch, "dim_enumerated", inflated)
+        code, record = run_json(capsys, "selfcheck", "--budget", "3")
+        assert code == 1
+        rows = {row["check"]: row for row in record["results"]["rows"]}
+        assert len(rows) == 12
+        assert not rows["twist_one_formula_overcounts"]["passed"]
+        assert not rows["enumeration_vs_lattice_walk"]["passed"]
+        kodaira = rows["kodaira_family_jump_exists"]
+        assert (kodaira["passed"], kodaira["cases"]) == (False, 1)
+        assert kodaira["counterexample"] == "semicontinuity violated at k = 1: central 9 < general 109"
 
 
 class TestOutputContract:

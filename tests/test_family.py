@@ -3,6 +3,7 @@
 import pytest
 
 from pluricoh.family import (
+    FiberReportRow,
     KodairaFamily,
     noninvariance_report_blowup,
     noninvariance_report_hirzebruch,
@@ -124,3 +125,18 @@ class TestBlowupReport:
         )
         with pytest.raises(ValueError, match="plane only"):
             noninvariance_report_blowup((config, blowup_row(config, 1)))
+
+
+class TestSemicontinuity:
+    """Building a report row refuses a central fiber with fewer sections."""
+
+    def test_swapped_kodaira_fibers_are_refused(self):
+        twist_two, twist_four = (hirzebruch_row(HirzebruchSurface(m), 1) for m in (2, 4))
+        with pytest.raises(RuntimeError, match=r"^semicontinuity violated at k = 1: central 9 < general 10$"):
+            FiberReportRow(twist_two, twist_four)
+
+    def test_swapped_blowup_fibers_are_refused(self):
+        _, collinear = generate_configuration("collinear", 5, k=2)
+        _, generic = generate_configuration("generic", 5, k=2)
+        with pytest.raises(RuntimeError, match=r"^semicontinuity violated at k = 2: central 13 < general 16$"):
+            FiberReportRow(generic, collinear)

@@ -149,6 +149,13 @@ class TestRunSelfcheck:
     def test_a_check_without_cases_fails(self):
         assert _run("empty", iter(())) == CheckResult("empty", False, 0, "no case ran")
 
+    def test_a_case_that_raises_is_its_counterexample(self):
+        def cases():
+            yield None
+            raise RuntimeError("library check failed")
+
+        assert _run("raises", cases()) == CheckResult("raises", False, 2, "library check failed")
+
     def test_default_budget_case_counts(self):
         # The same pairs are pinned by the benchmark's golden selfcheck record.
         assert [(r.name, r.cases) for r in run_selfcheck(10)] == [
