@@ -103,10 +103,11 @@ class RatMatrix:
 # reproducible; the rank itself never depends on them.  They are this small
 # so that every packed slot is exactly 64 bits: a slot starts reduced, below
 # p, and each of a row's at most `full` updates adds (p - f) * y with f, y
-# < p, so no slot reaches (p - 1) + full * (p - 1)^2, which is below 2^64 for
-# up to MODULAR_MAX_PIVOTS = 1024 pivots and not for 1025.  The same bound
-# covers back substitution, a sum of at most cols - 1 products of residues
-# on a side with at most MODULAR_MAX_PIVOTS columns.  That covers every jet
+# < p, so no slot reaches (p - 1) + full * (p - 1)^2.  That is below 2^64
+# exactly when full <= (2^64 - p) // (p - 1)^2, and MODULAR_MAX_PIVOTS is
+# the least of these over the primes: 1024.  The same bound covers back
+# substitution, a sum of at most cols - 1 products of residues on a side
+# with at most MODULAR_MAX_PIVOTS columns.  That covers every jet
 # matrix within the cell cap (smaller side at most isqrt(50,000) = 223) and
 # the Halphen target at k = 10 (495 rows).  A matrix whose smaller side is
 # larger goes straight to Bareiss.
@@ -131,8 +132,7 @@ MODULAR_PRIMES = (
     2**27 - 235,
 )
 MODULAR_PRIME = MODULAR_PRIMES[0]
-MODULAR_MAX_PIVOTS = 1024
-assert all((p - 1) + MODULAR_MAX_PIVOTS * (p - 1) ** 2 < 2**64 for p in MODULAR_PRIMES)
+MODULAR_MAX_PIVOTS = min((2**64 - p) // (p - 1) ** 2 for p in MODULAR_PRIMES)
 assert array("Q").itemsize == 8, "packed slots need 64-bit unsigned array items"
 
 # min(rows, cols) * (largest entry bit length) above which `rank` tries the

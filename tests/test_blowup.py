@@ -265,6 +265,19 @@ class TestH0Blowup:
         points_2d,
     )
     @settings(max_examples=40)
+    # Integer points in special position (five on a line, seven on the parabola
+    # y = x^2), moved so that the images have different denominators: a jet
+    # build that scales each point by its own denominator loses the curve.
+    @example(
+        PointConfiguration.from_coordinates([(x, x) for x in range(5)]),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(1)),
+        (Fraction(1, 5), Fraction(-3, 7)),
+    )
+    @example(
+        PointConfiguration.from_coordinates([(x, x * x) for x in range(-3, 4)]),
+        (Fraction(2, 3), Fraction(0), Fraction(1, 2), Fraction(-1, 6)),
+        (Fraction(0), Fraction(5, 4)),
+    )
     def test_invariant_under_affine_substitution(self, config, linear, shift):
         a, b, c, d = linear
         e, f = shift

@@ -4,14 +4,13 @@ corrupted formula."""
 
 import dataclasses
 import gc
-import itertools
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pluricoh.blowup
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
 from pluricoh import exact_linalg
@@ -23,7 +22,6 @@ from pluricoh.selfcheck import (
     CheckResult,
     _run,
     count_sections_by_lattice_points,
-    naive_det,
     naive_rank,
     run_selfcheck,
 )
@@ -47,16 +45,6 @@ def fraction_rank(matrix):
             rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
-
-
-def leibniz_det(matrix):
-    """Determinant as the signed sum over permutations."""
-    n = matrix.rows
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * math.prod(matrix.row(i)[perm[i]] for i in range(n))
-    return total
 
 
 @st.composite
@@ -83,15 +71,6 @@ class TestOracles:
         assert naive_rank(RatMatrix.from_rows([[0, 1], [1, 0]])) == 2
         assert naive_rank(NEAR_SINGULAR_INT) == 2
 
-    def test_naive_det(self):
-        assert naive_det(RatMatrix(0, 0, ())) == 1
-        assert naive_det(RatMatrix.from_rows([[-5]])) == -5
-        assert naive_det(RatMatrix.from_rows([[1, 2], [3, 4]])) == -2
-        # The Vandermonde matrix of 0, 1, 2: the product of the differences is 1 * 2 * 1.
-        assert naive_det(RatMatrix.from_rows([[1, 0, 0], [1, 1, 1], [1, 2, 4]])) == 2
-        with pytest.raises(ValueError):
-            naive_det(RatMatrix.from_rows([[1, 2]]))
-
     @given(rank_inputs())
     @settings(max_examples=200)
     def test_naive_rank_matches_fraction_elimination_and_production(self, matrix):
@@ -99,24 +78,15 @@ class TestOracles:
         assert naive_rank(matrix) == expected
         assert exact_linalg.rank(matrix) == expected
 
-    @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)))
-    @settings(max_examples=60)
-    def test_naive_det_matches_leibniz(self, entries):
-        n = math.isqrt(len(entries))
-        matrix = RatMatrix(n, n, tuple(entries))
-        assert naive_det(matrix) == leibniz_det(matrix)
-
-    @pytest.mark.parametrize("name", ["jet_matrix", "naive_rank", "naive_det"])
+    @pytest.mark.parametrize("name", ["jet_matrix", "naive_rank"])
     def test_leaves_no_cyclic_garbage(self, name):
         # Cyclic garbage waits for the collector, and generation-2 collections
         # are rare, so every call that leaves some makes the heap grow.
         config = PointConfiguration(n=2, points=((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 3))))
         jet = jet_matrix(config, 2).matrix
-        vandermonde = RatMatrix.from_rows([[x**j for j in range(5)] for x in range(5)])
         call = {
             "jet_matrix": lambda: jet_matrix(config, 3),
             "naive_rank": lambda: naive_rank(jet),
-            "naive_det": lambda: naive_det(vandermonde),
         }[name]
         gc.collect()
         gc.disable()
@@ -201,6 +171,20 @@ class TestRunSelfcheck:
         results = {r.name: r for r in run_selfcheck(10)}
         assert results["production_rank_vs_naive_elimination"].passed
         assert set(outcomes) == {("full", 0), ("certified", 0)}
+
+    def test_a_sampler_failure_fails_only_the_jet_rows(self, capsys, monkeypatch):
+        # The jet corpus is built inside the suite, so a sampler out of
+        # attempts fails the two rows that read it and the other ten still run.
+        monkeypatch.setattr(pluricoh.blowup, "GENERIC_SAMPLE_ATTEMPTS", 0)
+        assert main(["selfcheck", "--budget", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line for line in lines if line.split()[1:2] in (["True"], ["False"])}
+        assert len(rows) == 12
+        failed = {name for name, line in rows.items() if line.split()[1] == "False"}
+        assert failed == {"jet_rank_production_vs_naive", "blowup_h1_2K_within_range"}
+        for name in failed:
+            assert rows[name].endswith("  1  no sample reached h0(-1K) = 5 within 0 attempts")
+
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
 
