@@ -107,6 +107,10 @@ class TestOracles:
         assert count_sections_by_lattice_points(0, 1) == 9
         assert count_sections_by_lattice_points(2, 1) == 9
 
+    def test_lattice_walk_is_one_at_k_zero_for_every_twist(self):
+        # At k = 0 the walk visits only (i, d) = (0, 0), whatever the twist.
+        assert [count_sections_by_lattice_points(m, 0) for m in range(40)] == [1] * 40
+
 
 class TestRunSelfcheck:
     @pytest.mark.parametrize("budget", [1, 2, 3])
@@ -184,6 +188,21 @@ class TestRunSelfcheck:
         assert failed == {"jet_rank_production_vs_naive", "blowup_h1_2K_within_range"}
         for name in failed:
             assert rows[name].endswith("  1  no sample reached h0(-1K) = 5 within 0 attempts")
+
+    def test_the_jet_corpus_is_built_once_per_run(self, monkeypatch):
+        # Both jet rows read one corpus of seven configurations.
+        calls = []
+        original = pluricoh.blowup.generate_configuration
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pluricoh.blowup, "generate_configuration", counting)
+        results = {r.name: r for r in run_selfcheck(budget=1)}
+        assert results["jet_rank_production_vs_naive"].passed
+        assert results["blowup_h1_2K_within_range"].passed
+        assert len(calls) == 7
 
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
