@@ -31,7 +31,6 @@ from .hirzebruch import (
     FormulaEvaluation,
     HirzebruchSurface,
     RegimeError,
-    SectionBasisDescription,
     dim_enumerated,
     dim_formula,
     h1_pluricanonical_formula,
@@ -58,7 +57,6 @@ __all__ = [
     "RatMatrix",
     "RegimeError",
     "SamplingBudgetError",
-    "SectionBasisDescription",
     "SurfaceInvariants",
     "achievable_dims",
     "blowup_row",

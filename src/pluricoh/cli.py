@@ -189,10 +189,11 @@ def cmd_hirzebruch(args: argparse.Namespace) -> OutputRecord:
 
     if args.basis:
         basis = section_basis(surface, args.k)
-        record.put("section_basis", [[i, bound] for i, bound in basis.terms], PROV_ENUMERATION)
-        record.put("section_basis_dimension", basis.dimension, PROV_ENUMERATION)
-        if basis.dimension != enum:
-            record.failures.append(f"basis dimension {basis.dimension} != enumeration {enum}")
+        dimension = sum(bound + 1 for _, bound in basis)
+        record.put("section_basis", [[i, bound] for i, bound in basis], PROV_ENUMERATION)
+        record.put("section_basis_dimension", dimension, PROV_ENUMERATION)
+        if dimension != enum:
+            record.failures.append(f"basis dimension {dimension} != enumeration {enum}")
     return record
 
 

@@ -194,7 +194,7 @@ def rank(matrix: RatMatrix) -> int:
         else:
             side = [entries[j :: matrix.cols] for j in range(matrix.cols)]
             basis, first = [side[j] for j in columns], None
-        if _kernel_certificate(side, basis, full, first) is not None:
+        if _kernel_certificate(side, basis, first) is not None:
             return found
     return _bareiss_rank([list(matrix.row(i)) for i in range(matrix.rows)], matrix.cols)
 
@@ -288,7 +288,7 @@ def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int)
 
 
 def _kernel_certificate(
-    rows: list[Sequence[int]], basis: list[Sequence[int]], cols: int, first: tuple[list[int], ...] | None
+    rows: list[Sequence[int]], basis: list[Sequence[int]], first: tuple[list[int], ...] | None
 ) -> list[list[int]] | None:
     """cols - r integer vectors that prove the rows have rank <= r, or None.
 
@@ -303,8 +303,9 @@ def _kernel_certificate(
     accepts them for all the rows.  The basis has rank at least r over the
     rationals, so if the rows have rank r its kernel is theirs.  None means
     no proof: a later prime found other pivot columns, or the primes ran
-    out.
+    out.  `rows` must not be empty; cols is the length of its rows.
     """
+    cols = len(rows[0])
     pivots, _, tails = first or _eliminate_mod_p(chain.from_iterable(basis), cols, MODULAR_PRIME)
     free = sorted(set(range(cols)) - set(pivots))
     values = [0] * (len(pivots) * len(free))

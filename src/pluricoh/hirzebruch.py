@@ -44,31 +44,18 @@ class HirzebruchSurface:
             raise ValueError("twist m must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SectionBasisDescription:
-    """Basis of anticanonical-power sections, one term per fiber power.
-
-    Each term pairs a fiber-coordinate power i with the degree bound of its
-    base-coordinate coefficient; the second-chart coefficient is determined
-    by the first, so the pair list fully describes a basis of dimension
-    sum(bound + 1).
-    """
-
-    k: int
-    terms: tuple[tuple[int, int], ...]
-
-    @property
-    def dimension(self) -> int:
-        return sum(bound + 1 for _, bound in self.terms)
-
-
 class FormulaEvaluation(NamedTuple):
     value: int
     in_regime: bool
 
 
-def section_basis(surface: HirzebruchSurface, k: int) -> SectionBasisDescription:
-    """List the (fiber power, coefficient degree bound) pairs with bound >= 0.
+def section_basis(surface: HirzebruchSurface, k: int) -> tuple[tuple[int, int], ...]:
+    """The (fiber power, coefficient degree bound) pairs with bound >= 0.
+
+    One pair per fiber-coordinate power i whose coefficient a_i survives:
+    i and the degree bound of a_i, a polynomial in the base coordinate.  The
+    second-chart coefficient is determined by the first, so the pairs
+    describe a basis of dimension sum(bound + 1) over the pairs.
 
     Requires m >= 1 (the m = 0 product surface is counted by
     ``dim_enumerated`` only) and k >= 1 (the k = 0 bundle is trivial, with
@@ -83,7 +70,7 @@ def section_basis(surface: HirzebruchSurface, k: int) -> SectionBasisDescription
         bound = 2 * k + (i - k) * surface.m
         if bound >= 0:
             terms.append((i, bound))
-    return SectionBasisDescription(k=k, terms=tuple(terms))
+    return tuple(terms)
 
 
 def dim_enumerated(surface: HirzebruchSurface, k: int) -> int:

@@ -76,6 +76,18 @@ class TestPointConfiguration:
     def test_empty_configuration_allowed(self):
         assert PointConfiguration(n=2, points=()).v == 0
 
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(ValueError, match="ambient dimension n must be positive"):
+            PointConfiguration(n=0, points=())
+
+    def test_int_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="coordinates must be Fractions"):
+            PointConfiguration(n=2, points=((1, 2),))
+
+    def test_from_coordinates_needs_a_point(self):
+        with pytest.raises(ValueError, match="empty point list"):
+            PointConfiguration.from_coordinates([])
+
     def test_from_coordinates_parses_rationals(self):
         config = PointConfiguration.from_coordinates([(0, 0), ("1/2", 3)])
         assert config.points == ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(3)))

@@ -219,6 +219,11 @@ class TestBlowupCommand:
         assert out == ""
         assert "not allowed with argument" in err
 
+    def test_nonpositive_k_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "blowup", "--generate", "generic", "--v", "5", "--k", "0")
+        _assert_usage_error(code, out, err)
+        assert "--k" in err
+
     def test_v_with_a_point_file_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "blowup", "--points", str(DATA / "plane_points.txt"), "--v", "99")
         assert (code, out) == (2, "")
@@ -519,6 +524,11 @@ class TestSelfcheckCommand:
         assert code == 0
         assert budgets == [SELFCHECK_MAX_BUDGET]
         assert record["parameters"]["budget"] == SELFCHECK_MAX_BUDGET
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "selfcheck", "--budget", "-1")
+        _assert_usage_error(code, out, err)
+        assert "--budget" in err
 
     def test_budget_above_cap_names_the_size(self, capsys):
         budget = SELFCHECK_MAX_BUDGET + 1

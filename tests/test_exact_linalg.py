@@ -410,9 +410,9 @@ class TestModularRoute:
         monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
         certificates = _spy(monkeypatch, "_kernel_certificate")
         assert rank(m) == min(rows, cols) - 1 == naive_rank(m)
-        [(side, basis, width, _)] = certificates
-        assert (len(side), len(basis), width) == (max(rows, cols), min(rows, cols) - 1, min(rows, cols))
-        assert all(len(row) == width for row in side + basis)
+        [(side, basis, _)] = certificates
+        assert (len(side), len(basis)) == (max(rows, cols), min(rows, cols) - 1)
+        assert all(len(row) == min(rows, cols) for row in side + basis)
 
     @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
     def test_uncertifiable_deficient_matrix_falls_back_to_bareiss_once(self, wide, monkeypatch):
@@ -506,7 +506,7 @@ class TestCertificateFaults:
 
     def test_true_certificate_clears_both_denominators(self):
         m = self._sixths_matrix()
-        [vector] = exact_linalg._kernel_certificate(_rows(m), _rows(m), m.cols, None)
+        [vector] = exact_linalg._kernel_certificate(_rows(m), _rows(m), None)
         assert vector == [-3, -2, 0, 0, 0, 0, 0, 0, 0, 6]
         assert rank(m) == 9
 
@@ -549,6 +549,14 @@ class TestCertificateFaults:
         self._assert_rejected_then_bareiss(monkeypatch, m, lambda vectors: [list(v) for v in bogus])
         assert rank(m) == 2
 
+    @pytest.mark.parametrize("short", ["one vector too few", "one entry short"])
+    def test_misshapen_candidates_are_rejected_without_raising(self, short):
+        m = self._sixths_matrix()
+        vector = [-3, -2, 0, 0, 0, 0, 0, 0, 0, 6]
+        assert exact_linalg._proves_kernel(_rows(m), [vector], [9])
+        vectors = [] if short == "one vector too few" else [vector[:-1]]
+        assert exact_linalg._proves_kernel(_rows(m), vectors, [9]) is False
+
     def test_candidate_without_its_free_column_is_rejected(self, monkeypatch):
         # The zero vector annihilates everything but proves nothing.
         def zero(vectors):
@@ -585,7 +593,7 @@ class TestHalphenSections:
         config = PointConfiguration.from_coordinates([(x, y) for x in range(3) for y in range(3)])
         jets = jet_matrix(config, k)
         m = jets.matrix
-        vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), m.cols, None)
+        vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), None)
         assert vectors is not None and len(vectors) == k + 1
         assert rank(m) == m.cols - (k + 1)
         products = [self._product_vector(_graded_exponents(2, 3 * k), a, k) for a in range(k + 1)]

@@ -24,7 +24,6 @@ import pytest
 import pluricoh.cli
 from pluricoh.hirzebruch import (
     FormulaEvaluation,
-    SectionBasisDescription,
     dim_formula,
     h1_pluricanonical_formula,
     section_basis,
@@ -41,8 +40,7 @@ def _formula_off_by_one(surface, k):
 
 
 def _basis_without_last_term(surface, k):
-    basis = section_basis(surface, k)
-    return SectionBasisDescription(basis.k, basis.terms[:-1])
+    return section_basis(surface, k)[:-1]
 
 
 def _selfcheck_with_two_failures(budget, seed=0):

@@ -26,21 +26,25 @@ def test_negative_twist_rejected():
         HirzebruchSurface(-1)
 
 
+def _dimension(basis):
+    return sum(bound + 1 for _, bound in basis)
+
+
 class TestSectionBasis:
     def test_twist_four_drops_low_fiber_powers(self):
         basis = section_basis(HirzebruchSurface(4), 1)
-        assert basis.terms == ((1, 2), (2, 6))
-        assert basis.dimension == 10
+        assert basis == ((1, 2), (2, 6))
+        assert _dimension(basis) == 10
 
     def test_twist_two_keeps_all_fiber_powers(self):
         basis = section_basis(HirzebruchSurface(2), 1)
-        assert basis.terms == ((0, 0), (1, 2), (2, 4))
-        assert basis.dimension == 9
+        assert basis == ((0, 0), (1, 2), (2, 4))
+        assert _dimension(basis) == 9
 
     def test_twist_one(self):
         basis = section_basis(HirzebruchSurface(1), 1)
-        assert basis.terms == ((0, 1), (1, 2), (2, 3))
-        assert basis.dimension == 9
+        assert basis == ((0, 1), (1, 2), (2, 3))
+        assert _dimension(basis) == 9
 
     def test_trivial_power_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +58,7 @@ class TestSectionBasis:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dimension_matches_enumeration(self, m, k):
         surface = HirzebruchSurface(m)
-        assert section_basis(surface, k).dimension == dim_enumerated(surface, k)
+        assert _dimension(section_basis(surface, k)) == dim_enumerated(surface, k)
 
 
 class TestDimEnumerated:
