@@ -9,14 +9,34 @@ the monomial basis, so each dimension is
     h0 = (number of monomials) - rank(condition matrix)
 
 with each point's rows scaled by a power of its coordinate denominator,
-which clears every fraction and changes no rank.  The module also ships
-deterministic configuration generators (generic, collinear, on a conic)
-and a sweep that certifies, point replacement by point replacement, every
-dimension achievable for a given number of points.
+which clears every fraction and changes no rank.
+
+A projective change of coordinates keeps h0, and at the coordinate points
+e_0, ..., e_n the conditions are monomial: a form of degree (n+1)k vanishes
+to order (n-1)k at e_i exactly when each of its monomials has exponent at
+most 2k in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
+and the points span P^n, ``h0_blowup`` sends n + 1 of them to the
+coordinate points by the adjugate of the matrix of their lifts (d, d*x),
+and ranks the rows of the other v - n - 1 images against the polytope of
+exponents beta with (n-1)k <= |beta| <= (n+1)k and every beta_i <= 2k
+(in the plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points):
+
+    h0 = (number of polytope points) - rank(rows of the images)
+
+With v <= n + 1 independent points no condition is left to rank, and h0 is
+the lattice count with caps on v coordinates only.  Plane k = 1 (plain
+evaluation, whose moved entries would be three times as long), points on
+one hyperplane, and configurations the bounded search finds no normalizing
+points for keep the matrix on all monomials.
+
+The module also ships deterministic configuration generators (generic,
+collinear, on a conic) and a sweep that certifies, point replacement by
+point replacement, every dimension achievable for a given number of points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -31,6 +51,13 @@ from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invari
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
 SWEEP_STEP_ATTEMPTS = 32
+# Steps (a tuple of points tried, or one point's image computed) per point
+# that the search for normalizing points may take before `h0_blowup` falls
+# back to the matrix on all monomials.  A generic configuration takes about
+# one per point; points whose first independent tuple comes late, or that
+# have no normalizing tuple at all (three points on each of two skew lines
+# of P^3), would otherwise make the search cost C(v, n + 1) tuples.
+NORMALIZE_SEARCH_STEPS_PER_POINT = 4
 
 # A point-file coordinate, checked before Fraction(), which also takes decimals,
 # exponents, underscores and non-ASCII digits: L characters give at most L digits.
@@ -91,9 +118,11 @@ class JetConditionMatrix:
     """Derivative-vanishing conditions (rows) against monomials (columns).
 
     Row order: points in configuration order, then derivative multi-indices
-    in graded order.  Column order: monomial exponents in graded order with
-    the first variable largest, as `_graded_exponents(n, (n+1)k)` lists
-    them.  Entries are integers: the row of a point with coordinate
+    in graded order.  Column order: the exponents `jet_matrix` was given, by
+    default every monomial exponent in graded order with the first variable
+    largest, as `_graded_exponents(n, (n+1)k)` lists them; `h0_blowup`
+    passes the polytope's exponents, a subsequence of that order, for moved
+    points.  Entries are integers: the row of a point with coordinate
     denominators of lcm d and of multi-index alpha holds the true
     derivatives, falling-factorial factors included, times
     d^((n+1)k - |alpha|).  Scaling rows changes no rank, and integer points
@@ -135,21 +164,30 @@ def monomial_count(n: int, k: int) -> int:
     return math.comb((n + 1) * k + n, n)
 
 
-def jet_shape(n: int, v: int, k: int) -> tuple[int, int]:
+def jet_shape(
+    n: int, v: int, k: int, exponents: Sequence[tuple[int, ...]] | None = None
+) -> tuple[int, int]:
     """(rows, cols) of the jet matrix of v points in dimension n at power k.
 
     One row per point and multi-index alpha of order |alpha| < (n-1)k, one
-    column per monomial of degree at most (n+1)k.  This is the one closed
-    form of the shape: `jet_matrix` builds to it, the generic sampler
-    targets full rank from it, and the CLI caps the cell count with it.
+    column per exponent in `exponents`, by default per monomial of degree
+    at most (n+1)k.  This is the one closed form of the shape: `jet_matrix`
+    builds to it, the generic sampler targets full rank from it, and the
+    CLI caps the cell count with the default shape.
     """
     cols = monomial_count(n, k)  # first, so k < 1 is refused before comb sees it
+    if exponents is not None:
+        cols = len(exponents)
     return v * math.comb((n - 1) * k - 1 + n, n), cols
 
 
-def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
+def jet_matrix(
+    config: PointConfiguration, k: int, exponents: Sequence[tuple[int, ...]] | None = None
+) -> JetConditionMatrix:
     """Build the matrix of vanishing conditions defining h0 of power k.
 
+    The columns are the monomials x^beta for beta in `exponents`, each of
+    total degree at most (n+1)k; by default all of them, in graded order.
     Shaped as ``jet_shape`` says; integer entries, scaled as described on
     ``JetConditionMatrix``, with no Fraction formed.  For n = 2, k = 1 the
     conditions degenerate to plain evaluation, mapping each integer point
@@ -167,16 +205,16 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     if config.n < 2:
         raise ValueError("blow-ups require n >= 2; n = 1 imposes no vanishing conditions")
     n = config.n
-    rows, cols = jet_shape(n, config.v, k)
+    rows, cols = jet_shape(n, config.v, k, exponents)
     top = (n + 1) * k
     order = (n - 1) * k - 1
-    monomials = _graded_exponents(n, top)
+    monomials = _graded_exponents(n, top) if exponents is None else exponents
     alphas = _graded_exponents(n, order)
     # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= order and a <= b <= top.
     falling = [[math.perm(b, a) for b in range(a, top + 1)] for a in range(1, order + 1)]
     # Per monomial: the power of the lifted x0 it carries, and each variable's exponent.
     homogenizing = [top - sum(beta) for beta in monomials]
-    exponents = list(zip(*monomials))
+    by_variable = list(zip(*monomials))
     # Tree levels 2..n: the distinct alpha prefixes of each length; the last is the alphas, in row order.
     levels = [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)]
     entries: list[int] = []
@@ -184,7 +222,7 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
         # The point lifted to (d, d*x), integral: d^(top - |alpha|) times the true derivatives.
         d = math.lcm(*(c.denominator for c in point))
         gathered = []
-        for c, column_exponents in zip(point, exponents):
+        for c, column_exponents in zip(point, by_variable):
             q = _powers(c.numerator * (d // c.denominator), top)  # q[b] = (d*x)^b
             # Per order a: perm(b, a) q[b - a], the a-th derivative of x^b at d*x, 0 for b < a; order 0 is q.
             tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(falling, start=1)]
@@ -202,9 +240,153 @@ def jet_matrix(config: PointConfiguration, k: int) -> JetConditionMatrix:
     return JetConditionMatrix(matrix=matrix)
 
 
+def _lift(point: Sequence[Fraction]) -> tuple[int, ...]:
+    """The point as the integer vector (d, d*x), d the lcm of its coordinate denominators.
+
+    `jet_matrix` lifts the same way inline: a call per point there added
+    about 7% to a plane k = 1 build.
+    """
+    d = math.lcm(*(c.denominator for c in point))
+    return (d, *[c.numerator * (d // c.denominator) for c in point])
+
+
+def _polytope(n: int, k: int) -> list[tuple[int, ...]]:
+    """The exponents beta with (n-1)k <= |beta| <= (n+1)k and every beta_i <= 2k, in graded order.
+
+    They are the monomials of degree at most (n+1)k whose form of degree
+    (n+1)k has exponent at most 2k in every variable x_0, ..., x_n, that
+    is, vanishes to order (n-1)k at each of the n + 1 coordinate points.
+    """
+    low, cap = (n - 1) * k, 2 * k
+    return [beta for beta in _graded_exponents(n, (n + 1) * k) if sum(beta) >= low and max(beta) <= cap]
+
+
+def _capped_count(n: int, k: int, capped: int) -> int:
+    """Exponents of forms of degree (n+1)k in x_0, ..., x_n with the first `capped` at most 2k.
+
+    This is h0 for `capped` <= n + 1 independent points sent to as many
+    coordinate points.  Inclusion-exclusion over the capped variables whose
+    exponent exceeds 2k: removing 2k + 1 from each of j of them leaves
+    C((n+1)k - j(2k+1) + n, n) forms.
+    """
+    top = (n + 1) * k
+    return sum(
+        (-1) ** j * math.comb(capped, j) * math.comb(top - j * (2 * k + 1) + n, n)
+        for j in range(capped + 1)
+        if j * (2 * k + 1) <= top
+    )
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by Laplace expansion along its first row.
+
+    Its sizes here are n, at most 5 within the CLI's dimension cap, where
+    the expansion is cheaper than elimination.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    rest = rows[1:]
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in rest]) for j, x in enumerate(rows[0]) if x)
+
+
+def _cofactor_row(columns: Sequence[Sequence[int]], i: int) -> list[int]:
+    """Row i of adj(M) for the matrix M with these columns.
+
+    Its product with a vector Q is det(M with column i replaced by Q), so it
+    vanishes on the hyperplane through the other columns; entry j is the
+    cofactor of M at (j, i).  A list of columns read as rows is M's
+    transpose, which has the same minors.
+    """
+    others = [*columns[:i], *columns[i + 1 :]]
+    return [(-1) ** (i + j) * _det([column[:j] + column[j + 1 :] for column in others]) for j in range(len(columns))]
+
+
+def _lift_rank(lifts: Sequence[Sequence[int]], cap: int) -> int:
+    """min(rank of the lifts, cap), by fraction-free elimination that stops once it reaches `cap`.
+
+    Each lift is reduced against the rows kept so far, each with its own
+    pivot column; a nonzero remainder is kept.  One pass, so O(v) for v lifts.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    for lift in lifts:
+        row = list(lift)
+        for c, pivot_row in kept:
+            if row[c]:
+                a, b = pivot_row[c], row[c]
+                row = [a * x - b * y for x, y in zip(row, pivot_row)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is not None:
+            kept.append((c, row))
+            if len(kept) == cap:
+                break
+    return len(kept)
+
+
+def _coordinate_images(lifts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]] | None:
+    """The other lifts moved so that n + 1 chosen points become e_0, ..., e_n, or None.
+
+    Tuples of n + 1 points are tried in lexicographic order, and for each
+    tuple with independent lifts every member in order as the origin, the
+    point sent to e_0.  The first (tuple, origin) accepted is the one whose
+    hyperplane through the other n chosen points holds no other point.  For
+    the matrix M whose columns are the chosen lifts, row i of adj(M) maps Q
+    to det(M with column i replaced by Q), so adj(M) sends the chosen lifts
+    to det(M) e_i and every other lift Q to the integer vector adj(M) Q,
+    nonzero at the origin's coordinate i exactly when Q is off that
+    hyperplane.  The images come back with coordinate i first.
+
+    The search starts no tuple after NORMALIZE_SEARCH_STEPS_PER_POINT steps
+    per point, a step being one tuple tried or one image computed; None
+    means no (tuple, origin) passed within them.
+    """
+    budget = NORMALIZE_SEARCH_STEPS_PER_POINT * len(lifts)
+    for chosen in itertools.combinations(range(len(lifts)), n + 1):
+        if budget <= 0:
+            return None
+        budget -= 1
+        columns = [lifts[c] for c in chosen]
+        first = _cofactor_row(columns, 0)
+        if not sum(map(mul, first, columns[0])):  # det(M), expanded along its first column
+            continue
+        adjugate = [first] + [_cofactor_row(columns, i) for i in range(1, n + 1)]
+        origins = range(n + 1)
+        images = []
+        for q in (q for index, q in enumerate(lifts) if index not in chosen):
+            budget -= 1
+            image = [sum(map(mul, row, q)) for row in adjugate]
+            origins = [i for i in origins if image[i]]
+            if not origins:
+                break
+            images.append(image)
+        else:
+            i = origins[0]
+            return [(image[i], *image[:i], *image[i + 1 :]) for image in images]
+    return None
+
+
 def h0_blowup(config: PointConfiguration, k: int) -> int:
-    """dim H^0 of the k-th anticanonical power on the blow-up at the points."""
-    return monomial_count(config.n, k) - rank(jet_matrix(config, k).matrix)
+    """dim H^0 of the k-th anticanonical power on the blow-up at the points.
+
+    When the conditions include a derivative ((n-1)k >= 2), points that span
+    P^n are first moved so that n + 1 of them sit at the coordinate points,
+    and only the other points' rows are ranked, against the polytope's
+    columns; v <= n + 1 independent points need no rank at all (see the
+    module docstring).  Every other input ranks the matrix on all monomials.
+    Either way one jet matrix is built and ranked, or none.
+    """
+    n = config.n
+    if (n - 1) * k >= 2:
+        lifts = [_lift(point) for point in config.points]
+        spanned = _lift_rank(lifts, n + 1)
+        if spanned == len(lifts):
+            return _capped_count(n, k, spanned)
+        images = _coordinate_images(lifts, n) if spanned == n + 1 else None
+        if images is not None:
+            moved = PointConfiguration(n, tuple([tuple([Fraction(x, y[0]) for x in y[1:]]) for y in images]))
+            columns = _polytope(n, k)
+            # Positional, as every call of jet_matrix, so wrappers that take *args see it.
+            return len(columns) - rank(jet_matrix(moved, k, columns).matrix)
+    return monomial_count(n, k) - rank(jet_matrix(config, k).matrix)
 
 
 def _rng(seed: int, *indices: int) -> random.Random:
@@ -253,7 +435,10 @@ def generate_configuration(
     generic    v points with integer coordinates drawn deterministically
                from `seed`, resampled until the jet matrix of power k has
                full rank, i.e. h0(-kK) = max(cols - rows, 0) for the
-               (rows, cols) of `jet_shape(2, v, k)`.
+               (rows, cols) of `jet_shape(2, v, k)`.  At k >= 2 and v >= 4,
+               `h0_blowup` ranks the polytope's matrix of the v - 3 moved
+               points instead, and the target is the same number as that
+               matrix's full-rank value, |P| - (v - 3) C(k+1, 2).
                That is the least h0 any v points can have, so genericity is
                certified at the power used by that exact rank, never assumed.
                Full rank is reachable at every k: v <= 8 general points give

@@ -19,7 +19,11 @@ from pluricoh.blowup import (
     SWEEP_STEP_ATTEMPTS,
     PointFileError,
     SamplingBudgetError,
+    _capped_count,
+    _coordinate_images,
     _graded_exponents,
+    _lift,
+    _polytope,
     achievable_dims,
     blowup_row,
     generate_configuration,
@@ -340,6 +344,117 @@ class TestSpaceBlowups:
         config = PointConfiguration.from_coordinates([(1, 2, 3), (4, 5, 6)])
         assert h0_blowup(config, 1) == 27
         assert h0_blowup(config, 1) == 35 - naive_rank(jet_matrix(config, 1).matrix)
+
+
+def _full_matrix_h0(config: PointConfiguration, k: int) -> int:
+    """h0 from the rank of the matrix on all monomials, with no point moved."""
+    return monomial_count(config.n, k) - rank(jet_matrix(config, k).matrix)
+
+
+@st.composite
+def drawn_configurations(draw):
+    """(config, k): generic, collinear, curve or small-grid points of P^2 or P^3, integer or rational.
+
+    The curve is (t, t^2, ..., t^n), a conic in the plane.  P^3 stops at
+    k = 2, where its full matrix still ranks in milliseconds.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 3 if n == 2 else 2))
+    v = draw(st.integers(1, n + 3))
+    kind = draw(st.sampled_from(["generic", "collinear", "curve", "grid"]))
+    scalar = coords if draw(st.booleans()) else st.integers(-20, 20).map(Fraction)
+    if kind == "generic":
+        points = draw(st.lists(st.tuples(*[scalar] * n), unique=True, min_size=v, max_size=v))
+    elif kind == "grid":
+        q = draw(st.sampled_from([1, 2, 3]))
+        cells = st.tuples(*[st.integers(0, 2).map(lambda x: Fraction(x, q))] * n)
+        points = draw(st.lists(cells, unique=True, min_size=v, max_size=v))
+    else:
+        ts = draw(st.lists(scalar, unique=True, min_size=v, max_size=v))
+        if kind == "curve":
+            points = [tuple(t**e for e in range(1, n + 1)) for t in ts]
+        else:
+            base = draw(st.tuples(*[scalar] * n))
+            direction = draw(st.tuples(*[scalar] * n).filter(any))
+            points = [tuple(b + t * d for b, d in zip(base, direction)) for t in ts]
+    return PointConfiguration(n=n, points=tuple(points)), k
+
+
+class TestNormalizedH0:
+    """n + 1 points sent to the coordinate points, the rest ranked on the polytope's columns."""
+
+    @given(drawn_configurations())
+    # The first triple fails with (0, 0) as the origin and passes with (1, 0).
+    @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)]), 3))
+    @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1), (5, 7)]), 3))
+    # Three independent points: the count path, no matrix.
+    @example((PointConfiguration.from_coordinates([(1, 1, 1), (2, 4, 8), (3, 9, 27)]), 2))
+    # Three points on each of two skew lines: no (tuple, origin) passes.
+    @example((PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)]), 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_full_matrix_rank(self, case):
+        config, k = case
+        assert h0_blowup(config, k) == _full_matrix_h0(config, k)
+
+    @pytest.mark.parametrize(
+        "coordinates, k, h0",
+        [
+            ([(0, 0), (1, 0), (0, 1), (2, -1)], 3, 31),
+            ([(0, 0), (1, 0), (0, 1), (2, -1), (5, 7)], 3, 25),
+            ([(1, 1, 1), (2, 4, 8), (3, 9, 27)], 2, 105),
+        ],
+    )
+    def test_pinned_values(self, coordinates, k, h0):
+        config = PointConfiguration.from_coordinates(coordinates)
+        assert h0_blowup(config, k) == _full_matrix_h0(config, k) == h0
+
+    def test_search_tries_each_origin_of_a_triple(self):
+        # (2, -1) lies on x + y = 1 through (1, 0) and (0, 1), so (0, 0) cannot
+        # be the origin; with (1, 0) as the origin its image is adj(M) (1, 2, -1)
+        # = (0, 2, -1), the origin's coordinate 2 first.
+        lifts = [_lift(p) for p in PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)]).points]
+        assert _coordinate_images(lifts, 2) == [(2, 0, -1)]
+
+    def test_count_path_builds_no_matrix(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("built a jet matrix for independent points")
+
+        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", forbidden)
+        config = PointConfiguration.from_coordinates([(1, 1, 1), (2, 4, 8), (3, 9, 27)])
+        assert h0_blowup(config, 2) == 105
+        assert h0_blowup(PointConfiguration(n=2, points=()), 2) == monomial_count(2, 2)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_polytope_is_the_hexagon_in_graded_order(self, k):
+        columns = _polytope(2, k)
+        assert len(columns) == math.comb(3 * k + 2, 2) - 3 * math.comb(k + 1, 2) == _capped_count(2, k, 3)
+        kept = set(columns)
+        assert columns == [beta for beta in _graded_exponents(2, 3 * k) if beta in kept]
+        assert jet_shape(2, 4, k, columns) == (4 * math.comb(k + 1, 2), len(columns))
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
+    def test_space_polytope_is_the_capped_count(self, n, k):
+        assert len(_polytope(n, k)) == _capped_count(n, k, n + 1)
+
+    def test_two_skew_lines_have_no_normalizing_tuple(self):
+        # Any independent four takes two points of each line, and the plane
+        # through three of them holds a whole line, so a sixth point.
+        config = PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)])
+        assert _coordinate_images([_lift(p) for p in config.points], 3) is None
+
+    def test_search_budget_falls_back_to_all_monomials(self, monkeypatch):
+        builds = []
+        original = pluricoh.blowup.jet_matrix
+
+        def recording(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+        monkeypatch.setattr(pluricoh.blowup, "NORMALIZE_SEARCH_STEPS_PER_POINT", 0)
+        config = PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)])
+        assert h0_blowup(config, 3) == 31
+        assert builds == [(config, 3)]
 
 
 class TestGenerateConfiguration:

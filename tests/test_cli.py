@@ -15,7 +15,7 @@ import pluricoh.cli
 import pluricoh.exact_linalg
 import pluricoh.family
 import pluricoh.hirzebruch
-from pluricoh.blowup import generate_configuration
+from pluricoh.blowup import generate_configuration, jet_shape
 from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, JET_MAX_DIMENSION, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import run_selfcheck
@@ -345,6 +345,50 @@ class TestEachMatrixBuiltOnce:
         code, _, _ = run_cli(capsys, "family", "--blowup", "--special", "collinear", "--v", "5")
         assert code == 0
         assert len(builds) == len(ranks) == attempts + 1
+
+
+class TestNormalizationScope:
+    """Which inputs move n + 1 points to the coordinate points before the one build and rank."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        builds = _record_calls(monkeypatch, pluricoh.blowup.jet_matrix)
+        return builds, _record_calls(monkeypatch, pluricoh.exact_linalg.rank)
+
+    @pytest.mark.parametrize(
+        "argv, n, v, k",
+        [
+            # Plane k = 1: plain evaluation, never moved.
+            (["--generate", "on_conic", "--v", "6", "--k", "1"], 2, 6, 1),
+            (["--generate", "generic", "--v", "4", "--k", "1", "--seed", "3"], 2, 4, 1),
+            (["--points", str(DATA / "plane_points.txt"), "--k", "1"], 2, 6, 1),
+            # Points on one line span no more than a hyperplane.
+            (["--generate", "collinear", "--v", "5", "--k", "3"], 2, 5, 3),
+            (["--generate", "collinear", "--v", "3", "--k", "2"], 2, 3, 2),
+        ],
+    )
+    def test_builds_the_default_columns(self, capsys, spies, argv, n, v, k):
+        builds, ranks = spies
+        code, _, _ = run_cli(capsys, "blowup", *argv)
+        assert code == 0
+        assert len(builds) == len(ranks) == 1
+        (config, built_k), (matrix,) = builds[0], ranks[0]
+        assert (config.n, config.v, built_k) == (n, v, k)
+        assert (matrix.rows, matrix.cols) == jet_shape(n, v, k)
+
+    def test_conic_file_at_k_3_ranks_the_polytope_once(self, capsys, spies, tmp_path):
+        builds, ranks = spies
+        path = tmp_path / "conic.txt"
+        path.write_text("".join(f"{t} {t * t}\n" for t in range(1, 8)))
+        code, record = run_json(capsys, "blowup", "--points", str(path), "--k", "3")
+        assert code == 0
+        ((moved, k, columns),) = builds
+        ((matrix,),) = ranks
+        assert (moved.v, k, columns) == (4, 3, pluricoh.blowup._polytope(2, 3))
+        assert (matrix.rows, matrix.cols) == jet_shape(2, 4, 3, columns) == (24, 37)
+        # Bezout peeling: the conic is a fixed component once, leaving degree 7 with multiplicity 2.
+        assert record["results"]["h0_minus_kK"] == 15
+        assert record["results"]["jet_rank"] == record["results"]["monomial_count"] - 15
 
 
 class TestFamilyCommand:

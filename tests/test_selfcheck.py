@@ -14,7 +14,7 @@ import pluricoh.blowup
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
 from pluricoh import exact_linalg
-from pluricoh.blowup import PointConfiguration, jet_matrix
+from pluricoh.blowup import PointConfiguration, _graded_exponents, _polytope, jet_matrix
 from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
@@ -25,6 +25,8 @@ from pluricoh.selfcheck import (
     naive_rank,
     run_selfcheck,
 )
+from test_golden_cli import ENTRIES as GOLDEN_ENTRIES
+from test_golden_cli import _run as golden_run
 
 
 # Integer entries with determinant -1: float elimination would call it singular.
@@ -129,6 +131,13 @@ class TestRunSelfcheck:
             raise RuntimeError("library check failed")
 
         assert _run("raises", cases()) == CheckResult("raises", False, 2, "library check failed")
+
+    def test_a_refused_count_is_its_counterexample(self):
+        def cases():
+            raise ValueError("h1(3K) evaluated to -1 < 0")
+            yield None
+
+        assert _run("refused", cases()) == CheckResult("refused", False, 1, "h1(3K) evaluated to -1 < 0")
 
     def test_default_budget_case_counts(self):
         # The same pairs are pinned by the benchmark's golden selfcheck record.
@@ -248,6 +257,29 @@ class TestRunSelfcheck:
         assert failed[0].cases == 17
         assert failed[0].counterexample.startswith("v=3: Noether's formula fails")
         assert main(["selfcheck", "--budget", "1"]) == 1
+
+    @pytest.mark.parametrize("fault", ["one column dropped", "caps of 2k + 1"])
+    def test_detects_a_wrong_polytope(self, monkeypatch, fault):
+        # Fault injection: the normalized route ranks the polytope's columns,
+        # while the naive oracle and the golden corpus saw the matrix on all
+        # monomials, so a wrong polytope must fail both.
+        def polytope(n, k):
+            if fault == "one column dropped":
+                return _polytope(n, k)[1:]
+            low, cap = (n - 1) * k - 1, 2 * k + 1
+            return [beta for beta in _graded_exponents(n, (n + 1) * k) if sum(beta) >= low and max(beta) <= cap]
+
+        monkeypatch.setattr(pluricoh.blowup, "_polytope", polytope)
+        # The corpus's conic-6-k2, the one it normalizes: naive elimination of
+        # the unnormalized matrix disagrees with the faulty count.
+        config = PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)])
+        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(config, 2).matrix)
+        # A dropped column takes h0 below what Riemann-Roch allows, which fails
+        # the corpus build and with it both jet rows.
+        results = {r.name: r for r in run_selfcheck(budget=10)}
+        assert not results["jet_rank_production_vs_naive"].passed
+        assert any(golden_run(entry["argv"]) != (entry["exit"], entry["stdout"]) for entry in GOLDEN_ENTRIES)
+        assert main(["selfcheck"]) == 1
 
     def test_detects_a_rank_that_ignores_repeated_rows(self, monkeypatch):
         # Fault injection: a rank that always reports min(rows, cols) must
