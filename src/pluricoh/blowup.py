@@ -23,11 +23,14 @@ exponents beta with (n-1)k <= |beta| <= (n+1)k and every beta_i <= 2k
 
     h0 = (number of polytope points) - rank(rows of the images)
 
-With v <= n + 1 independent points no condition is left to rank, and h0 is
-the lattice count with caps on v coordinates only.  Plane k = 1 (plain
-evaluation, whose moved entries would be three times as long), points on
-one hyperplane, and configurations the bounded search finds no normalizing
-points for keep the matrix on all monomials.
+The images stay in the chart x_0 != 0 when the hyperplane through the n
+points sent to e_1, ..., e_n holds no other point; ``_coordinate_images``
+looks for such points in O(v) per try.  With v <= n + 1 independent points
+no condition is left to rank, and h0 is the lattice count with caps on v
+coordinates only.  Plane k = 1 (plain evaluation, whose moved entries
+would be three times as long), points on one hyperplane, and
+configurations where no such points are found (three points on each of
+two skew lines of P^3 have none) keep the matrix on all monomials.
 
 The module also ships deterministic configuration generators (generic,
 collinear, on a conic) and a sweep that certifies, point replacement by
@@ -51,13 +54,6 @@ from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invari
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
 SWEEP_STEP_ATTEMPTS = 32
-# Steps (a tuple of points tried, or one point's image computed) per point
-# that the search for normalizing points may take before `h0_blowup` falls
-# back to the matrix on all monomials.  A generic configuration takes about
-# one per point; points whose first independent tuple comes late, or that
-# have no normalizing tuple at all (three points on each of two skew lines
-# of P^3), would otherwise make the search cost C(v, n + 1) tuples.
-NORMALIZE_SEARCH_STEPS_PER_POINT = 4
 
 # A point-file coordinate, checked before Fraction(), which also takes decimals,
 # exponents, underscores and non-ASCII digits: L characters give at most L digits.
@@ -301,14 +297,18 @@ def _cofactor_row(columns: Sequence[Sequence[int]], i: int) -> list[int]:
     return [(-1) ** (i + j) * _det([column[:j] + column[j + 1 :] for column in others]) for j in range(len(columns))]
 
 
-def _lift_rank(lifts: Sequence[Sequence[int]], cap: int) -> int:
-    """min(rank of the lifts, cap), by fraction-free elimination that stops once it reaches `cap`.
+def _independent_lifts(lifts: Sequence[Sequence[int]], cap: int) -> list[int]:
+    """Indices of the lifts each independent of those kept before it, at most `cap` of them.
 
-    Each lift is reduced against the rows kept so far, each with its own
-    pivot column; a nonzero remainder is kept.  One pass, so O(v) for v lifts.
+    Fraction-free elimination in one pass, so O(v) for v lifts: each lift
+    is reduced against the rows kept so far, each with its own pivot
+    column, and a nonzero remainder is kept.  Greedy selection gives the
+    lexicographically first independent set, so with cap = n + 1 these are
+    the first n + 1 points, in lexicographic order, whose lifts span.
     """
     kept: list[tuple[int, list[int]]] = []
-    for lift in lifts:
+    indices: list[int] = []
+    for index, lift in enumerate(lifts):
         row = list(lift)
         for c, pivot_row in kept:
             if row[c]:
@@ -317,51 +317,83 @@ def _lift_rank(lifts: Sequence[Sequence[int]], cap: int) -> int:
         c = next((i for i, x in enumerate(row) if x), None)
         if c is not None:
             kept.append((c, row))
-            if len(kept) == cap:
+            indices.append(index)
+            if len(indices) == cap:
                 break
-    return len(kept)
+    return indices
 
 
-def _coordinate_images(lifts: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]] | None:
-    """The other lifts moved so that n + 1 chosen points become e_0, ..., e_n, or None.
+def _facet_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]] | None:
+    """The other lifts moved so that the n + 1 chosen points become e_0, ..., e_n, or None.
 
-    Tuples of n + 1 points are tried in lexicographic order, and for each
-    tuple with independent lifts every member in order as the origin, the
-    point sent to e_0.  The first (tuple, origin) accepted is the one whose
-    hyperplane through the other n chosen points holds no other point.  For
-    the matrix M whose columns are the chosen lifts, row i of adj(M) maps Q
-    to det(M with column i replaced by Q), so adj(M) sends the chosen lifts
-    to det(M) e_i and every other lift Q to the integer vector adj(M) Q,
-    nonzero at the origin's coordinate i exactly when Q is off that
-    hyperplane.  The images come back with coordinate i first.
-
-    The search starts no tuple after NORMALIZE_SEARCH_STEPS_PER_POINT steps
-    per point, a step being one tuple tried or one image computed; None
-    means no (tuple, origin) passed within them.
+    The chosen lifts are independent.  Each of them in order is tried as
+    the origin, the point sent to e_0; the first whose facet, the
+    hyperplane through the other n chosen points, holds no other point is
+    taken, and None means none is.  For the matrix M whose columns are the
+    chosen lifts, row i of adj(M) maps Q to det(M with column i replaced by
+    Q), so adj(M) sends the chosen lifts to det(M) e_i and every other lift
+    Q to the integer vector adj(M) Q, nonzero at the origin's coordinate i
+    exactly when Q is off that facet.  The images come back with coordinate
+    i first.
     """
-    budget = NORMALIZE_SEARCH_STEPS_PER_POINT * len(lifts)
-    for chosen in itertools.combinations(range(len(lifts)), n + 1):
-        if budget <= 0:
+    columns = [lifts[c] for c in chosen]
+    adjugate = [_cofactor_row(columns, i) for i in range(len(columns))]
+    origins = range(len(columns))
+    images = []
+    for q in (q for index, q in enumerate(lifts) if index not in chosen):
+        image = [sum(map(mul, row, q)) for row in adjugate]
+        origins = [i for i in origins if image[i]]
+        if not origins:
             return None
-        budget -= 1
-        columns = [lifts[c] for c in chosen]
-        first = _cofactor_row(columns, 0)
-        if not sum(map(mul, first, columns[0])):  # det(M), expanded along its first column
-            continue
-        adjugate = [first] + [_cofactor_row(columns, i) for i in range(1, n + 1)]
-        origins = range(n + 1)
-        images = []
-        for q in (q for index, q in enumerate(lifts) if index not in chosen):
-            budget -= 1
-            image = [sum(map(mul, row, q)) for row in adjugate]
-            origins = [i for i in origins if image[i]]
-            if not origins:
+        images.append(image)
+    i = origins[0]
+    return [(image[i], *image[:i], *image[i + 1 :]) for image in images]
+
+
+def _pencil_tuple(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[int] | None:
+    """n + 1 independent points whose first facet holds no other point, or None.
+
+    For chosen points t_i and t_j, the hyperplanes through the other n - 1
+    chosen points form a pencil, and coordinates i and j of adj(M) Q, up to
+    a common factor, name the member through Q.  A member through a single
+    point p, when no other point lies on the n - 1 themselves, is such a
+    facet; t_i, or t_j if p is t_i, lies off it and is the origin.  The
+    pairs (i, j) are tried in lexicographic order, the members in the order
+    of their first point, so the choice is reproducible; O(v) per pair.
+    """
+    columns = [lifts[c] for c in chosen]
+    adjugate = [_cofactor_row(columns, i) for i in range(len(columns))]
+    images = [[sum(map(mul, row, q)) for row in adjugate] for q in lifts]
+    for i, j in itertools.combinations(range(len(chosen)), 2):
+        base = [c for c in chosen if c not in (chosen[i], chosen[j])]
+        members: dict[tuple[int, int], list[int]] = {}
+        for index, image in enumerate(images):
+            if index in base:
+                continue
+            a, b = image[i], image[j]
+            if not (a or b):  # on the n - 1 points, so in every member
                 break
-            images.append(image)
+            g = math.gcd(a, b) if a > 0 or (a == 0 and b > 0) else -math.gcd(a, b)
+            members.setdefault((a // g, b // g), []).append(index)
         else:
-            i = origins[0]
-            return [(image[i], *image[:i], *image[i + 1 :]) for image in images]
+            p = next((points[0] for points in members.values() if len(points) == 1), None)
+            if p is not None:
+                return [chosen[j] if p == chosen[i] else chosen[i], *base, p]
     return None
+
+
+def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]] | None:
+    """Images of the other lifts with n + 1 points at e_0, ..., e_n, or None if no facet is found.
+
+    The chosen points come first (`_facet_images`); when each of their
+    facets holds another point, the pencils through n - 1 of them are
+    searched for a facet that holds none (`_pencil_tuple`).
+    """
+    images = _facet_images(lifts, chosen)
+    if images is None:
+        retry = _pencil_tuple(lifts, chosen)
+        images = None if retry is None else _facet_images(lifts, retry)
+    return images
 
 
 def h0_blowup(config: PointConfiguration, k: int) -> int:
@@ -377,10 +409,10 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
     n = config.n
     if (n - 1) * k >= 2:
         lifts = [_lift(point) for point in config.points]
-        spanned = _lift_rank(lifts, n + 1)
-        if spanned == len(lifts):
-            return _capped_count(n, k, spanned)
-        images = _coordinate_images(lifts, n) if spanned == n + 1 else None
+        chosen = _independent_lifts(lifts, n + 1)
+        if len(chosen) == len(lifts):
+            return _capped_count(n, k, len(chosen))
+        images = _coordinate_images(lifts, chosen) if len(chosen) == n + 1 else None
         if images is not None:
             moved = PointConfiguration(n, tuple([tuple([Fraction(x, y[0]) for x in y[1:]]) for y in images]))
             columns = _polytope(n, k)

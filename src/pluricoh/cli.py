@@ -10,8 +10,9 @@ Exit codes: 0 success; 1 a failed check, in one of two forms: a record whose
 last warnings start with "cross-check failed:" (a closed form against its
 second route, the h1(2K) window, --expect-jump with no jump found, a failing
 selfcheck), or one "error:" line and no stdout when a library check raises
-RuntimeError (a SamplingBudgetError, or a semicontinuity violation in a
-family report); 2 usage, parse or output error.
+RuntimeError (a SamplingBudgetError, a semicontinuity violation in a
+family report, or Riemann-Roch refusing a negative h1); 2 usage, parse or
+output error.
 """
 
 from __future__ import annotations

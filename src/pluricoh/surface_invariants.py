@@ -66,7 +66,8 @@ def h1_from_rr(k: int, h0_kK: int, h2_kK: int, inv: SurfaceInvariants) -> int:
     """First cohomology of kK from the Riemann-Roch identity.
 
     A negative result can only come from h0/h2 values that do not belong to
-    the claimed surface, so it is rejected rather than clamped.
+    the claimed surface, so it is rejected rather than clamped, with
+    RuntimeError: a library check that failed, not a bad argument.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -80,7 +81,7 @@ def h1_from_rr(k: int, h0_kK: int, h2_kK: int, inv: SurfaceInvariants) -> int:
         + (k * (k - 1) // 2) * inv.chi_top
     )
     if value < 0:
-        raise ValueError(
+        raise RuntimeError(
             f"h1({k}K) evaluated to {value} < 0: "
             "h0/h2 inputs are inconsistent with the surface invariants"
         )

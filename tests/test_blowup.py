@@ -5,6 +5,7 @@ naive-elimination oracle `naive_rank` (plain integer row elimination with
 gcd reduction) and are asserted against both routes where it matters.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +22,11 @@ from pluricoh.blowup import (
     SamplingBudgetError,
     _capped_count,
     _coordinate_images,
+    _facet_images,
     _graded_exponents,
+    _independent_lifts,
     _lift,
+    _pencil_tuple,
     _polytope,
     achievable_dims,
     blowup_row,
@@ -380,6 +384,10 @@ def drawn_configurations(draw):
     return PointConfiguration(n=n, points=tuple(points)), k
 
 
+# The first triple's sides each hold one of the last three points.
+HALF_GRID = [(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)]
+
+
 class TestNormalizedH0:
     """n + 1 points sent to the coordinate points, the rest ranked on the polytope's columns."""
 
@@ -389,7 +397,9 @@ class TestNormalizedH0:
     @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1), (5, 7)]), 3))
     # Three independent points: the count path, no matrix.
     @example((PointConfiguration.from_coordinates([(1, 1, 1), (2, 4, 8), (3, 9, 27)]), 2))
-    # Three points on each of two skew lines: no (tuple, origin) passes.
+    # Each side of the first triangle holds a grid point: a pencil finds the facet.
+    @example((PointConfiguration.from_coordinates(HALF_GRID), 3))
+    # Three points on each of two skew lines: the first independent four admit no origin.
     @example((PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)]), 1))
     @settings(max_examples=80, deadline=None)
     def test_equals_the_full_matrix_rank(self, case):
@@ -413,7 +423,28 @@ class TestNormalizedH0:
         # be the origin; with (1, 0) as the origin its image is adj(M) (1, 2, -1)
         # = (0, 2, -1), the origin's coordinate 2 first.
         lifts = [_lift(p) for p in PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)]).points]
-        assert _coordinate_images(lifts, 2) == [(2, 0, -1)]
+        assert _independent_lifts(lifts, 3) == [0, 1, 2]
+        assert _coordinate_images(lifts, [0, 1, 2]) == [(2, 0, -1)]
+
+    @given(drawn_configurations())
+    @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]), 2))
+    @settings(max_examples=60)
+    def test_independent_lifts_are_the_first_independent_tuple(self, case):
+        # Greedy selection over the lifts' matroid is its lexicographically
+        # first basis, the tuple a search over combinations would find first.
+        config, _ = case
+        lifts = [_lift(p) for p in config.points]
+        size = min(config.v, config.n + 1)
+        first = next(
+            (
+                list(chosen)
+                for chosen in itertools.combinations(range(config.v), size)
+                if rank(RatMatrix.from_rows([lifts[c] for c in chosen])) == size
+            ),
+            None,
+        )
+        chosen = _independent_lifts(lifts, config.n + 1)
+        assert chosen == first if first is not None else len(chosen) < size
 
     def test_count_path_builds_no_matrix(self, monkeypatch):
         def forbidden(*args):
@@ -436,13 +467,23 @@ class TestNormalizedH0:
     def test_space_polytope_is_the_capped_count(self, n, k):
         assert len(_polytope(n, k)) == _capped_count(n, k, n + 1)
 
-    def test_two_skew_lines_have_no_normalizing_tuple(self):
-        # Any independent four takes two points of each line, and the plane
-        # through three of them holds a whole line, so a sixth point.
+    def test_two_skew_lines_admit_no_facet(self):
+        # The first independent four take two points of each line.  A plane
+        # through three of them holds a whole line, so a sixth point; and every
+        # plane through two of them and one more point holds a whole line too.
         config = PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)])
-        assert _coordinate_images([_lift(p) for p in config.points], 3) is None
+        lifts = [_lift(p) for p in config.points]
+        assert _independent_lifts(lifts, 4) == [0, 1, 3, 4]
+        assert _facet_images(lifts, [0, 1, 3, 4]) is None
+        assert _pencil_tuple(lifts, [0, 1, 3, 4]) is None
 
-    def test_search_budget_falls_back_to_all_monomials(self, monkeypatch):
+    def test_pencil_finds_a_facet_when_the_first_tuple_has_none(self, monkeypatch):
+        # Through (0, 2) the line to (1, 0) holds no other point, so (1, 0)
+        # and (0, 2) span the facet and (0, 0) is the origin.
+        lifts = [_lift(p) for p in PointConfiguration.from_coordinates(HALF_GRID).points]
+        assert _independent_lifts(lifts, 3) == [0, 1, 2]
+        assert _facet_images(lifts, [0, 1, 2]) is None
+        assert _pencil_tuple(lifts, [0, 1, 2]) == [0, 2, 3]
         builds = []
         original = pluricoh.blowup.jet_matrix
 
@@ -451,10 +492,22 @@ class TestNormalizedH0:
             return original(*args)
 
         monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
-        monkeypatch.setattr(pluricoh.blowup, "NORMALIZE_SEARCH_STEPS_PER_POINT", 0)
-        config = PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)])
-        assert h0_blowup(config, 3) == 31
-        assert builds == [(config, 3)]
+        config = PointConfiguration.from_coordinates(HALF_GRID)
+        assert h0_blowup(config, 2) == _full_matrix_h0(config, 2)
+        assert [(moved.v, columns) for moved, _, columns in builds] == [(3, _polytope(2, 2))]
+
+    def test_no_origin_falls_back_to_all_monomials(self, monkeypatch):
+        builds = []
+        original = pluricoh.blowup.jet_matrix
+
+        def recording(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+        config = PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)])
+        assert h0_blowup(config, 1) == _full_matrix_h0(config, 1)
+        assert builds == [(config, 1)]
 
 
 class TestGenerateConfiguration:

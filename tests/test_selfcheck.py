@@ -133,11 +133,13 @@ class TestRunSelfcheck:
         assert _run("raises", cases()) == CheckResult("raises", False, 2, "library check failed")
 
     def test_a_refused_count_is_its_counterexample(self):
+        # Riemann-Roch refusing a negative h1 is a library check failing.
         def cases():
-            raise ValueError("h1(3K) evaluated to -1 < 0")
-            yield None
+            yield pluricoh.surface_invariants.h1_from_rr(2, 0, 0, pluricoh.surface_invariants.invariants_hirzebruch(4))
 
-        assert _run("refused", cases()) == CheckResult("refused", False, 1, "h1(3K) evaluated to -1 < 0")
+        result = _run("refused", cases())
+        assert (result.passed, result.cases) == (False, 1)
+        assert result.counterexample.startswith("h1(2K) evaluated to -9 < 0")
 
     def test_default_budget_case_counts(self):
         # The same pairs are pinned by the benchmark's golden selfcheck record.
@@ -280,6 +282,9 @@ class TestRunSelfcheck:
         assert not results["jet_rank_production_vs_naive"].passed
         assert any(golden_run(entry["argv"]) != (entry["exit"], entry["stdout"]) for entry in GOLDEN_ENTRIES)
         assert main(["selfcheck"]) == 1
+        if fault == "one column dropped":
+            # Riemann-Roch refuses the count in the CLI too, as a failed check.
+            assert main(["blowup", "--generate", "on_conic", "--v", "6", "--k", "2"]) == 1
 
     def test_detects_a_rank_that_ignores_repeated_rows(self, monkeypatch):
         # Fault injection: a rank that always reports min(rows, cols) must

@@ -60,7 +60,7 @@ class TestH1FromRR:
 
     def test_negative_result_rejected(self):
         # h2 = 0 cannot happen for 2K on a ruled surface; the chain says so.
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="evaluated to -9 < 0"):
             h1_from_rr(2, 0, 0, invariants_hirzebruch(4))
 
     def test_invalid_arguments_rejected(self):
