@@ -15,22 +15,28 @@ A projective change of coordinates keeps h0, and at the coordinate points
 e_0, ..., e_n the conditions are monomial: a form of degree (n+1)k vanishes
 to order (n-1)k at e_i exactly when each of its monomials has exponent at
 most 2k in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
-and the points span P^n, ``h0_blowup`` sends n + 1 of them to the
-coordinate points by the adjugate of the matrix of their lifts (d, d*x),
-and ranks the rows of the other v - n - 1 images against the polytope of
-exponents beta with (n-1)k <= |beta| <= (n+1)k and every beta_i <= 2k
-(in the plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points):
+``h0_blowup`` takes the first s points whose lifts (d, d*x) are
+independent, s the dimension of the span of all the lifts, completes them
+to a basis of unit vectors, and sends them to coordinate points by the
+adjugate of that basis.  It then ranks the rows of the other v - s images
+against the polytope of exponents beta with (n-1)k <= |beta| <= (n+1)k and
+beta_i <= 2k on the other s - 1 chosen coordinates (for s = n + 1 in the
+plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points):
 
     h0 = (number of polytope points) - rank(rows of the images)
 
-The images stay in the chart x_0 != 0 when the hyperplane through the n
-points sent to e_1, ..., e_n holds no other point; ``_coordinate_images``
-looks for such points in O(v) per try.  With v <= n + 1 independent points
-no condition is left to rank, and h0 is the lattice count with caps on v
-coordinates only.  Plane k = 1 (plain evaluation, whose moved entries
-would be three times as long), points on one hyperplane, and
+The images stay in the chart x_0 != 0 when the hyperplane through the
+chosen points and unit vectors sent to e_1, ..., e_n holds no other point;
+``_coordinate_images`` looks for such points in O(v) per try.  When the
+points span less than P^n, every image is zero on the completing
+coordinates, so its jet rows vanish off the columns whose exponents there
+match the derivative's; ``rank`` splits such matrices into blocks.  With
+v = s independent points no condition is left to rank, and h0 is the
+lattice count with caps on v coordinates only.  Plane k = 1 (plain
+evaluation, whose moved entries would be three times as long) and
 configurations where no such points are found (three points on each of
-two skew lines of P^3 have none) keep the matrix on all monomials.
+two skew lines of P^3 have none; points that span less than P^n try only
+their chosen points as the origin) keep the matrix on all monomials.
 
 The module also ships deterministic configuration generators (generic,
 collinear, on a conic) and a sweep that certifies, point replacement by
@@ -246,15 +252,20 @@ def _lift(point: Sequence[Fraction]) -> tuple[int, ...]:
     return (d, *[c.numerator * (d // c.denominator) for c in point])
 
 
-def _polytope(n: int, k: int) -> list[tuple[int, ...]]:
-    """The exponents beta with (n-1)k <= |beta| <= (n+1)k and every beta_i <= 2k, in graded order.
+def _polytope(n: int, k: int, capped: int | None = None) -> list[tuple[int, ...]]:
+    """Exponents beta with (n-1)k <= |beta| <= (n+1)k and beta_i <= 2k for i < capped - 1, graded.
 
     They are the monomials of degree at most (n+1)k whose form of degree
-    (n+1)k has exponent at most 2k in every variable x_0, ..., x_n, that
-    is, vanishes to order (n-1)k at each of the n + 1 coordinate points.
+    (n+1)k has exponent at most 2k in each of x_0, ..., x_(capped-1), that
+    is, vanishes to order (n-1)k at each of the first `capped` coordinate
+    points; by default all n + 1 of them.  Their number is
+    `_capped_count(n, k, capped)`.
     """
     low, cap = (n - 1) * k, 2 * k
-    return [beta for beta in _graded_exponents(n, (n + 1) * k) if sum(beta) >= low and max(beta) <= cap]
+    bounded = n if capped is None else capped - 1  # x_0's cap is the bound on |beta|
+    # Graded order puts the C(low - 1 + n, n) exponents of degree below low first.
+    above = _graded_exponents(n, (n + 1) * k)[math.comb(low - 1 + n, n) :]
+    return [beta for beta in above if max(beta[:bounded] or (0,)) <= cap]
 
 
 def _capped_count(n: int, k: int, capped: int) -> int:
@@ -323,22 +334,26 @@ def _independent_lifts(lifts: Sequence[Sequence[int]], cap: int) -> list[int]:
     return indices
 
 
-def _facet_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]] | None:
-    """The other lifts moved so that the n + 1 chosen points become e_0, ..., e_n, or None.
+def _facet_images(
+    lifts: Sequence[Sequence[int]], chosen: Sequence[int], completion: Sequence[Sequence[int]] = ()
+) -> list[tuple[int, ...]] | None:
+    """The other lifts moved so that the chosen points become coordinate points, or None.
 
-    The chosen lifts are independent.  Each of them in order is tried as
-    the origin, the point sent to e_0; the first whose facet, the
-    hyperplane through the other n chosen points, holds no other point is
-    taken, and None means none is.  For the matrix M whose columns are the
-    chosen lifts, row i of adj(M) maps Q to det(M with column i replaced by
-    Q), so adj(M) sends the chosen lifts to det(M) e_i and every other lift
-    Q to the integer vector adj(M) Q, nonzero at the origin's coordinate i
-    exactly when Q is off that facet.  The images come back with coordinate
-    i first.
+    The chosen lifts, followed by the `completion` vectors, are a basis,
+    the columns of a matrix M.  Each chosen point in order is tried as the
+    origin, the point sent to e_0; the first whose facet, the hyperplane
+    through the other columns, holds no other point is taken, and None
+    means none is.  Row i of adj(M) maps Q to det(M with column i replaced
+    by Q), so adj(M) sends the chosen lifts to det(M) e_i and every other
+    lift Q to the integer vector adj(M) Q, nonzero at the origin's
+    coordinate i exactly when Q is off that facet, and zero at the
+    completion's coordinates when Q lies in the chosen points' span.  The
+    images come back with coordinate i first, then the other chosen ones,
+    then the completion's.
     """
-    columns = [lifts[c] for c in chosen]
+    columns = [*[lifts[c] for c in chosen], *completion]
     adjugate = [_cofactor_row(columns, i) for i in range(len(columns))]
-    origins = range(len(columns))
+    origins = range(len(chosen))
     images = []
     for q in (q for index, q in enumerate(lifts) if index not in chosen):
         image = [sum(map(mul, row, q)) for row in adjugate]
@@ -383,12 +398,20 @@ def _pencil_tuple(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list
 
 
 def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]] | None:
-    """Images of the other lifts with n + 1 points at e_0, ..., e_n, or None if no facet is found.
+    """Images of the other lifts with the chosen points at coordinate points, or None if no facet is found.
 
-    The chosen points come first (`_facet_images`); when each of their
-    facets holds another point, the pencils through n - 1 of them are
-    searched for a facet that holds none (`_pencil_tuple`).
+    Chosen points that span P^n come first (`_facet_images`); when each of
+    their facets holds another point, the pencils through n - 1 of them
+    are searched for a facet that holds none (`_pencil_tuple`).  Fewer
+    chosen points are completed to a basis by the unit vectors e_0, ...,
+    e_n that are independent of them and of the ones taken before, and
+    only the chosen points are tried as the origin.
     """
+    size = len(lifts[0])
+    if len(chosen) < size:
+        units = [tuple([int(i == j) for i in range(size)]) for j in range(size)]
+        basis = _independent_lifts([*[lifts[c] for c in chosen], *units], size)
+        return _facet_images(lifts, chosen, [units[j - len(chosen)] for j in basis[len(chosen) :]])
     images = _facet_images(lifts, chosen)
     if images is None:
         retry = _pencil_tuple(lifts, chosen)
@@ -399,12 +422,13 @@ def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) ->
 def h0_blowup(config: PointConfiguration, k: int) -> int:
     """dim H^0 of the k-th anticanonical power on the blow-up at the points.
 
-    When the conditions include a derivative ((n-1)k >= 2), points that span
-    P^n are first moved so that n + 1 of them sit at the coordinate points,
-    and only the other points' rows are ranked, against the polytope's
-    columns; v <= n + 1 independent points need no rank at all (see the
-    module docstring).  Every other input ranks the matrix on all monomials.
-    Either way one jet matrix is built and ranked, or none.
+    When the conditions include a derivative ((n-1)k >= 2), the s
+    independent points found first are moved to coordinate points and
+    only the other points' rows are ranked, against the polytope's columns
+    with caps on those s coordinates; v = s independent points need no
+    rank at all (see the module docstring).  Every other input ranks the
+    matrix on all monomials.  Either way one jet matrix is built and
+    ranked, or none.
     """
     n = config.n
     if (n - 1) * k >= 2:
@@ -412,10 +436,10 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
         chosen = _independent_lifts(lifts, n + 1)
         if len(chosen) == len(lifts):
             return _capped_count(n, k, len(chosen))
-        images = _coordinate_images(lifts, chosen) if len(chosen) == n + 1 else None
+        images = _coordinate_images(lifts, chosen)
         if images is not None:
             moved = PointConfiguration(n, tuple([tuple([Fraction(x, y[0]) for x in y[1:]]) for y in images]))
-            columns = _polytope(n, k)
+            columns = _polytope(n, k, len(chosen))
             # Positional, as every call of jet_matrix, so wrappers that take *args see it.
             return len(columns) - rank(jet_matrix(moved, k, columns).matrix)
     return monomial_count(n, k) - rank(jet_matrix(config, k).matrix)

@@ -7,7 +7,16 @@ with rational coordinates are cleared to integers before a matrix is formed
 `rank` backs all section counts for blow-ups, so it is deterministic and
 every answer it gives is proved.
 
-`rank` has two routes.  When min(rows, cols) times the largest entry bit
+`rank` first splits the matrix into the blocks of its nonzero pattern:
+rows linked by chains of shared nonzero columns, with the columns where
+they are nonzero.  The rank of a direct sum is the sum of its blocks'
+ranks, and zero rows and columns add nothing.  A row with no zero entry,
+or a first column with none, makes the whole matrix one block, so the scan
+stops at the first such row.  Jet matrices of points on a coordinate
+hyperplane split, since a derivative of x^beta vanishes on x_i = 0 unless
+it takes exactly beta_i derivatives in x_i.
+
+Each block has two routes.  When min(rows, cols) times the largest entry bit
 length exceeds MODULAR_RULE_BITS and min(rows, cols) is at most
 MODULAR_MAX_PIVOTS, the modular route runs first.  One elimination of the
 matrix A modulo the prime MODULAR_PRIME = 2^27 - 39 gives its rank r mod p
@@ -49,7 +58,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -113,12 +122,14 @@ class RatMatrix:
 # larger goes straight to Bareiss.
 #
 # The number of primes is the certificate's budget.  Swept over the stock
-# collinear and on_conic configurations within the cell cap (v = 5..20,
-# k = 2..7), every deficient jet matrix certified with at most eight primes
-# (on_conic v = 9, k = 6, 189 x 190, in 0.6 s where Bareiss takes seconds),
-# and those of the special_structure benchmark with at most three; two more
-# primes leave room for the larger entries of moved points.  A matrix that
-# fails the certificate pays for all of them before Bareiss.
+# on_conic configurations within the cell cap (v = 5..20, k = 2..7), every
+# deficient jet matrix certified with at most eight primes (v = 9, k = 6,
+# 189 x 190, in 0.6 s where Bareiss takes seconds); two more primes leave
+# room for the larger entries of moved points.  Collinear points, which the
+# sweep also covered, are moved onto a coordinate line, where their jet
+# matrix splits into confluent Vandermonde blocks of full rank: those need
+# no certificate.  A matrix that fails the certificate pays for all the
+# primes before Bareiss.
 MODULAR_PRIMES = (
     2**27 - 39,
     2**27 - 79,
@@ -161,6 +172,66 @@ RECONSTRUCTION_MARGIN = 2**8
 
 def rank(matrix: RatMatrix) -> int:
     """Rank over the rationals of the integer matrix, computed exactly.
+
+    The matrix is first split into the blocks of its nonzero pattern
+    (`_blocks`), and each block is ranked by `_block_rank`; the rank of a
+    direct sum is the sum of its blocks' ranks.  A matrix with a row, or a
+    first column, that has no zero entry is one block and is ranked as it
+    is.
+    """
+    blocks = _blocks(matrix)
+    if blocks is None:
+        return _block_rank(matrix)
+    return sum(map(_block_rank, blocks))
+
+
+def _blocks(matrix: RatMatrix) -> list[RatMatrix] | None:
+    """The blocks of the matrix's nonzero pattern, or None if it is one block.
+
+    Two rows share a block when they are linked by a chain of rows, each
+    nonzero in a column where the next is.  A block holds its rows and
+    the columns where they are nonzero, both in the matrix's order; zero
+    rows and zero columns lie in no block.  A row or a column with no zero
+    entry links every row.  The first row and the first column are tested
+    first, so dense matrices pay for one row slice, and plane evaluation
+    matrices, whose first column is all ones, for one column slice; then
+    rows are scanned until the first with no zero entry.  Only the other
+    matrices pay for a union of row supports, kept as disjoint column sets.
+    """
+    cols, entries = matrix.cols, matrix.entries
+    # A first row or column with no zero entry links every row.
+    if not entries or all(entries[:cols]) or all(entries[::cols]):
+        return None
+    slices, blocks = [], []  # blocks: (columns, row indices), pairwise disjoint in columns
+    for i, start in enumerate(range(0, len(entries), cols)):
+        row = entries[start : start + cols]
+        if all(row):
+            return None
+        slices.append(row)
+        support = set(compress(range(cols), row))
+        if not support:
+            continue
+        # The row joins every block it meets.  Blocks are disjoint, so the
+        # support grown by one of them meets no block it did not meet before.
+        rows, kept = [i], []
+        for block in blocks:
+            if support.isdisjoint(block[0]):
+                kept.append(block)
+            else:
+                support |= block[0]
+                rows += block[1]
+        blocks = [*kept, (support, rows)]
+    if len(blocks) < 2:
+        return None
+    out = []
+    for columns, rows in blocks:
+        pick = sorted(columns)
+        out.append(RatMatrix.from_rows([list(map(slices[i].__getitem__, pick)) for i in sorted(rows)]))
+    return out
+
+
+def _block_rank(matrix: RatMatrix) -> int:
+    """Rank of one block: the modular route when it applies, else Bareiss.
 
     When min(rows, cols) times the largest entry bit length exceeds
     MODULAR_RULE_BITS and min(rows, cols) is at most MODULAR_MAX_PIVOTS, the

@@ -37,6 +37,7 @@ from pluricoh.blowup import (
     monomial_count,
     parse_point_file,
 )
+from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import RatMatrix, rank
 from pluricoh.selfcheck import naive_rank
 
@@ -388,8 +389,25 @@ def drawn_configurations(draw):
 HALF_GRID = [(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)]
 
 
+@st.composite
+def subspace_configurations(draw):
+    """(config, k): points on a random line or plane of P^3, or a hyperplane of P^4, within the cell cap."""
+    n, dim = draw(st.sampled_from([(3, 1), (3, 2), (4, 3)]))
+    k = draw(st.integers(1, 2))
+    v = draw(st.integers(dim + 2, dim + 4))
+    rows, cols = jet_shape(n, v, k)
+    assume(rows * cols <= JET_MAX_CELLS)
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    base = draw(st.tuples(*[small] * n))
+    directions = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=dim, max_size=dim))
+    assume(rank(RatMatrix.from_rows(directions)) == dim)
+    steps = draw(st.lists(st.tuples(*[small] * dim), unique=True, min_size=v, max_size=v))
+    points = [tuple(b + sum(t * d[i] for t, d in zip(step, directions)) for i, b in enumerate(base)) for step in steps]
+    return PointConfiguration(n=n, points=tuple(points)), k
+
+
 class TestNormalizedH0:
-    """n + 1 points sent to the coordinate points, the rest ranked on the polytope's columns."""
+    """Chosen points sent to coordinate points, the rest ranked on the polytope's columns."""
 
     @given(drawn_configurations())
     # The first triple fails with (0, 0) as the origin and passes with (1, 0).
@@ -463,9 +481,11 @@ class TestNormalizedH0:
         assert columns == [beta for beta in _graded_exponents(2, 3 * k) if beta in kept]
         assert jet_shape(2, 4, k, columns) == (4 * math.comb(k + 1, 2), len(columns))
 
-    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_space_polytope_is_the_capped_count(self, n, k):
-        assert len(_polytope(n, k)) == _capped_count(n, k, n + 1)
+        assert _polytope(n, k) == _polytope(n, k, n + 1)
+        for capped in range(1, n + 2):
+            assert len(_polytope(n, k, capped)) == _capped_count(n, k, capped)
 
     def test_two_skew_lines_admit_no_facet(self):
         # The first independent four take two points of each line.  A plane
@@ -495,6 +515,14 @@ class TestNormalizedH0:
         config = PointConfiguration.from_coordinates(HALF_GRID)
         assert h0_blowup(config, 2) == _full_matrix_h0(config, 2)
         assert [(moved.v, columns) for moved, _, columns in builds] == [(3, _polytope(2, 2))]
+
+    @given(subspace_configurations())
+    # Every side of the first triangle holds a point of this planar half grid: no chosen point can be the origin.
+    @example((PointConfiguration.from_coordinates([(x, y, 0) for x, y in HALF_GRID]), 2))
+    @settings(max_examples=25, deadline=None)
+    def test_subspace_equals_naive_elimination_on_all_monomials(self, case):
+        config, k = case
+        assert h0_blowup(config, k) == monomial_count(config.n, k) - naive_rank(jet_matrix(config, k).matrix)
 
     def test_no_origin_falls_back_to_all_monomials(self, monkeypatch):
         builds = []
@@ -588,21 +616,37 @@ class TestGenerateConfiguration:
             generate_configuration("generic", 5, k=2)
 
 
-def _peeled_h0(kind: str, v: int, k: int) -> int:
-    """h0(-kK) of v stock points on a line or a conic, by Bezout peeling.
+def _peeled_h0(v: int, k: int) -> int:
+    """h0(-kK) of v stock points on a conic, by Bezout peeling.
 
     Sections are plane curves of degree d = 3k with multiplicity m = k at
-    each point.  While v * m exceeds d times the degree of the line (1) or
-    the conic (2) through the points, that curve meets the section too often
-    and is a fixed component: strip it, lowering d by its degree and m by 1.
-    The remaining conditions are then taken as independent, which this
-    form checks against the rank rather than proves.
+    each point.  While v * m exceeds 2d, the conic through the points meets
+    the section too often and is a fixed component: strip it, lowering d by
+    2 and m by 1.  The remaining conditions are then taken as independent,
+    which this form checks against the rank rather than proves.
     """
-    step = {"collinear": 1, "on_conic": 2}[kind]
     d, m = 3 * k, k
-    while v * m > step * d:
-        d, m = d - step, m - 1
+    while v * m > 2 * d:
+        d, m = d - 2, m - 1
     return math.comb(d + 2, 2) - v * math.comb(m + 1, 2)
+
+
+def _line_h0(v: int, k: int) -> int:
+    """h0(-kK) of v points on a line, from the Hilbert-Burch resolution of their fat-point ideal.
+
+    With L the line and F a form of degree v vanishing at the points, the
+    ideal of forms of multiplicity k at each of them is (L, F)^k, a power
+    of a complete intersection, hence saturated, with the resolution
+    0 -> sum_{j<k} S(-(j+1) - v(k-j)) -> sum_{j<=k} S(-j - v(k-j)) -> I -> 0.
+    Its part of degree 3k is the sections, so this is a proof, not a check.
+    """
+
+    def h(e: int) -> int:
+        return math.comb(e + 2, 2) if e >= 0 else 0
+
+    return sum(h(3 * k - j - v * (k - j)) for j in range(k + 1)) - sum(
+        h(3 * k - j - 1 - v * (k - j)) for j in range(k)
+    )
 
 
 class TestClosedFormsAtHigherPowers:
@@ -610,10 +654,27 @@ class TestClosedFormsAtHigherPowers:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("v", range(1, 13))
-    @pytest.mark.parametrize("kind", ["collinear", "on_conic"])
-    def test_peeling_forms(self, kind, v, k):
-        _, row = generate_configuration(kind, v, k=k)
-        assert row.h0_minus_kK == _peeled_h0(kind, v, k)
+    def test_conic_peeling_form(self, v, k):
+        _, row = generate_configuration("on_conic", v, k=k)
+        assert row.h0_minus_kK == _peeled_h0(v, k)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("v", range(1, 16))
+    def test_line_resolution_form(self, v, k):
+        _, row = generate_configuration("collinear", v, k=k)
+        assert row.h0_minus_kK == _line_h0(v, k)
+
+    @given(
+        st.integers(-(10**400), 10**400),
+        st.integers(-(10**400), 10**400),
+        st.lists(st.integers(-(10**400), 10**400), unique=True, min_size=1, max_size=7),
+        st.integers(1, 3),
+    )
+    @example(3, 7, [i * 10**399 + i for i in range(1, 6)], 3)
+    @settings(max_examples=30, deadline=None)
+    def test_line_resolution_form_with_huge_coordinates(self, a, b, xs, k):
+        config = PointConfiguration.from_coordinates([(x, a * x + b) for x in xs])
+        assert h0_blowup(config, k) == _line_h0(len(xs), k)
 
     @given(
         st.sampled_from(["collinear", "on_conic"]),

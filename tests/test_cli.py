@@ -348,7 +348,7 @@ class TestEachMatrixBuiltOnce:
 
 
 class TestNormalizationScope:
-    """Which inputs move n + 1 points to the coordinate points before the one build and rank."""
+    """Which inputs move points to coordinate points before the one build and rank."""
 
     @pytest.fixture
     def spies(self, monkeypatch):
@@ -362,9 +362,8 @@ class TestNormalizationScope:
             (["--generate", "on_conic", "--v", "6", "--k", "1"], 2, 6, 1),
             (["--generate", "generic", "--v", "4", "--k", "1", "--seed", "3"], 2, 4, 1),
             (["--points", str(DATA / "plane_points.txt"), "--k", "1"], 2, 6, 1),
-            # Points on one line span no more than a hyperplane.
-            (["--generate", "collinear", "--v", "5", "--k", "3"], 2, 5, 3),
-            (["--generate", "collinear", "--v", "3", "--k", "2"], 2, 3, 2),
+            # Three points on each of two skew lines of P^3: no chosen point can be the origin.
+            (["--points", str(DATA / "skew_lines.txt"), "--k", "1"], 3, 6, 1),
         ],
     )
     def test_builds_the_default_columns(self, capsys, spies, argv, n, v, k):
@@ -375,6 +374,19 @@ class TestNormalizationScope:
         (config, built_k), (matrix,) = builds[0], ranks[0]
         assert (config.n, config.v, built_k) == (n, v, k)
         assert (matrix.rows, matrix.cols) == jet_shape(n, v, k)
+
+    def test_collinear_points_rank_the_line_polytope_once(self, capsys, spies):
+        # Two of the five points go to e_0 and e_1, so the line becomes y = 0
+        # and only the exponents of x_0 and x_1 are capped.
+        builds, ranks = spies
+        code, record = run_json(capsys, "blowup", "--generate", "collinear", "--v", "5", "--k", "3")
+        assert code == 0
+        ((moved, k, columns),) = builds
+        ((matrix,),) = ranks
+        assert (moved.v, k, columns) == (3, 3, pluricoh.blowup._polytope(2, 3, 2))
+        assert all(y == 0 for _, y in moved.points)
+        assert (matrix.rows, matrix.cols) == jet_shape(2, 3, 3, columns) == (18, 43)
+        assert record["results"]["h0_minus_kK"] == 31
 
     def test_conic_file_at_k_3_ranks_the_polytope_once(self, capsys, spies, tmp_path):
         builds, ranks = spies

@@ -466,6 +466,72 @@ class TestModularRoute:
         assert rank(m) == 8
 
 
+def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:
+    """The block-diagonal matrix of the blocks, its rows and columns then permuted."""
+    rows, cols = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+    grid = [[0] * cols for _ in range(rows)]
+    top = left = 0
+    for b in blocks:
+        for i in range(b.rows):
+            grid[top + i][left : left + b.cols] = b.row(i)
+        top, left = top + b.rows, left + b.cols
+    return RatMatrix(rows, cols, tuple(grid[i][j] for i in row_order for j in column_order))
+
+
+@st.composite
+def permuted_direct_sums(draw):
+    """(matrix, blocks): one to four small or large-entry blocks, summed and shuffled."""
+    blocks = draw(st.lists(st.one_of(matrices(4, 5), large_entry_matrices()), min_size=1, max_size=4))
+    rows, cols = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+    row_order = draw(st.permutations(range(rows)))
+    column_order = draw(st.permutations(range(cols)))
+    return _direct_sum(blocks, row_order, column_order), blocks
+
+
+class TestBlockSplit:
+    """`rank` sums the ranks of the blocks of the nonzero pattern."""
+
+    @given(permuted_direct_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_is_the_sum_over_blocks(self, case):
+        m, blocks = case
+        assert rank(m) == sum(naive_rank(b) for b in blocks) == naive_rank(m)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["row", "column"])
+    def test_zero_free_row_or_column_takes_the_unsplit_route(self, transpose, monkeypatch):
+        # Row 0 has no zero and every other row has one, column 0 too, so
+        # only the row links the rows (in the transpose, only the column):
+        # the matrix itself goes to the modular pass, as it did unsplit.
+        grid = _large_grid(random.Random("zero-free"), 10, 12)
+        grid[0] = [x or 1 for x in grid[0]]
+        for i in range(1, 10):
+            grid[i][i - 1] = 0
+        m = _integer_matrix(grid)
+        if transpose:
+            m = m.transpose()
+        assert exact_linalg._blocks(m) is None
+        blocks = _spy(monkeypatch, "_block_rank")
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        assert rank(m) == 10 == naive_rank(m)
+        [(ranked,)] = blocks
+        assert ranked is m and eliminations[0][0] is m.entries
+
+    def test_each_block_takes_its_own_route(self, monkeypatch):
+        # A large-entry block past the modular rule, full rank mod p, and a
+        # small one below it, shuffled together: one modular pass and one
+        # Bareiss elimination, each on its own block.
+        large = _integer_matrix(_large_grid(random.Random("split-large"), 6, 8))
+        small = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        rng = random.Random("split-order")
+        m = _direct_sum([large, small], rng.sample(range(9), 9), rng.sample(range(11), 11))
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 6 + 2 == naive_rank(m)
+        assert [sorted(args[0]) for args in eliminations] == [sorted(large.entries)]
+        [(work, cols)] = bareiss
+        assert (len(work), cols) == (3, 3)
+
+
 def _fraction_free(vector: list[int], lcm: int) -> list[int]:
     """The vector divided by lcm with each entry's denominator dropped."""
     return [Fraction(x, lcm).numerator for x in vector]

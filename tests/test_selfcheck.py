@@ -265,17 +265,25 @@ class TestRunSelfcheck:
         # Fault injection: the normalized route ranks the polytope's columns,
         # while the naive oracle and the golden corpus saw the matrix on all
         # monomials, so a wrong polytope must fail both.
-        def polytope(n, k):
+        def polytope(n, k, capped):
             if fault == "one column dropped":
-                return _polytope(n, k)[1:]
+                return _polytope(n, k, capped)[1:]
             low, cap = (n - 1) * k - 1, 2 * k + 1
-            return [beta for beta in _graded_exponents(n, (n + 1) * k) if sum(beta) >= low and max(beta) <= cap]
+            return [
+                beta
+                for beta in _graded_exponents(n, (n + 1) * k)
+                if sum(beta) >= low and max(beta[: capped - 1], default=0) <= cap
+            ]
 
         monkeypatch.setattr(pluricoh.blowup, "_polytope", polytope)
-        # The corpus's conic-6-k2, the one it normalizes: naive elimination of
-        # the unnormalized matrix disagrees with the faulty count.
+        # The corpus's conic-6-k2: naive elimination of the unnormalized
+        # matrix disagrees with the faulty count.  Its collinear-12-k2 is
+        # normalized too, but blind to both faults: the columns they drop or
+        # add lie in blocks of full column rank, so h0 does not move.
         config = PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)])
         assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(config, 2).matrix)
+        line = PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)])
+        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(line, 2).matrix)
         # A dropped column takes h0 below what Riemann-Roch allows, which fails
         # the corpus build and with it both jet rows.
         results = {r.name: r for r in run_selfcheck(budget=10)}
