@@ -61,9 +61,10 @@ GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
 SWEEP_STEP_ATTEMPTS = 32
 
-# A point-file coordinate, checked before Fraction(), which also takes decimals,
-# exponents, underscores and non-ASCII digits: L characters give at most L digits.
-_COORDINATE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# A point-file coordinate: an ASCII numerator and an optional denominator,
+# each handed to int().  Fraction(str) would also take decimals, exponents,
+# underscores and non-ASCII digits, and parses the token a second time.
+_COORDINATE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 class SamplingBudgetError(RuntimeError):
@@ -581,11 +582,15 @@ def parse_point_file(text: str) -> PointConfiguration:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        bad = next((token for token in tokens if not _COORDINATE.fullmatch(token)), None)
-        if bad is not None:
+        matches = list(map(_COORDINATE.fullmatch, tokens))
+        if None in matches:
+            bad = tokens[matches.index(None)]
             raise PointFileError(f"line {lineno}: invalid coordinate {bad!r}: expected an integer or p/q")
         try:
-            point = tuple(Fraction(token) for token in tokens)
+            # int() raises the digit-limit ValueError, and Fraction(n, 0) the
+            # ZeroDivisionError "Fraction(n, 0)", as Fraction(token) would.
+            parts = map(re.Match.groups, matches)
+            point = tuple([Fraction(int(num), int(den)) if den else Fraction(int(num)) for num, den in parts])
         except (ValueError, ZeroDivisionError) as exc:
             raise PointFileError(f"line {lineno}: {exc}") from None
         if coords and len(point) != len(coords[0]):

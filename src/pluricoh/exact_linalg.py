@@ -16,34 +16,42 @@ stops at the first such row.  Jet matrices of points on a coordinate
 hyperplane split, since a derivative of x^beta vanishes on x_i = 0 unless
 it takes exactly beta_i derivatives in x_i.
 
-Each block has two routes.  When min(rows, cols) times the largest entry bit
-length exceeds MODULAR_RULE_BITS and min(rows, cols) is at most
-MODULAR_MAX_PIVOTS, the modular route runs first.  One elimination of the
-matrix A modulo the prime MODULAR_PRIME = 2^27 - 39 gives its rank r mod p
-and its pivot rows and columns.  `_eliminate_mod_p`, the one elimination
-mod p, packs each row into one Python int with a 64-bit slot per column, so
-packing and unpacking run in C through `array("Q")` and updating a row is
-one big-int multiply-add.
+Each block has two routes.  When min(rows, cols) is at most
+MODULAR_MAX_PIVOTS and either min(rows, cols) times the largest entry bit
+length exceeds MODULAR_RULE_BITS or Bareiss's multiply count rows * cols *
+min(rows, cols) exceeds MODULAR_RULE_WORK, the modular route runs first.
+One elimination of the matrix A modulo the prime MODULAR_PRIME = 2^27 - 39
+gives its rank r mod p and its pivot rows and columns.  `_eliminate_mod_p`,
+the one elimination mod p, packs each row into one Python int with a 64-bit
+slot per column, so packing and unpacking run in C through `array("Q")` and
+updating a row is one big-int multiply-add.
 
 - Reduction mod p is a ring map from the integers, so every minor that
   vanishes over the integers vanishes mod p: r is at most the rational
   rank.  An r of min(rows, cols), the largest any matrix of that shape can
   have, is therefore the rational rank, and no kernel work is done.
-- Below that, the rank is certified on the side whose right kernel is the
-  smaller: A when cols <= rows, else its transpose, whose rows are A's
-  columns and whose rank is the same.  That side has w = min(rows, cols)
-  columns, and w - r integer vectors N with side * N = 0 prove its rank is
-  at most r, hence exactly r.  Only r of its rows that are independent mod
-  p are eliminated (A's pivot rows, or A's pivot columns), and back
-  substitution gives the reduced echelon basis of their kernel mod p.
-  Bases for further primes of MODULAR_PRIMES are combined by the Chinese
-  remainder theorem, and after each prime every entry is rationally
-  reconstructed and each vector is cleared of its denominators by their
-  lcm.  The vectors are independent because they carry a diagonal of
-  nonzero integers on the free columns and zeros elsewhere there, so once
-  side * N = 0 holds over the integers for every row of the side, checked
-  exactly with the columns of N packed into one int per column, r is
-  proved.
+- Below that, the rank is certified by a side: a list of rows with the rank
+  of A, each of some length w.  w - r integer vectors N with side * N = 0
+  prove its rank is at most r, hence exactly r.  Only r of its rows that
+  are independent mod p, the basis, are eliminated, and back substitution
+  gives the reduced echelon basis of their kernel mod p.  Bases for further
+  primes are combined by the Chinese remainder theorem, and after each
+  prime every entry is rationally reconstructed and each vector is cleared
+  of its denominators by their lcm.  The vectors are independent because
+  they carry a diagonal of nonzero integers on the free columns and zeros
+  elsewhere there, so once side * N = 0 holds over the integers for every
+  row of the side, checked exactly with the columns of N packed into one
+  int per column, r is proved.
+- The first side is A's own rows, with its pivot rows as the basis: the
+  first pass is their elimination at the first prime, so that prime costs
+  no elimination.  A tall or square A (cols <= rows) spends every prime of
+  MODULAR_PRIMES there.  A wide one tries only the first two, since its own
+  kernel is the larger, and skips them when its rows are longer than
+  MODULAR_MAX_PIVOTS; then its transpose, whose rows are A's columns and
+  whose rank is the same, with A's pivot columns as the basis, gets every
+  prime.  On jet matrices the own rows' kernel is the space of sections,
+  which on the special configurations never needed more primes than the
+  columns' kernel (see MODULAR_PRIMES).
 
 Every other matrix goes to fraction-free Bareiss elimination over the
 integers, which is exact on all inputs: every small one, and every one
@@ -122,14 +130,21 @@ class RatMatrix:
 # larger goes straight to Bareiss.
 #
 # The number of primes is the certificate's budget.  Swept over the stock
-# on_conic configurations within the cell cap (v = 5..20, k = 2..7), every
-# deficient jet matrix certified with at most eight primes (v = 9, k = 6,
-# 189 x 190, in 0.6 s where Bareiss takes seconds); two more primes leave
-# room for the larger entries of moved points.  Collinear points, which the
-# sweep also covered, are moved onto a coordinate line, where their jet
+# on_conic configurations within the cell cap (v = 5..20, k = 2..7, moved
+# by `blowup.h0_blowup`), every deficient jet matrix certified on its own
+# rows with at most four primes (v = 10..12, k = 6, 147..189 x 127) and on
+# its columns with at most eight (v = 20, k = 5, 255 x 91).  The rows never
+# needed more than the columns, here or on any block of the
+# special_structure benchmark at seeds 1..10 (rows 1 to 3, columns 1 to 4).
+# So the rows of a wide matrix get the first two primes, the first of which
+# reuses the first pass: they certify the 3 x 3 grid at k = 3, 4 and every
+# wide on_conic block at k <= 4.  The wide ones whose rows need three or
+# four (on_conic v = 7..9 at k = 5..7) then certify on their columns with at
+# most five, after one elimination spent on their rows.
+# Collinear points are moved onto a coordinate line, where their jet
 # matrix splits into confluent Vandermonde blocks of full rank: those need
 # no certificate.  A matrix that fails the certificate pays for all the
-# primes before Bareiss.
+# primes before Bareiss, and a wide one for two more.
 MODULAR_PRIMES = (
     2**27 - 39,
     2**27 - 79,
@@ -146,19 +161,41 @@ MODULAR_PRIME = MODULAR_PRIMES[0]
 MODULAR_MAX_PIVOTS = min((2**64 - p) // (p - 1) ** 2 for p in MODULAR_PRIMES)
 assert array("Q").itemsize == 8, "packed slots need 64-bit unsigned array items"
 
-# min(rows, cols) * (largest entry bit length) above which `rank` tries the
-# modular route first.  Swept against Bareiss on the special configurations
-# (collinear and on_conic with v = 5..12, the 3 x 3 grid, the twisted cubic;
-# k <= 4; two seeded moves of each), the rank time summed over the
-# special_structure benchmark's cases was 235 ms at a rule of 2048, 168 ms
-# at 1024, 158 ms at 640 and no lower below.  Full-rank matrices win from a
-# product near 256; certified deficient ones lose up to 2.9 times below 640
-# (collinear points at k = 2) and win from about 1600 on every case, with
-# the 3 x 3 grid at k = 3 (products 756 to 972) taking half of Bareiss's
-# time.  Every plane jet matrix at k = 1 stays below 640 (10 columns of at
-# most 60-bit entries for sampled coordinates up to 10^6): there the route
-# took 2.9 times as long as Bareiss over achievable_dims.
+# The route rule: the modular route runs first when min(rows, cols) * (largest
+# entry bit length) exceeds MODULAR_RULE_BITS or rows * cols * min(rows,
+# cols), Bareiss's multiply count, exceeds MODULAR_RULE_WORK.  Both were swept
+# on the blocks that the three benchmark workloads rank (special_structure at
+# seeds 1..10, interactive_mix at 1 and 7, generic_elimination at 1; each
+# block timed by both routes, min of 3 to 5 runs, 2-CPU host), summing the
+# chosen route's time per pass.  special_structure, in ms:
+#
+#   MODULAR_RULE_WORK   none   4000   6000   8000   12000..32000   64000
+#   rank time           16.3   12.8   12.6   12.5       12.6        16.3
+#
+# and the earlier route (bits only, wide blocks on their columns) 19.4.  The
+# other two workloads do not move with it (6.8 and 5.7 ms).  The blocks
+# between the bounds, route time over Bareiss's:
+#
+#   block (seeded moves)           shape    work     route / Bareiss
+#   plane, k = 1, deficient    10..12 x 10  <= 1200   3 to 17
+#   on_conic v = 8, k = 2          15 x 19    4275    1.6 to 2.5
+#   twisted cubic v = 8, k = 1     16 x 19    4864    0.8 to 2.0
+#   on_conic v = 5, k = 3          12 x 37    5328    0.25 to 0.5
+#   3 x 3 grid, k = 2              18 x 19    6156    1.1 to 1.6
+#   on_conic v = 12, k = 2         27 x 19    9747    0.75 to 1.15
+#   twisted cubic v = 5, k = 2     20 x 85   34000    0.21 to 0.24
+#   3 x 3 grid, k = 3              36 x 37   47952    0.29 to 0.39
+#
+# So any bound from 6156 up to 9747 is best; 8000 is in the middle.  With it
+# in place the bit rule is the same on these workloads from 640 to 2048.
+# Below 640 the plane jet matrices at k = 1 (10 columns of at most 60-bit
+# entries for sampled coordinates up to 10^6) go modular, and
+# interactive_mix's rank time without selfcheck rises from 3.5 to 12.3 ms
+# at 576.  The first sweep of the bit rule alone, before the work rule,
+# found the same floor: certified deficient matrices lost up to 2.9 times
+# below 640 and won from about 1600.
 MODULAR_RULE_BITS = 640
+MODULAR_RULE_WORK = 8000
 
 # The least quotient `_rational` accepts.  A true n / d needs about 8 bits of
 # modulus beyond |n| * d.  A residue that is not the image of a small
@@ -233,41 +270,45 @@ def _blocks(matrix: RatMatrix) -> list[RatMatrix] | None:
 def _block_rank(matrix: RatMatrix) -> int:
     """Rank of one block: the modular route when it applies, else Bareiss.
 
-    When min(rows, cols) times the largest entry bit length exceeds
-    MODULAR_RULE_BITS and min(rows, cols) is at most MODULAR_MAX_PIVOTS, the
-    matrix is eliminated modulo MODULAR_PRIME.  The rank mod p is at most
-    the rational rank, so a rank mod p of min(rows, cols) is returned at
-    once; a lower one is returned if integer kernel vectors of the side
-    with the smaller right kernel (the matrix when cols <= rows, else its
-    transpose) pass the exact check (see the module docstring).  Otherwise,
-    or below the rule, one-step fraction-free (Bareiss) elimination runs
-    over the integers and its answer is returned.
+    When min(rows, cols) is at most MODULAR_MAX_PIVOTS and either
+    min(rows, cols) times the largest entry bit length exceeds
+    MODULAR_RULE_BITS or rows * cols * min(rows, cols) exceeds
+    MODULAR_RULE_WORK, the matrix is eliminated modulo MODULAR_PRIME.  The
+    rank mod p is at most the rational rank, so a rank mod p of
+    min(rows, cols) is returned at once.  A lower one is returned if
+    integer kernel vectors pass the exact check (see the module
+    docstring): of the matrix's own rows, with every prime when cols <=
+    rows, else with the first two primes and then of its columns with every
+    prime.  Otherwise, or below the rule, one-step fraction-free (Bareiss)
+    elimination runs over the integers and its answer is returned.
     """
-    full = min(matrix.rows, matrix.cols)
-    entries = matrix.entries
+    rows, cols, entries = matrix.rows, matrix.cols, matrix.entries
+    full = min(rows, cols)
     bits = max(max(entries), -min(entries)).bit_length() if entries else 0
     # The rule keeps small matrices, most of the CLI's ranks, on Bareiss, which is faster there.
-    if full * bits > MODULAR_RULE_BITS and full <= MODULAR_MAX_PIVOTS:
-        first = _eliminate_mod_p(entries, matrix.cols, MODULAR_PRIME)
+    if (full * bits > MODULAR_RULE_BITS or rows * cols * full > MODULAR_RULE_WORK) and full <= MODULAR_MAX_PIVOTS:
+        first = _eliminate_mod_p(entries, cols, MODULAR_PRIME)
         columns, pivot_rows, _ = first
         found = len(columns)
         if found == full:
             return full
-        # The side with the smaller right kernel, `full` entries per row,
-        # and `found` of its rows independent mod p: the matrix and its
-        # pivot rows when it is at least as tall as wide, else its columns
-        # and its pivot columns.  The certificate's cost grows with the
-        # kernel dimension, and transposing before the first pass would
-        # slow the full-rank wide matrices that need no certificate.
-        if matrix.cols <= matrix.rows:
-            side = [matrix.row(i) for i in range(matrix.rows)]
-            basis = [side[i] for i in pivot_rows]
+        # The matrix's own rows, with its pivot rows as the basis, reuse the
+        # first pass.  A tall matrix spends the whole prime budget on them.  A
+        # wide one tries two primes there, if its rows fit the slot bound of
+        # back substitution, then its columns, whose right kernel is smaller,
+        # with its pivot columns as the basis.
+        own = [matrix.row(i) for i in range(rows)]
+        basis = [own[i] for i in pivot_rows]
+        if cols <= rows:
+            if _kernel_certificate(own, basis, first) is not None:
+                return found
         else:
-            side = [entries[j :: matrix.cols] for j in range(matrix.cols)]
-            basis, first = [side[j] for j in columns], None
-        if _kernel_certificate(side, basis, first) is not None:
-            return found
-    return _bareiss_rank([list(matrix.row(i)) for i in range(matrix.rows)], matrix.cols)
+            if cols <= MODULAR_MAX_PIVOTS and _kernel_certificate(own, basis, first, MODULAR_PRIMES[:2]) is not None:
+                return found
+            side = [entries[j::cols] for j in range(cols)]
+            if _kernel_certificate(side, [side[j] for j in columns], None) is not None:
+                return found
+    return _bareiss_rank([list(matrix.row(i)) for i in range(rows)], cols)
 
 
 def _pack(values: Iterable[int]) -> int:
@@ -359,7 +400,10 @@ def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int)
 
 
 def _kernel_certificate(
-    rows: list[Sequence[int]], basis: list[Sequence[int]], first: tuple[list[int], ...] | None
+    rows: list[Sequence[int]],
+    basis: list[Sequence[int]],
+    first: tuple[list[int], ...] | None,
+    primes: Sequence[int] = MODULAR_PRIMES,
 ) -> list[list[int]] | None:
     """cols - r integer vectors that prove the rows have rank <= r, or None.
 
@@ -368,10 +412,10 @@ def _kernel_certificate(
     `first` is `_eliminate_mod_p`'s result mod MODULAR_PRIME for rows with
     the same span mod p as the basis, when the caller has one; otherwise,
     and at every later prime, the basis's flat entries are eliminated.  The
-    right-kernel bases of the basis mod each prime of MODULAR_PRIMES in
-    turn are combined by the Chinese remainder theorem; after each prime
-    the vectors are reconstructed and returned as soon as `_proves_kernel`
-    accepts them for all the rows.  The basis has rank at least r over the
+    right-kernel bases of the basis mod each of `primes` in turn, a prefix
+    of MODULAR_PRIMES, are combined by the Chinese remainder theorem; after
+    each prime the vectors are reconstructed and returned as soon as
+    `_proves_kernel` accepts them for all the rows.  The basis has rank at least r over the
     rationals, so if the rows have rank r its kernel is theirs.  None means
     no proof: a later prime found other pivot columns, or the primes ran
     out.  `rows` must not be empty; cols is the length of its rows.
@@ -381,7 +425,7 @@ def _kernel_certificate(
     free = sorted(set(range(cols)) - set(pivots))
     values = [0] * (len(pivots) * len(free))
     modulus = 1
-    for p in MODULAR_PRIMES:
+    for p in primes:
         if p != MODULAR_PRIME:
             columns, _, tails = _eliminate_mod_p(chain.from_iterable(basis), cols, p)
             if columns != pivots:

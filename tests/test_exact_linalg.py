@@ -9,23 +9,34 @@ prime.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluricoh import exact_linalg
-from pluricoh.blowup import PointConfiguration, _graded_exponents, jet_matrix
+from pluricoh.blowup import (
+    PointConfiguration,
+    _graded_exponents,
+    generate_configuration,
+    h0_blowup,
+    jet_matrix,
+    parse_point_file,
+)
 from pluricoh.cli import JET_MAX_CELLS
 from pluricoh.exact_linalg import (
     MODULAR_MAX_PIVOTS,
     MODULAR_PRIME,
     MODULAR_PRIMES,
     MODULAR_RULE_BITS,
+    MODULAR_RULE_WORK,
     RatMatrix,
     rank,
 )
 from pluricoh.selfcheck import naive_rank
+
+DATA = Path(__file__).resolve().parent / "data"
 
 small_integers = st.integers(-8, 8)
 
@@ -270,6 +281,36 @@ def deficient_matrices(draw):
     return _integer_matrix(grid)
 
 
+@st.composite
+def small_entry_matrices(draw):
+    """Tall, wide and square matrices that only the work rule sends to the
+    modular route: entries below 2^20, with zero rows, planted dependent
+    rows and columns, and columns that are p times an entry below 2^4."""
+    full = draw(st.integers(16, 20))
+    other = draw(st.integers(max(full, MODULAR_RULE_WORK // full**2 + 1), 40))
+    rows, cols = draw(st.sampled_from([(full, other), (other, full)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    grid = [[rng.randint(-(2**14), 2**14) for _ in range(cols)] for _ in range(rows)]
+    coefficient = st.integers(-3, 3)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2, unique=True)):
+        a, b, i1, i2 = draw(coefficient), draw(coefficient), rng.randrange(rows), rng.randrange(rows)
+        grid[i] = [a * x + b * y for x, y in zip(grid[i1], grid[i2])]
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2, unique=True)):
+        a, b, j1, j2 = draw(coefficient), draw(coefficient), rng.randrange(cols), rng.randrange(cols)
+        for row in grid:
+            row[j] = a * row[j1] + b * row[j2]
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2, unique=True)):
+        for row in grid:
+            row[j] = MODULAR_PRIME * rng.randint(-15, 15)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2, unique=True)):
+        grid[i] = [0] * cols
+    m = _integer_matrix(grid)
+    assert max((abs(x) for x in m.entries if x % MODULAR_PRIME), default=0) < 2**20
+    assert full * max(abs(x) for x in m.entries).bit_length() <= MODULAR_RULE_BITS
+    assert rows * cols * full > MODULAR_RULE_WORK
+    return m
+
+
 def _spy(monkeypatch, name: str) -> list:
     """Record the arguments of every call to exact_linalg.<name>, then call it."""
     calls = []
@@ -299,6 +340,12 @@ class TestModularRoute:
         expected = naive_rank(m)
         assert expected < min(m.rows, m.cols)
         assert rank(m) == expected == _bareiss(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_entry_matrices())
+    def test_small_entries_past_the_work_rule_match_naive_elimination(self, m):
+        expected = naive_rank(m)
+        assert rank(m) == expected == rank(m.transpose())
 
     @settings(max_examples=200)
     @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
@@ -396,7 +443,9 @@ class TestModularRoute:
     @pytest.mark.parametrize("rows, cols", [(10, 12), (12, 10), (11, 11)])
     def test_deficient_large_entries_are_certified_without_bareiss(self, rows, cols, monkeypatch):
         # A planted dependent row (column, when the matrix is tall) gives a
-        # one-dimensional kernel on the side the route picks.
+        # one-dimensional kernel on the side that certifies.  The wide
+        # matrix's own rows, tried first at two primes, have a kernel of
+        # three vectors of large minors, out of reach there.
         grid = _large_grid(random.Random(f"route-deficient:{rows}x{cols}"), rows, cols)
         if rows < cols:
             grid[-1] = [x - y for x, y in zip(grid[0], grid[1])]
@@ -410,6 +459,10 @@ class TestModularRoute:
         monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
         certificates = _spy(monkeypatch, "_kernel_certificate")
         assert rank(m) == min(rows, cols) - 1 == naive_rank(m)
+        if rows < cols:
+            (own, own_basis, first, primes), *certificates = certificates
+            assert (len(own), len(own_basis), primes) == (rows, rows - 1, MODULAR_PRIMES[:2])
+            assert first is not None
         [(side, basis, _)] = certificates
         assert (len(side), len(basis)) == (max(rows, cols), min(rows, cols) - 1)
         assert all(len(row) == min(rows, cols) for row in side + basis)
@@ -419,9 +472,10 @@ class TestModularRoute:
         # A = B C with C of full row rank 9: the kernel of A is that of C,
         # spanned by its 9 x 9 minors of about 370 bits, which the primes
         # cannot reach, so every prime is spent and Bareiss runs once.  The
-        # tall 12 x 10 matrix reuses its first pass at the first prime; its
-        # wide transpose is certified on its columns, whose basis is
-        # eliminated again at the first prime.
+        # tall 12 x 10 matrix reuses its first pass at the first prime.  Its
+        # wide transpose reuses it for its own rows, eliminates them again
+        # at the second prime, and then tries its columns, whose basis is
+        # eliminated at every prime.
         rng = random.Random("route-fallback")
         b = [[rng.randint(-(2**40), 2**40) for _ in range(9)] for _ in range(12)]
         c = [[rng.randint(-(2**40), 2**40) for _ in range(10)] for _ in range(9)]
@@ -432,7 +486,7 @@ class TestModularRoute:
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == 9 == naive_rank(m)
-        expected = [MODULAR_PRIMES[0], *MODULAR_PRIMES] if wide else list(MODULAR_PRIMES)
+        expected = [*MODULAR_PRIMES[:2], *MODULAR_PRIMES] if wide else list(MODULAR_PRIMES)
         assert [args[-1] for args in eliminations] == expected
         assert len(bareiss) == 1
 
@@ -464,6 +518,73 @@ class TestModularRoute:
         )
         assert 8 * bits == MODULAR_RULE_BITS
         assert rank(m) == 8
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_normalized_halphen_grid_certifies_on_its_rows(self, k, monkeypatch):
+        # The grid {0, 1, 2}^2 ranks one wide block whose own kernel, the
+        # k + 1 pencil powers, is certified within the row attempt, so no
+        # column certificate runs.  At k = 3 the entries have 14 bits, so
+        # only the work rule sends the block to the modular route.
+        grid = PointConfiguration.from_coordinates([(x, y) for x in range(3) for y in range(3)])
+        blocks = _spy(monkeypatch, "_block_rank")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert h0_blowup(grid, k) == k + 1
+        [(m,)] = blocks
+        shape = {3: (36, 37), 4: (60, 61)}[k]
+        assert (m.rows, m.cols) == shape
+        if k == 3:
+            assert 36 * max(map(abs, m.entries)).bit_length() <= MODULAR_RULE_BITS
+            assert 36 * 37 * 36 > MODULAR_RULE_WORK
+        [(own, basis, first, primes)] = certificates
+        assert (len(own), len(basis), primes) == (shape[0], shape[1] - k - 1, MODULAR_PRIMES[:2])
+        assert first is not None and not bareiss
+
+    def test_full_rank_twisted_cubic_block_takes_one_elimination(self, monkeypatch):
+        # Five twisted-cubic points at k = 2: four go to the coordinate
+        # points, and the 20 x 85 block of the fifth has full rank, proved by
+        # the first pass.
+        config = parse_point_file((DATA / "space_points.txt").read_text())
+        blocks = _spy(monkeypatch, "_block_rank")
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert h0_blowup(config, 2) == 65
+        assert [(m.rows, m.cols) for (m,) in blocks] == [(20, 85)]
+        assert len(eliminations) == 1 and not bareiss
+
+    def test_wide_planted_row_certifies_on_its_columns_after_two_primes(self, monkeypatch):
+        # Selfcheck's 3 x 4 shape: row 2 is twice row 0.  The own kernel is
+        # two vectors of ratios of 2 x 2 minors, out of reach of two primes;
+        # the columns' kernel is (-2, 0, 1), certified at the first prime.
+        rng = random.Random("wide-planted")
+        bits = MODULAR_RULE_BITS // 3 + 1
+        grid = [[rng.choice((-1, 1)) * rng.randrange(2 ** (bits - 1), 2**bits) for _ in range(4)] for _ in range(2)]
+        m = _integer_matrix([*grid, [2 * x for x in grid[0]]])
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 2 == naive_rank(m)
+        assert [args[-1] for args in eliminations] == [*MODULAR_PRIMES[:2], MODULAR_PRIMES[0]]
+        [own, columns] = certificates
+        assert len(own) == 4 and own[-1] == MODULAR_PRIMES[:2]
+        assert len(columns) == 3 and columns[2] is None
+        assert exact_linalg._kernel_certificate(*columns) == [[-2, 0, 1]]
+        assert not bareiss
+
+    @pytest.mark.parametrize("kind", ["generic", "collinear", "on_conic"])
+    def test_plane_k1_matrices_stay_on_bareiss(self, kind, monkeypatch):
+        # At k = 1 a plane jet matrix is v x 10; up to 12 x 10 it is under
+        # both rules, where Bareiss is faster.
+        assert 12 * 10 * 10 <= MODULAR_RULE_WORK
+
+        def forbidden(*args):
+            raise AssertionError("modular route ran on a plane k = 1 matrix")
+
+        monkeypatch.setattr(exact_linalg, "_eliminate_mod_p", forbidden)
+        blocks = _spy(monkeypatch, "_block_rank")
+        for v in range(5, 13):
+            generate_configuration(kind, v, seed=3)
+        assert blocks and all(m.rows <= 12 and m.cols <= 10 for (m,) in blocks)
 
 
 def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:
