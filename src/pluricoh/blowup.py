@@ -11,32 +11,34 @@ the monomial basis, so each dimension is
 with each point's rows scaled by a power of its coordinate denominator,
 which clears every fraction and changes no rank.
 
+Each point enters as an integer lift (x_0, ..., x_n), by default
+(d, d*x), and its rows are taken in the chart of its first nonzero
+coordinate x_j: a form vanishes to order m at the point exactly when each
+of its derivatives of order below m in the other n coordinates does, and
+evaluating them at the lift instead of at the lift divided by x_j scales
+each row by a power of x_j.
+
 A projective change of coordinates keeps h0, and at the coordinate points
 e_0, ..., e_n the conditions are monomial: a form of degree (n+1)k vanishes
 to order (n-1)k at e_i exactly when each of its monomials has exponent at
 most 2k in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
-``h0_blowup`` takes the first s points whose lifts (d, d*x) are
-independent, s the dimension of the span of all the lifts, completes them
-to a basis of unit vectors, and sends them to coordinate points by the
-adjugate of that basis.  It then ranks the rows of the other v - s images
-against the polytope of exponents beta with (n-1)k <= |beta| <= (n+1)k and
-beta_i <= 2k on the other s - 1 chosen coordinates (for s = n + 1 in the
-plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points):
+``h0_blowup`` takes the first s points whose lifts are independent, s the
+dimension of the span of all the lifts, completes them to a basis of unit
+vectors, and sends them to coordinate points by the adjugate of that basis.
+It then ranks the rows of the other v - s images against the polytope of
+exponents beta with (n-1)k <= |beta| <= (n+1)k and beta_i <= 2k on the
+other s - 1 chosen coordinates (for s = n + 1 in the plane a hexagon of
+C(3k+2, 2) - 3 C(k+1, 2) points):
 
     h0 = (number of polytope points) - rank(rows of the images)
 
-The images stay in the chart x_0 != 0 when the hyperplane through the
-chosen points and unit vectors sent to e_1, ..., e_n holds no other point;
-``_coordinate_images`` looks for such points in O(v) per try.  When the
-points span less than P^n, every image is zero on the completing
+When the points span less than P^n, every image is zero on the completing
 coordinates, so its jet rows vanish off the columns whose exponents there
 match the derivative's; ``rank`` splits such matrices into blocks.  With
 v = s independent points no condition is left to rank, and h0 is the
 lattice count with caps on v coordinates only.  Plane k = 1 (plain
-evaluation, whose moved entries would be three times as long) and
-configurations where no such points are found (three points on each of
-two skew lines of P^3 have none; points that span less than P^n try only
-their chosen points as the origin) keep the matrix on all monomials.
+evaluation, whose moved entries would be three times as long) keeps the
+matrix on all monomials.
 
 The module also ships deterministic configuration generators (generic,
 collinear, on a conic) and a sweep that certifies, point replacement by
@@ -45,7 +47,6 @@ point replacement, every dimension achievable for a given number of points.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
@@ -84,9 +85,9 @@ class PointFileError(ValueError):
 class PointConfiguration:
     """v pairwise-distinct points with exact rational affine coordinates.
 
-    Working in one affine chart means no point lies on the hyperplane at
-    infinity, which is the position assumption the degree-(n+1)k polynomial
-    model needs.
+    The input format writes points in one affine chart, so none lies on the
+    hyperplane at infinity; `lifts` are their homogeneous coordinates, and
+    the jet matrices take any point of P^n in its own chart.
     """
 
     n: int
@@ -115,21 +116,34 @@ class PointConfiguration:
             raise ValueError("cannot infer ambient dimension from an empty point list")
         return cls(n=len(points[0]), points=points)
 
+    @property
+    def lifts(self) -> list[tuple[int, ...]]:
+        """Each point as the integer vector (d, d*x), d the lcm of its coordinate denominators."""
+        lifts = []
+        for point in self.points:
+            d = math.lcm(*(c.denominator for c in point))
+            lifts.append((d, *[c.numerator * (d // c.denominator) for c in point]))
+        return lifts
+
 
 @dataclass(frozen=True)
 class JetConditionMatrix:
     """Derivative-vanishing conditions (rows) against monomials (columns).
 
-    Row order: points in configuration order, then derivative multi-indices
-    in graded order.  Column order: the exponents `jet_matrix` was given, by
-    default every monomial exponent in graded order with the first variable
-    largest, as `_graded_exponents(n, (n+1)k)` lists them; `h0_blowup`
-    passes the polytope's exponents, a subsequence of that order, for moved
-    points.  Entries are integers: the row of a point with coordinate
-    denominators of lcm d and of multi-index alpha holds the true
-    derivatives, falling-factorial factors included, times
-    d^((n+1)k - |alpha|).  Scaling rows changes no rank, and integer points
-    (d = 1) give the true derivatives.
+    Row order: lifts in the order given, then derivative multi-indices alpha
+    in graded order over the n coordinates other than x_j, the lift's first
+    nonzero coordinate, in their order.  Column order: the exponents
+    `jet_matrix` was given, by default every monomial exponent in graded
+    order with the first variable largest, as `_graded_exponents(n, (n+1)k)`
+    lists them; `h0_blowup` passes the polytope's exponents, a subsequence
+    of that order, for moved points.  Entries are integers: the row of a
+    lift P and of alpha holds d^alpha/dx^alpha of each monomial's form of
+    degree (n+1)k at P, which is P_j^((n+1)k - |alpha|) times the true
+    derivatives, falling-factorial factors included, of the dehomogenized
+    monomials in the chart x_j = 1 at P / P_j.  Scaling rows changes no
+    rank.  A point's default lift (d, d*x) has j = 0, so its rows are the
+    true derivatives times d^((n+1)k - |alpha|), and integer points (d = 1)
+    give the true derivatives.
     """
 
     matrix: RatMatrix
@@ -185,54 +199,61 @@ def jet_shape(
 
 
 def jet_matrix(
-    config: PointConfiguration, k: int, exponents: Sequence[tuple[int, ...]] | None = None
+    n: int, lifts: Sequence[Sequence[int]], k: int, exponents: Sequence[tuple[int, ...]] | None = None
 ) -> JetConditionMatrix:
     """Build the matrix of vanishing conditions defining h0 of power k.
 
-    The columns are the monomials x^beta for beta in `exponents`, each of
-    total degree at most (n+1)k; by default all of them, in graded order.
-    Shaped as ``jet_shape`` says; integer entries, scaled as described on
-    ``JetConditionMatrix``, with no Fraction formed.  For n = 2, k = 1 the
-    conditions degenerate to plain evaluation, mapping each integer point
-    (x, y) to the row (1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3).
+    `lifts` are points of P^n as nonzero integer vectors (x_0, ..., x_n),
+    such as `PointConfiguration.lifts`.  The columns are the monomials
+    x^beta for beta in `exponents`, each of total degree at most (n+1)k; by
+    default all of them, in graded order.  Shaped as ``jet_shape`` says;
+    integer entries, as described on ``JetConditionMatrix``, with no
+    Fraction formed.  For n = 2, k = 1 the conditions degenerate to plain
+    evaluation, mapping the lift (1, x, y) to the row (1, x, y, x^2, xy,
+    y^2, x^3, x^2 y, x y^2, y^3).
 
-    A point's rows are the leaves of a product tree over alpha.  A node is a
-    prefix (alpha_1, ..., alpha_i): its parent times d^alpha_i/dx_i^alpha_i of
-    x_i^beta_i, per column beta.  The root, d^((n+1)k - |beta|), is all ones at
-    an integer point (d = 1) and is skipped.  So an entry costs one product
-    beyond the prefixes it shares, and the columns enter only as exponents.
+    A lift's rows are the leaves of a product tree over alpha, in the chart
+    of its first nonzero coordinate x_j.  A node is a prefix (alpha_1, ...,
+    alpha_i): its parent times the alpha_i-th derivative of the i-th other
+    coordinate's power, per column.  The root, x_j to its exponent in each
+    column's form of degree (n+1)k, is all ones when x_j = 1 and is skipped.
+    So an entry costs one product beyond the prefixes it shares, and the
+    columns enter only as exponents.
 
     n = 1 is rejected: there (n-1)k = 0 and the condition set would be
     vacuous, so the blow-up would not constrain sections at all.
     """
-    if config.n < 2:
+    if n < 2:
         raise ValueError("blow-ups require n >= 2; n = 1 imposes no vanishing conditions")
-    n = config.n
-    rows, cols = jet_shape(n, config.v, k, exponents)
+    # A short or long lift would otherwise be truncated by zip into a wrong matrix of the right shape.
+    if not all(len(lift) == n + 1 and any(lift) for lift in lifts):
+        raise ValueError(f"each lift must be a nonzero vector of n + 1 = {n + 1} integers")
+    rows, cols = jet_shape(n, len(lifts), k, exponents)
     top = (n + 1) * k
     order = (n - 1) * k - 1
     monomials = _graded_exponents(n, top) if exponents is None else exponents
     alphas = _graded_exponents(n, order)
     # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= order and a <= b <= top.
     falling = [[math.perm(b, a) for b in range(a, top + 1)] for a in range(1, order + 1)]
-    # Per monomial: the power of the lifted x0 it carries, and each variable's exponent.
-    homogenizing = [top - sum(beta) for beta in monomials]
-    by_variable = list(zip(*monomials))
+    # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree top.
+    by_coordinate = [[top - sum(beta) for beta in monomials], *zip(*monomials)]
+    # Per chart j: the root's exponents, then those of the other coordinates, one per tree level.
+    charts = [(by_coordinate[j], by_coordinate[:j] + by_coordinate[j + 1 :]) for j in range(n + 1)]
     # Tree levels 2..n: the distinct alpha prefixes of each length; the last is the alphas, in row order.
     levels = [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)]
     entries: list[int] = []
-    for point in config.points:
-        # The point lifted to (d, d*x), integral: d^(top - |alpha|) times the true derivatives.
-        d = math.lcm(*(c.denominator for c in point))
+    for lift in lifts:
+        j = 0 if lift[0] else next(i for i, x in enumerate(lift) if x)
+        root_exponents, chart = charts[j]
         gathered = []
-        for c, column_exponents in zip(point, by_variable):
-            q = _powers(c.numerator * (d // c.denominator), top)  # q[b] = (d*x)^b
-            # Per order a: perm(b, a) q[b - a], the a-th derivative of x^b at d*x, 0 for b < a; order 0 is q.
+        for x, column_exponents in zip(lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]], chart):
+            q = _powers(x, top)
+            # Per order a: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
             tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(falling, start=1)]
             gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
         nodes = {(a,): row for a, row in enumerate(gathered[0])}
-        if d != 1:
-            root = list(map(_powers(d, top).__getitem__, homogenizing))
+        if lift[j] != 1:
+            root = list(map(_powers(lift[j], top).__getitem__, root_exponents))
             nodes = {prefix: list(map(mul, root, row)) for prefix, row in nodes.items()}
         for by_order, level in zip(gathered[1:], levels):
             nodes = {prefix: list(map(mul, nodes[prefix[:-1]], by_order[prefix[-1]])) for prefix in level}
@@ -241,16 +262,6 @@ def jet_matrix(
     # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
     matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))
     return JetConditionMatrix(matrix=matrix)
-
-
-def _lift(point: Sequence[Fraction]) -> tuple[int, ...]:
-    """The point as the integer vector (d, d*x), d the lcm of its coordinate denominators.
-
-    `jet_matrix` lifts the same way inline: a call per point there added
-    about 7% to a plane k = 1 build.
-    """
-    d = math.lcm(*(c.denominator for c in point))
-    return (d, *[c.numerator * (d // c.denominator) for c in point])
 
 
 def _polytope(n: int, k: int, capped: int | None = None) -> list[tuple[int, ...]]:
@@ -335,88 +346,28 @@ def _independent_lifts(lifts: Sequence[Sequence[int]], cap: int) -> list[int]:
     return indices
 
 
-def _facet_images(
-    lifts: Sequence[Sequence[int]], chosen: Sequence[int], completion: Sequence[Sequence[int]] = ()
-) -> list[tuple[int, ...]] | None:
-    """The other lifts moved so that the chosen points become coordinate points, or None.
+def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]]:
+    """The other lifts moved so that the chosen points become coordinate points.
 
-    The chosen lifts, followed by the `completion` vectors, are a basis,
-    the columns of a matrix M.  Each chosen point in order is tried as the
-    origin, the point sent to e_0; the first whose facet, the hyperplane
-    through the other columns, holds no other point is taken, and None
-    means none is.  Row i of adj(M) maps Q to det(M with column i replaced
+    The chosen lifts, followed by the unit vectors e_0, ..., e_n that are
+    independent of them and of those taken before, are a basis, the columns
+    of a matrix M.  Row i of adj(M) maps Q to det(M with column i replaced
     by Q), so adj(M) sends the chosen lifts to det(M) e_i and every other
-    lift Q to the integer vector adj(M) Q, nonzero at the origin's
-    coordinate i exactly when Q is off that facet, and zero at the
-    completion's coordinates when Q lies in the chosen points' span.  The
-    images come back with coordinate i first, then the other chosen ones,
-    then the completion's.
+    lift Q to the integer vector adj(M) Q, zero at the completion's
+    coordinates when Q lies in the chosen points' span.  Each image is
+    divided by its content, signed so that its first nonzero coordinate is
+    positive.
     """
-    columns = [*[lifts[c] for c in chosen], *completion]
-    adjugate = [_cofactor_row(columns, i) for i in range(len(columns))]
-    origins = range(len(chosen))
+    size = len(lifts[0])
+    units = [tuple([int(i == j) for i in range(size)]) for j in range(size)]
+    basis = [*[lifts[c] for c in chosen], *units]
+    columns = [basis[j] for j in _independent_lifts(basis, size)]
+    adjugate = [_cofactor_row(columns, i) for i in range(size)]
     images = []
     for q in (q for index, q in enumerate(lifts) if index not in chosen):
         image = [sum(map(mul, row, q)) for row in adjugate]
-        origins = [i for i in origins if image[i]]
-        if not origins:
-            return None
-        images.append(image)
-    i = origins[0]
-    return [(image[i], *image[:i], *image[i + 1 :]) for image in images]
-
-
-def _pencil_tuple(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[int] | None:
-    """n + 1 independent points whose first facet holds no other point, or None.
-
-    For chosen points t_i and t_j, the hyperplanes through the other n - 1
-    chosen points form a pencil, and coordinates i and j of adj(M) Q, up to
-    a common factor, name the member through Q.  A member through a single
-    point p, when no other point lies on the n - 1 themselves, is such a
-    facet; t_i, or t_j if p is t_i, lies off it and is the origin.  The
-    pairs (i, j) are tried in lexicographic order, the members in the order
-    of their first point, so the choice is reproducible; O(v) per pair.
-    """
-    columns = [lifts[c] for c in chosen]
-    adjugate = [_cofactor_row(columns, i) for i in range(len(columns))]
-    images = [[sum(map(mul, row, q)) for row in adjugate] for q in lifts]
-    for i, j in itertools.combinations(range(len(chosen)), 2):
-        base = [c for c in chosen if c not in (chosen[i], chosen[j])]
-        members: dict[tuple[int, int], list[int]] = {}
-        for index, image in enumerate(images):
-            if index in base:
-                continue
-            a, b = image[i], image[j]
-            if not (a or b):  # on the n - 1 points, so in every member
-                break
-            g = math.gcd(a, b) if a > 0 or (a == 0 and b > 0) else -math.gcd(a, b)
-            members.setdefault((a // g, b // g), []).append(index)
-        else:
-            p = next((points[0] for points in members.values() if len(points) == 1), None)
-            if p is not None:
-                return [chosen[j] if p == chosen[i] else chosen[i], *base, p]
-    return None
-
-
-def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]] | None:
-    """Images of the other lifts with the chosen points at coordinate points, or None if no facet is found.
-
-    Chosen points that span P^n come first (`_facet_images`); when each of
-    their facets holds another point, the pencils through n - 1 of them
-    are searched for a facet that holds none (`_pencil_tuple`).  Fewer
-    chosen points are completed to a basis by the unit vectors e_0, ...,
-    e_n that are independent of them and of the ones taken before, and
-    only the chosen points are tried as the origin.
-    """
-    size = len(lifts[0])
-    if len(chosen) < size:
-        units = [tuple([int(i == j) for i in range(size)]) for j in range(size)]
-        basis = _independent_lifts([*[lifts[c] for c in chosen], *units], size)
-        return _facet_images(lifts, chosen, [units[j - len(chosen)] for j in basis[len(chosen) :]])
-    images = _facet_images(lifts, chosen)
-    if images is None:
-        retry = _pencil_tuple(lifts, chosen)
-        images = None if retry is None else _facet_images(lifts, retry)
+        g = math.gcd(*image) if next(filter(None, image)) > 0 else -math.gcd(*image)
+        images.append(tuple([x // g for x in image]))
     return images
 
 
@@ -427,23 +378,20 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
     independent points found first are moved to coordinate points and
     only the other points' rows are ranked, against the polytope's columns
     with caps on those s coordinates; v = s independent points need no
-    rank at all (see the module docstring).  Every other input ranks the
-    matrix on all monomials.  Either way one jet matrix is built and
-    ranked, or none.
+    rank at all (see the module docstring).  Plane k = 1 ranks the matrix
+    on all monomials.  Either way one jet matrix is built and ranked, or
+    none.
     """
     n = config.n
+    lifts = config.lifts
     if (n - 1) * k >= 2:
-        lifts = [_lift(point) for point in config.points]
         chosen = _independent_lifts(lifts, n + 1)
         if len(chosen) == len(lifts):
             return _capped_count(n, k, len(chosen))
-        images = _coordinate_images(lifts, chosen)
-        if images is not None:
-            moved = PointConfiguration(n, tuple([tuple([Fraction(x, y[0]) for x in y[1:]]) for y in images]))
-            columns = _polytope(n, k, len(chosen))
-            # Positional, as every call of jet_matrix, so wrappers that take *args see it.
-            return len(columns) - rank(jet_matrix(moved, k, columns).matrix)
-    return monomial_count(n, k) - rank(jet_matrix(config, k).matrix)
+        columns = _polytope(n, k, len(chosen))
+        # Positional, as every call of jet_matrix, so wrappers that take *args see it.
+        return len(columns) - rank(jet_matrix(n, _coordinate_images(lifts, chosen), k, columns).matrix)
+    return monomial_count(n, k) - rank(jet_matrix(n, lifts, k).matrix)
 
 
 def _rng(seed: int, *indices: int) -> random.Random:

@@ -71,11 +71,13 @@ FAMILY_MAX_KMAX = 10**4
 # most of it is the lattice-walk oracle, count_sections_by_lattice_points.
 SELFCHECK_MAX_BUDGET = 50
 
-# Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind,
-# on_conic, takes about 0.7 s just below it (v = 7, k = 7: 49,588 cells, its
-# deficient rank certified with seven primes) on a 2-CPU host; generic v = 20,
-# k = 5 (40,800 cells) takes about 0.1 s.  Both are whole processes,
-# interpreter start included.
+# Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind
+# below it is on_conic: v = 9, k = 6 (35,910 cells) takes about 0.19 s on a
+# 2-CPU host.  Its rank is taken on 126 x 127 rows of the six points left after
+# three go to the coordinate points; the rank, 88, fails on the rows at two
+# primes and is certified on the columns with five.  on_conic v = 7, k = 7
+# (49,588 cells) takes about 0.16 s and generic v = 20, k = 5 (40,800 cells)
+# about 0.1 s.  All are whole processes, min of 9, interpreter start included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

@@ -2,8 +2,9 @@
 
 The module holds two things: `RatMatrix`, a dense matrix that refuses any
 entry but a Python int, and `rank`, its rank over the rationals.  Points
-with rational coordinates are cleared to integers before a matrix is formed
-(`blowup.jet_matrix`), so every rank is an exact integer, never a float.
+reach the jet build as integer vectors of homogeneous coordinates
+(`blowup.PointConfiguration.lifts`, `blowup.jet_matrix`), so every entry
+is an integer and every rank exact, never a float.
 `rank` backs all section counts for blow-ups, so it is deterministic and
 every answer it gives is proved.
 

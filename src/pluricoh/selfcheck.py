@@ -271,7 +271,7 @@ def _jet_corpus(v_max: int) -> JetCorpus:
 def _check_jet_rank_cross_check(jets: Callable[[], JetCorpus]) -> Cases:
     for label, config, row in jets():
         got = blowup.monomial_count(2, row.k) - row.h0_minus_kK
-        expected = naive_rank(blowup.jet_matrix(config, row.k).matrix)
+        expected = naive_rank(blowup.jet_matrix(config.n, config.lifts, row.k).matrix)
         yield None if got == expected else f"{label}, k={row.k}: production {got} vs naive {expected}"
 
 

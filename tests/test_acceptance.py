@@ -148,7 +148,7 @@ def test_criterion_06_achievable_dimension_witnesses(witness_corpus):
         for dim, config in data["witnesses"]:
             assert config.v == v
             # Certify each witness through the independent elimination route.
-            assert 10 - naive_rank(jet_matrix(config, 1).matrix) == dim, (v, dim)
+            assert 10 - naive_rank(jet_matrix(config.n, config.lifts, 1).matrix) == dim, (v, dim)
         assert h0_blowup(data["collinear"], 1) == 6, v
         assert h0_blowup(data["generic"], 1) == max(10 - v, 0), v
     _report(6, "witnesses found and certified for every dimension in [max(10-v,0), 6], v = 5..12")
@@ -187,13 +187,13 @@ def test_criterion_09_blowup_family_headline():
 
 
 def test_criterion_10_oracle_redundancy(forced_corpus, witness_corpus):
-    jets = [jet_matrix(config, 1).matrix for config in forced_corpus[:40]]
+    jets = [jet_matrix(config.n, config.lifts, 1).matrix for config in forced_corpus[:40]]
     for data in witness_corpus.values():
-        jets.extend(jet_matrix(config, 1).matrix for _, config in data["witnesses"])
-        jets.append(jet_matrix(data["collinear"], 1).matrix)
-    jets.append(jet_matrix(generate_configuration("collinear", 12)[0], 2).matrix)
-    jets.append(jet_matrix(generate_configuration("on_conic", 8)[0], 2).matrix)
-    jets.append(jet_matrix(generate_configuration("generic", 12, seed=5)[0], 2).matrix)
+        configs = [config for _, config in data["witnesses"]] + [data["collinear"]]
+        jets.extend(jet_matrix(config.n, config.lifts, 1).matrix for config in configs)
+    for kind, v, seed in [("collinear", 12, 0), ("on_conic", 8, 0), ("generic", 12, 5)]:
+        config = generate_configuration(kind, v, seed=seed)[0]
+        jets.append(jet_matrix(config.n, config.lifts, 2).matrix)
     assert max((m.rows, m.cols) for m in jets) == (36, 28)
     for matrix in jets:
         assert rank(matrix) == naive_rank(matrix), (matrix.rows, matrix.cols)

@@ -21,12 +21,8 @@ from pluricoh.blowup import (
     PointFileError,
     SamplingBudgetError,
     _capped_count,
-    _coordinate_images,
-    _facet_images,
     _graded_exponents,
     _independent_lifts,
-    _lift,
-    _pencil_tuple,
     _polytope,
     achievable_dims,
     blowup_row,
@@ -57,6 +53,17 @@ def space_configs(n: int):
     return st.lists(st.tuples(*[coords] * n), unique=True, min_size=1, max_size=3).map(
         lambda pts: PointConfiguration(n=n, points=tuple(pts))
     )
+
+
+@st.composite
+def chart_lifts(draw):
+    """(n, lifts, k): nonzero integer lifts of P^2 or P^3, each with 0 to n leading zeros."""
+    n, k = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]))
+    entry = st.integers(-9, 9)
+    lift = st.integers(0, n).flatmap(
+        lambda j: st.tuples(*[st.just(0)] * j, entry.filter(bool), *[entry] * (n - j))
+    )
+    return n, draw(st.lists(lift, min_size=1, max_size=3 if k < 3 else 2)), k
 
 
 VERONESE_ORDER = (
@@ -132,23 +139,26 @@ class TestMonomialCount:
 class TestJetMatrix:
     def test_column_order_is_the_veronese_order(self):
         assert tuple(_graded_exponents(2, 3)) == VERONESE_ORDER
-        jet = jet_matrix(PointConfiguration.from_coordinates([(2, 3)]), 1)
+        config = PointConfiguration.from_coordinates([(2, 3)])
+        jet = jet_matrix(config.n, config.lifts, 1)
         assert jet.matrix.row(0) == tuple(2**i * 3**j for i, j in VERONESE_ORDER)
 
     def test_single_point_evaluation_row(self):
-        jet = jet_matrix(PointConfiguration.from_coordinates([(0, 0)]), 1)
+        config = PointConfiguration.from_coordinates([(0, 0)])
+        jet = jet_matrix(config.n, config.lifts, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (1, 10)
         assert jet.matrix.row(0) == (Fraction(1),) + (Fraction(0),) * 9
 
     def test_evaluation_rows_are_monomial_vectors(self):
         config = PointConfiguration.from_coordinates([(2, 3)])
-        jet = jet_matrix(config, 1)
+        jet = jet_matrix(config.n, config.lifts, 1)
         x, y = Fraction(2), Fraction(3)
         assert jet.matrix.row(0) == (1, x, y, x**2, x * y, y**2, x**3, x**2 * y, x * y**2, y**3)
 
     def test_power_two_at_origin_selects_low_coefficients(self):
         # Rows: the derivatives alpha = (0, 0), (1, 0), (0, 1), the first three monomials.
-        jet = jet_matrix(PointConfiguration.from_coordinates([(0, 0)]), 2)
+        config = PointConfiguration.from_coordinates([(0, 0)])
+        jet = jet_matrix(config.n, config.lifts, 2)
         assert (jet.matrix.rows, jet.matrix.cols) == (3, 28)
         assert _graded_exponents(2, 6)[:3] == [(0, 0), (1, 0), (0, 1)]
         for row_index in range(3):
@@ -158,15 +168,15 @@ class TestJetMatrix:
 
     def test_collinear_rows(self):
         config, _ = generate_configuration("collinear", 5)
-        jet = jet_matrix(config, 1)
+        jet = jet_matrix(config.n, config.lifts, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (5, 10)
         for i, x in enumerate(range(1, 6)):
             assert jet.matrix.row(i) == (1, x, 0, x**2, 0, 0, x**3, 0, 0, 0)
 
     def test_row_count_formula(self):
         config = PointConfiguration.from_coordinates([(0, 0), (1, 1), (2, 5)])
-        assert jet_matrix(config, 2).matrix.rows == 3 * 3
-        assert jet_matrix(config, 3).matrix.rows == 3 * 6
+        assert jet_matrix(config.n, config.lifts, 2).matrix.rows == 3 * 3
+        assert jet_matrix(config.n, config.lifts, 3).matrix.rows == 3 * 6
 
     @pytest.mark.parametrize(
         "n, v, k, shape",
@@ -176,21 +186,28 @@ class TestJetMatrix:
         assert jet_shape(n, v, k) == shape
 
     def test_line_ambient_rejected(self):
+        config = PointConfiguration(n=1, points=((Fraction(1),),))
         with pytest.raises(ValueError):
-            jet_matrix(PointConfiguration(n=1, points=((Fraction(1),),)), 1)
+            jet_matrix(config.n, config.lifts, 1)
+
+    @pytest.mark.parametrize("lift", [(1, 2), (1, 2, 3, 4), (0, 0, 0)])
+    def test_malformed_lift_rejected(self, lift):
+        with pytest.raises(ValueError, match=r"nonzero vector of n \+ 1 = 3 integers"):
+            jet_matrix(2, [(1, 0, 0), lift], 1)
 
     def test_zero_power_rejected(self):
+        config = PointConfiguration.from_coordinates([(0, 0)])
         with pytest.raises(ValueError):
-            jet_matrix(PointConfiguration.from_coordinates([(0, 0)]), 0)
+            jet_matrix(config.n, config.lifts, 0)
 
     @given(configs(1, 4), st.integers(1, 3))
     @settings(max_examples=50)
     def test_rows_are_scaled_true_derivatives(self, config, k):
-        _assert_scaled_true_derivatives(config, k)
+        _assert_scaled_true_derivatives(config.n, config.lifts, k)
 
     def test_space_point_file_rows_are_scaled_true_derivatives(self):
         config = parse_point_file((DATA / "space_points.txt").read_text())
-        _assert_scaled_true_derivatives(config, 1)
+        _assert_scaled_true_derivatives(config.n, config.lifts, 1)
 
     # Each coordinate is one level of the product tree, so P^3 and P^4 take it
     # three and four levels deep; k = 2 in P^3 reaches derivative order 3.
@@ -206,6 +223,15 @@ class TestJetMatrix:
     @example((PointConfiguration.from_coordinates([("1/4", "2/3", 5), ("-3/2", "5/3", "1/6"), (0, 0, "1/4")]), 2))
     @settings(max_examples=25, deadline=None)
     def test_space_rows_are_scaled_true_derivatives(self, case):
+        config, k = case
+        _assert_scaled_true_derivatives(config.n, config.lifts, k)
+
+    @given(chart_lifts())
+    # x_0 = 0: the rows are taken in the chart of x_1, and of x_2 for (0, 0, 3).
+    @example((2, [(0, 1, 2), (0, 0, 3)], 3))
+    @example((3, [(0, 2, -1, 1), (0, 0, 0, 5), (0, 0, -2, 1)], 2))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_off_the_first_chart_are_scaled_true_derivatives(self, case):
         _assert_scaled_true_derivatives(*case)
 
 
@@ -222,22 +248,29 @@ def _true_derivative(beta, alpha, point) -> Fraction:
     return value
 
 
-def _assert_scaled_true_derivatives(config: PointConfiguration, k: int) -> None:
-    # Each row is the true derivatives at its point times d^((n+1)k - |alpha|),
-    # with d the lcm of the point's coordinate denominators.
-    jet = jet_matrix(config, k)
-    top = (config.n + 1) * k
-    monomials = _graded_exponents(config.n, top)
-    # The documented row order: points in configuration order, then the
+def _assert_scaled_true_derivatives(n: int, lifts, k: int) -> None:
+    # Each row of a lift P whose first nonzero coordinate is x_j holds the true
+    # derivatives, in the chart x_j = 1, of the dehomogenized monomials at
+    # P / P_j, times P_j^((n+1)k - |alpha|).  For a point's lift (d, d*x),
+    # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).
+    jet = jet_matrix(n, lifts, k)
+    top = (n + 1) * k
+    monomials = _graded_exponents(n, top)
+    # The documented row order: lifts in the order given, then the
     # multi-indices of order below (n-1)k in the graded order of the columns.
-    alphas = [alpha for alpha in monomials if sum(alpha) < (config.n - 1) * k]
-    labels = [(point, alpha) for point in config.points for alpha in alphas]
-    assert jet.matrix.rows == len(labels)
-    for i, (point, alpha) in enumerate(labels):
-        scale = math.lcm(*(c.denominator for c in point)) ** (top - sum(alpha))
-        row = jet.matrix.row(i)
-        assert all(type(x) is int for x in row)
-        assert row == tuple(scale * _true_derivative(b, alpha, point) for b in monomials)
+    alphas = [alpha for alpha in monomials if sum(alpha) < (n - 1) * k]
+    assert jet.matrix.rows == len(lifts) * len(alphas)
+    rows = iter(range(jet.matrix.rows))
+    homogenized = [(top - sum(beta), *beta) for beta in monomials]
+    for lift in lifts:
+        j = next(c for c, x in enumerate(lift) if x)
+        point = [Fraction(x, lift[j]) for c, x in enumerate(lift) if c != j]
+        # Each column's form of degree top, with x_j's exponent dropped.
+        charted = [beta[:j] + beta[j + 1 :] for beta in homogenized]
+        for alpha in alphas:
+            row = jet.matrix.row(next(rows))
+            assert all(type(x) is int for x in row)
+            assert row == tuple(lift[j] ** (top - sum(alpha)) * _true_derivative(b, alpha, point) for b in charted)
 
 
 class TestH0Blowup:
@@ -247,7 +280,7 @@ class TestH0Blowup:
 
     def test_five_collinear_points(self):
         config, _ = generate_configuration("collinear", 5)
-        jet = jet_matrix(config, 1).matrix
+        jet = jet_matrix(config.n, config.lifts, 1).matrix
         assert naive_rank(jet) == 4
         assert h0_blowup(config, 1) == 6
 
@@ -260,13 +293,13 @@ class TestH0Blowup:
 
     @given(configs(1, 4))
     def test_few_points_impose_independent_conditions(self, config):
-        jet = jet_matrix(config, 1).matrix
+        jet = jet_matrix(config.n, config.lifts, 1).matrix
         assert rank(jet) == config.v
         assert h0_blowup(config, 1) == 10 - config.v
 
     @given(configs(1, 3))
     def test_matches_naive_nullspace_dimension(self, config):
-        jet = jet_matrix(config, 1).matrix
+        jet = jet_matrix(config.n, config.lifts, 1).matrix
         assert h0_blowup(config, 1) == jet.cols - naive_rank(jet)
 
     @given(configs(1, 6), points_2d)
@@ -316,7 +349,7 @@ class TestH0Blowup:
     def test_at_least_four_independent_conditions(self, config):
         # Shearing x by a multiple of y separates the x-coordinates while
         # preserving rank, which exposes an embedded Vandermonde block.
-        r = rank(jet_matrix(config, 1).matrix)
+        r = rank(jet_matrix(config.n, config.lifts, 1).matrix)
         xs = [p[0] for p in config.points]
         if len(set(xs)) < config.v:
             shear = _separating_shear(config)
@@ -324,7 +357,7 @@ class TestH0Blowup:
                 n=2, points=tuple((x + shear * y, y) for x, y in config.points)
             )
             assert len({p[0] for p in sheared.points}) == config.v
-            assert rank(jet_matrix(sheared, 1).matrix) == r
+            assert rank(jet_matrix(sheared.n, sheared.lifts, 1).matrix) == r
         assert r >= 4
 
 
@@ -340,7 +373,7 @@ def _separating_shear(config: PointConfiguration) -> Fraction:
 class TestSpaceBlowups:
     def test_single_point_in_three_space(self):
         config = PointConfiguration.from_coordinates([(0, 0, 0)])
-        jet = jet_matrix(config, 1)
+        jet = jet_matrix(config.n, config.lifts, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (4, 35)
         assert naive_rank(jet.matrix) == 4
         assert h0_blowup(config, 1) == 31
@@ -348,12 +381,12 @@ class TestSpaceBlowups:
     def test_two_points_in_three_space(self):
         config = PointConfiguration.from_coordinates([(1, 2, 3), (4, 5, 6)])
         assert h0_blowup(config, 1) == 27
-        assert h0_blowup(config, 1) == 35 - naive_rank(jet_matrix(config, 1).matrix)
+        assert h0_blowup(config, 1) == 35 - naive_rank(jet_matrix(config.n, config.lifts, 1).matrix)
 
 
 def _full_matrix_h0(config: PointConfiguration, k: int) -> int:
     """h0 from the rank of the matrix on all monomials, with no point moved."""
-    return monomial_count(config.n, k) - rank(jet_matrix(config, k).matrix)
+    return monomial_count(config.n, k) - rank(jet_matrix(config.n, config.lifts, k).matrix)
 
 
 @st.composite
@@ -387,6 +420,8 @@ def drawn_configurations(draw):
 
 # The first triple's sides each hold one of the last three points.
 HALF_GRID = [(0, 0), (2, 0), (0, 2), (1, 0), (0, 1), (1, 1)]
+# Three points on each of two skew lines of P^3, as in tests/data/skew_lines.txt.
+SKEW_LINES = [(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)]
 
 
 @st.composite
@@ -410,15 +445,17 @@ class TestNormalizedH0:
     """Chosen points sent to coordinate points, the rest ranked on the polytope's columns."""
 
     @given(drawn_configurations())
-    # The first triple fails with (0, 0) as the origin and passes with (1, 0).
+    # (2, -1) lies on the line through (1, 0) and (0, 1), so its image has x_0 = 0
+    # and is ranked in the chart of x_1.
     @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)]), 3))
     @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1), (5, 7)]), 3))
     # Three independent points: the count path, no matrix.
     @example((PointConfiguration.from_coordinates([(1, 1, 1), (2, 4, 8), (3, 9, 27)]), 2))
-    # Each side of the first triangle holds a grid point: a pencil finds the facet.
+    # Each side of the first triangle holds a grid point; the image of (1, 1) has x_0 = 0.
     @example((PointConfiguration.from_coordinates(HALF_GRID), 3))
-    # Three points on each of two skew lines: the first independent four admit no origin.
-    @example((PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)]), 1))
+    # Three points on each of two skew lines: the image of the last has x_0 = x_1 = 0 and is
+    # ranked in the chart of x_2.
+    @example((PointConfiguration.from_coordinates(SKEW_LINES), 1))
     @settings(max_examples=80, deadline=None)
     def test_equals_the_full_matrix_rank(self, case):
         config, k = case
@@ -436,14 +473,6 @@ class TestNormalizedH0:
         config = PointConfiguration.from_coordinates(coordinates)
         assert h0_blowup(config, k) == _full_matrix_h0(config, k) == h0
 
-    def test_search_tries_each_origin_of_a_triple(self):
-        # (2, -1) lies on x + y = 1 through (1, 0) and (0, 1), so (0, 0) cannot
-        # be the origin; with (1, 0) as the origin its image is adj(M) (1, 2, -1)
-        # = (0, 2, -1), the origin's coordinate 2 first.
-        lifts = [_lift(p) for p in PointConfiguration.from_coordinates([(0, 0), (1, 0), (0, 1), (2, -1)]).points]
-        assert _independent_lifts(lifts, 3) == [0, 1, 2]
-        assert _coordinate_images(lifts, [0, 1, 2]) == [(2, 0, -1)]
-
     @given(drawn_configurations())
     @example((PointConfiguration.from_coordinates([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]), 2))
     @settings(max_examples=60)
@@ -451,7 +480,7 @@ class TestNormalizedH0:
         # Greedy selection over the lifts' matroid is its lexicographically
         # first basis, the tuple a search over combinations would find first.
         config, _ = case
-        lifts = [_lift(p) for p in config.points]
+        lifts = config.lifts
         size = min(config.v, config.n + 1)
         first = next(
             (
@@ -487,23 +516,12 @@ class TestNormalizedH0:
         for capped in range(1, n + 2):
             assert len(_polytope(n, k, capped)) == _capped_count(n, k, capped)
 
-    def test_two_skew_lines_admit_no_facet(self):
-        # The first independent four take two points of each line.  A plane
-        # through three of them holds a whole line, so a sixth point; and every
-        # plane through two of them and one more point holds a whole line too.
-        config = PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)])
-        lifts = [_lift(p) for p in config.points]
-        assert _independent_lifts(lifts, 4) == [0, 1, 3, 4]
-        assert _facet_images(lifts, [0, 1, 3, 4]) is None
-        assert _pencil_tuple(lifts, [0, 1, 3, 4]) is None
-
-    def test_pencil_finds_a_facet_when_the_first_tuple_has_none(self, monkeypatch):
-        # Through (0, 2) the line to (1, 0) holds no other point, so (1, 0)
-        # and (0, 2) span the facet and (0, 0) is the origin.
-        lifts = [_lift(p) for p in PointConfiguration.from_coordinates(HALF_GRID).points]
-        assert _independent_lifts(lifts, 3) == [0, 1, 2]
-        assert _facet_images(lifts, [0, 1, 2]) is None
-        assert _pencil_tuple(lifts, [0, 1, 2]) == [0, 2, 3]
+    @pytest.mark.parametrize(
+        "coordinates, k, capped, h0",
+        [(SKEW_LINES, 1, 4, 13), (SKEW_LINES, 2, 4, 55), ([(x, y, 0) for x, y in HALF_GRID], 2, 3, 63)],
+    )
+    def test_images_off_the_first_chart_are_ranked_on_the_polytope(self, monkeypatch, coordinates, k, capped, h0):
+        # Whichever chosen point went to e_0, some image here would lie on x_0 = 0.
         builds = []
         original = pluricoh.blowup.jet_matrix
 
@@ -512,31 +530,21 @@ class TestNormalizedH0:
             return original(*args)
 
         monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
-        config = PointConfiguration.from_coordinates(HALF_GRID)
-        assert h0_blowup(config, 2) == _full_matrix_h0(config, 2)
-        assert [(moved.v, columns) for moved, _, columns in builds] == [(3, _polytope(2, 2))]
+        config = PointConfiguration.from_coordinates(coordinates)
+        assert h0_blowup(config, k) == h0
+        ((n, images, built_k, columns),) = builds
+        assert (n, len(images), built_k, columns) == (3, config.v - capped, k, _polytope(3, k, capped))
+        assert any(image[0] == 0 for image in images)
+        assert monomial_count(3, k) - naive_rank(original(n, config.lifts, k).matrix) == h0
 
     @given(subspace_configurations())
-    # Every side of the first triangle holds a point of this planar half grid: no chosen point can be the origin.
+    # Every side of the first triangle holds a point of this planar half grid, so one image has x_0 = 0.
     @example((PointConfiguration.from_coordinates([(x, y, 0) for x, y in HALF_GRID]), 2))
     @settings(max_examples=25, deadline=None)
     def test_subspace_equals_naive_elimination_on_all_monomials(self, case):
         config, k = case
-        assert h0_blowup(config, k) == monomial_count(config.n, k) - naive_rank(jet_matrix(config, k).matrix)
-
-    def test_no_origin_falls_back_to_all_monomials(self, monkeypatch):
-        builds = []
-        original = pluricoh.blowup.jet_matrix
-
-        def recording(*args):
-            builds.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
-        config = PointConfiguration.from_coordinates([(t, 0, 0) for t in (1, 2, 3)] + [(0, 1, t) for t in (1, 2, 3)])
-        assert h0_blowup(config, 1) == _full_matrix_h0(config, 1)
-        assert builds == [(config, 1)]
-
+        jet = jet_matrix(config.n, config.lifts, k).matrix
+        assert h0_blowup(config, k) == monomial_count(config.n, k) - naive_rank(jet)
 
 class TestGenerateConfiguration:
     def test_collinear_coordinates(self):
@@ -547,7 +555,7 @@ class TestGenerateConfiguration:
     def test_conic_coordinates_span_seven_conditions(self):
         config, row = generate_configuration("on_conic", 8)
         assert config.points[3] == (Fraction(4), Fraction(16))
-        jet = jet_matrix(config, 1).matrix
+        jet = jet_matrix(config.n, config.lifts, 1).matrix
         assert naive_rank(jet) == 7
         assert h0_blowup(config, 1) == row.h0_minus_kK == 3
 
@@ -706,7 +714,7 @@ class TestAchievableDims:
         witnesses = achievable_dims(5)
         assert [dim for dim, _ in witnesses] == [5, 6]
         for dim, config in witnesses:
-            assert 10 - naive_rank(jet_matrix(config, 1).matrix) == dim
+            assert 10 - naive_rank(jet_matrix(config.n, config.lifts, 1).matrix) == dim
 
     def test_ten_points_realize_everything(self):
         witnesses = achievable_dims(10)

@@ -292,7 +292,8 @@ class TestBlowupCommand:
         monkeypatch.setattr(pluricoh.cli, "JET_MAX_CELLS", 0)
         path = DATA / name
         code, _, err = run_cli(capsys, "blowup", "--points", str(path), "--k", str(k))
-        matrix = pluricoh.blowup.jet_matrix(pluricoh.blowup.parse_point_file(path.read_text()), k).matrix
+        config = pluricoh.blowup.parse_point_file(path.read_text())
+        matrix = pluricoh.blowup.jet_matrix(config.n, config.lifts, k).matrix
         assert code == 2
         assert f"gives {matrix.rows} x {matrix.cols} = {matrix.rows * matrix.cols}" in err
 
@@ -331,7 +332,7 @@ class TestEachMatrixBuiltOnce:
         builds, ranks, _ = work
         code, _, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", "5")
         assert code == 0
-        assert [k for _, k in builds] == [1]
+        assert [k for _, _, k in builds] == [1]
         assert len(ranks) == 1
 
     def test_generic_blowup_ranks_each_sampler_attempt_once(self, capsys, work):
@@ -362,8 +363,6 @@ class TestNormalizationScope:
             (["--generate", "on_conic", "--v", "6", "--k", "1"], 2, 6, 1),
             (["--generate", "generic", "--v", "4", "--k", "1", "--seed", "3"], 2, 4, 1),
             (["--points", str(DATA / "plane_points.txt"), "--k", "1"], 2, 6, 1),
-            # Three points on each of two skew lines of P^3: no chosen point can be the origin.
-            (["--points", str(DATA / "skew_lines.txt"), "--k", "1"], 3, 6, 1),
         ],
     )
     def test_builds_the_default_columns(self, capsys, spies, argv, n, v, k):
@@ -371,8 +370,8 @@ class TestNormalizationScope:
         code, _, _ = run_cli(capsys, "blowup", *argv)
         assert code == 0
         assert len(builds) == len(ranks) == 1
-        (config, built_k), (matrix,) = builds[0], ranks[0]
-        assert (config.n, config.v, built_k) == (n, v, k)
+        (built_n, lifts, built_k), (matrix,) = builds[0], ranks[0]
+        assert (built_n, len(lifts), built_k) == (n, v, k)
         assert (matrix.rows, matrix.cols) == jet_shape(n, v, k)
 
     def test_collinear_points_rank_the_line_polytope_once(self, capsys, spies):
@@ -381,10 +380,10 @@ class TestNormalizationScope:
         builds, ranks = spies
         code, record = run_json(capsys, "blowup", "--generate", "collinear", "--v", "5", "--k", "3")
         assert code == 0
-        ((moved, k, columns),) = builds
+        ((n, images, k, columns),) = builds
         ((matrix,),) = ranks
-        assert (moved.v, k, columns) == (3, 3, pluricoh.blowup._polytope(2, 3, 2))
-        assert all(y == 0 for _, y in moved.points)
+        assert (n, len(images), k, columns) == (2, 3, 3, pluricoh.blowup._polytope(2, 3, 2))
+        assert all(image[2] == 0 for image in images)
         assert (matrix.rows, matrix.cols) == jet_shape(2, 3, 3, columns) == (18, 43)
         assert record["results"]["h0_minus_kK"] == 31
 
@@ -394,13 +393,26 @@ class TestNormalizationScope:
         path.write_text("".join(f"{t} {t * t}\n" for t in range(1, 8)))
         code, record = run_json(capsys, "blowup", "--points", str(path), "--k", "3")
         assert code == 0
-        ((moved, k, columns),) = builds
+        ((n, images, k, columns),) = builds
         ((matrix,),) = ranks
-        assert (moved.v, k, columns) == (4, 3, pluricoh.blowup._polytope(2, 3))
+        assert (n, len(images), k, columns) == (2, 4, 3, pluricoh.blowup._polytope(2, 3))
         assert (matrix.rows, matrix.cols) == jet_shape(2, 4, 3, columns) == (24, 37)
         # Bezout peeling: the conic is a fixed component once, leaving degree 7 with multiplicity 2.
         assert record["results"]["h0_minus_kK"] == 15
         assert record["results"]["jet_rank"] == record["results"]["monomial_count"] - 15
+
+    def test_skew_lines_rank_the_space_polytope_once(self, capsys, spies):
+        # Four of the six points go to e_0, ..., e_3.  The image of (0, 1, 3) has
+        # x_0 = x_1 = 0, so its rows are taken in the chart of x_2.
+        builds, ranks = spies
+        code, record = run_json(capsys, "blowup", "--points", str(DATA / "skew_lines.txt"), "--k", "1")
+        assert code == 0
+        ((n, images, k, columns),) = builds
+        ((matrix,),) = ranks
+        assert (n, len(images), k, columns) == (3, 2, 1, pluricoh.blowup._polytope(3, 1))
+        assert images[1][:2] == (0, 0)
+        assert (matrix.rows, matrix.cols) == jet_shape(3, 2, 1, columns) == (8, 19)
+        assert record["results"]["h0_minus_kK"] == 13
 
 
 class TestFamilyCommand:

@@ -778,7 +778,7 @@ class TestHalphenSections:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_certified_kernel_spans_the_pencil_powers(self, k):
         config = PointConfiguration.from_coordinates([(x, y) for x in range(3) for y in range(3)])
-        jets = jet_matrix(config, k)
+        jets = jet_matrix(config.n, config.lifts, k)
         m = jets.matrix
         vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), None)
         assert vectors is not None and len(vectors) == k + 1

@@ -85,9 +85,9 @@ class TestOracles:
         # Cyclic garbage waits for the collector, and generation-2 collections
         # are rare, so every call that leaves some makes the heap grow.
         config = PointConfiguration(n=2, points=((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 3))))
-        jet = jet_matrix(config, 2).matrix
+        jet = jet_matrix(config.n, config.lifts, 2).matrix
         call = {
-            "jet_matrix": lambda: jet_matrix(config, 3),
+            "jet_matrix": lambda: jet_matrix(config.n, config.lifts, 3),
             "naive_rank": lambda: naive_rank(jet),
         }[name]
         gc.collect()
@@ -281,9 +281,9 @@ class TestRunSelfcheck:
         # normalized too, but blind to both faults: the columns they drop or
         # add lie in blocks of full column rank, so h0 does not move.
         config = PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)])
-        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(config, 2).matrix)
+        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(config.n, config.lifts, 2).matrix)
         line = PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)])
-        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(line, 2).matrix)
+        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(line.n, line.lifts, 2).matrix)
         # A dropped column takes h0 below what Riemann-Roch allows, which fails
         # the corpus build and with it both jet rows.
         results = {r.name: r for r in run_selfcheck(budget=10)}
