@@ -18,16 +18,39 @@ of its derivatives of order below m in the other n coordinates does, and
 evaluating them at the lift instead of at the lift divided by x_j scales
 each row by a power of x_j.
 
+A section is a form of degree d = (n+1)k vanishing to order m = (n-1)k at
+every point, the class (d; m, ..., m).  In the plane at k >= 2,
+``h0_blowup`` first peels fixed curves off that class by Bezout's theorem
+(Miranda, "Linear systems of plane curves", Notices AMS 46, 1999):
+
+- if the orders of the points on a line L sum above d, the restriction of
+  a form to L vanishes too often, so L divides the form; dividing by L
+  maps the system one to one onto the class with degree d - 1 and the
+  orders on L one lower;
+- the same holds for an irreducible conic whose points' orders sum above
+  2d, with degree d - 2;
+- a negative degree leaves h0 = 0, and a point of order 0 imposes nothing
+  and drops out.
+
+Each step tries a conic, then the lines, until neither search finds a
+curve.  Each step is proved, so a curve the searches miss costs speed,
+not correctness.  The conic tried is the one through the three chosen
+points below and the first two images, O(v).  Lines are found by hashing
+each point's primitive directions to the later points, O(v^2), after a
+float screen of the slopes of fewer pairs has ruled out most inputs.
+P^n with n >= 3 and plane k = 1 are not peeled.
+
 A projective change of coordinates keeps h0, and at the coordinate points
-e_0, ..., e_n the conditions are monomial: a form of degree (n+1)k vanishes
-to order (n-1)k at e_i exactly when each of its monomials has exponent at
-most 2k in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
-``h0_blowup`` takes the first s points whose lifts are independent, s the
-dimension of the span of all the lifts, completes them to a basis of unit
-vectors, and sends them to coordinate points by the adjugate of that basis.
-It then ranks the rows of the other v - s images against the polytope of
-exponents beta with (n-1)k <= |beta| <= (n+1)k and beta_i <= 2k on the
-other s - 1 chosen coordinates (for s = n + 1 in the plane a hexagon of
+e_0, ..., e_n the conditions are monomial: a form of degree d vanishes to
+order m at e_i exactly when each of its monomials has exponent at most
+d - m in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
+``h0_blowup`` takes the first s points of positive order whose lifts are
+independent, s the dimension of the span of all their lifts, completes
+them to a basis of unit vectors, and sends them to coordinate points by
+the adjugate of that basis.  It then ranks the rows of the other images,
+each with its own order, against the polytope of exponents beta of degree
+at most d with exponent at most d - m_i in each of the s chosen
+coordinates (unpeeled, for s = n + 1 in the plane a hexagon of
 C(3k+2, 2) - 3 C(k+1, 2) points):
 
     h0 = (number of polytope points) - rank(rows of the images)
@@ -35,8 +58,8 @@ C(3k+2, 2) - 3 C(k+1, 2) points):
 When the points span less than P^n, every image is zero on the completing
 coordinates, so its jet rows vanish off the columns whose exponents there
 match the derivative's; ``rank`` splits such matrices into blocks.  With
-v = s independent points no condition is left to rank, and h0 is the
-lattice count with caps on v coordinates only.  Plane k = 1 (plain
+s independent points and no other, no condition is left to rank, and h0
+is the lattice count with caps on s coordinates only.  Plane k = 1 (plain
 evaluation, whose moved entries would be three times as long) keeps the
 matrix on all monomials.
 
@@ -50,9 +73,10 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import combinations, starmap
+from operator import le, mul, sub, truediv
 from typing import Iterable, Sequence
 
 from .exact_linalg import RatMatrix, rank
@@ -92,6 +116,8 @@ class PointConfiguration:
 
     n: int
     points: tuple[tuple[Fraction, ...], ...]
+    # Each point as the integer vector (d, d*x), d the lcm of its coordinate denominators.
+    lifts: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -101,8 +127,16 @@ class PointConfiguration:
                 raise ValueError(f"point {point} does not have {self.n} coordinates")
             if not all(isinstance(c, Fraction) for c in point):
                 raise ValueError("coordinates must be Fractions")
-        if len(set(self.points)) != len(self.points):
+        # Built once: h0_blowup reads them at every k, and again after each peel.
+        lifts = []
+        for point in self.points:
+            numerators, denominators = [c.numerator for c in point], [c.denominator for c in point]
+            d = math.lcm(*denominators)
+            lifts.append((1, *numerators) if d == 1 else (d, *[p * (d // q) for p, q in zip(numerators, denominators)]))
+        # Each point has one lift, and ints hash faster than Fractions.
+        if len(set(lifts)) != len(lifts):
             raise ValueError("points must be pairwise distinct")
+        object.__setattr__(self, "lifts", tuple(lifts))
 
     @property
     def v(self) -> int:
@@ -116,34 +150,26 @@ class PointConfiguration:
             raise ValueError("cannot infer ambient dimension from an empty point list")
         return cls(n=len(points[0]), points=points)
 
-    @property
-    def lifts(self) -> list[tuple[int, ...]]:
-        """Each point as the integer vector (d, d*x), d the lcm of its coordinate denominators."""
-        lifts = []
-        for point in self.points:
-            d = math.lcm(*(c.denominator for c in point))
-            lifts.append((d, *[c.numerator * (d // c.denominator) for c in point]))
-        return lifts
-
 
 @dataclass(frozen=True)
 class JetConditionMatrix:
     """Derivative-vanishing conditions (rows) against monomials (columns).
 
     Row order: lifts in the order given, then derivative multi-indices alpha
-    in graded order over the n coordinates other than x_j, the lift's first
-    nonzero coordinate, in their order.  Column order: the exponents
-    `jet_matrix` was given, by default every monomial exponent in graded
-    order with the first variable largest, as `_graded_exponents(n, (n+1)k)`
-    lists them; `h0_blowup` passes the polytope's exponents, a subsequence
-    of that order, for moved points.  Entries are integers: the row of a
-    lift P and of alpha holds d^alpha/dx^alpha of each monomial's form of
-    degree (n+1)k at P, which is P_j^((n+1)k - |alpha|) times the true
-    derivatives, falling-factorial factors included, of the dehomogenized
-    monomials in the chart x_j = 1 at P / P_j.  Scaling rows changes no
-    rank.  A point's default lift (d, d*x) has j = 0, so its rows are the
-    true derivatives times d^((n+1)k - |alpha|), and integer points (d = 1)
-    give the true derivatives.
+    of order below the lift's, in graded order over the n coordinates other
+    than x_j, the lift's first nonzero coordinate, in their order.  Column
+    order: the exponents `jet_matrix` was given, by default every monomial
+    exponent of degree at most D, the degree of the forms, in graded order
+    with the first variable largest, as `_graded_exponents(n, D)` lists
+    them; `h0_blowup` passes the polytope's exponents, a subsequence of
+    that order, for moved points.  Entries are integers: the row of a lift
+    P and of alpha holds d^alpha/dx^alpha of each monomial's form of degree
+    D at P, which is P_j^(D - |alpha|) times the true derivatives,
+    falling-factorial factors included, of the dehomogenized monomials in
+    the chart x_j = 1 at P / P_j.  Scaling rows changes no rank.  A point's
+    default lift (d, d*x) has j = 0, so its rows are the true derivatives
+    times d^(D - |alpha|), and integer points (d = 1) give the true
+    derivatives.
     """
 
     matrix: RatMatrix
@@ -182,117 +208,149 @@ def monomial_count(n: int, k: int) -> int:
 
 
 def jet_shape(
-    n: int, v: int, k: int, exponents: Sequence[tuple[int, ...]] | None = None
+    n: int,
+    v: int,
+    k: int,
+    exponents: Sequence[tuple[int, ...]] | None = None,
+    orders: Sequence[int] | None = None,
 ) -> tuple[int, int]:
     """(rows, cols) of the jet matrix of v points in dimension n at power k.
 
-    One row per point and multi-index alpha of order |alpha| < (n-1)k, one
-    column per exponent in `exponents`, by default per monomial of degree
-    at most (n+1)k.  This is the one closed form of the shape: `jet_matrix`
-    builds to it, the generic sampler targets full rank from it, and the
-    CLI caps the cell count with the default shape.
+    A point of order m has one row per multi-index alpha with |alpha| < m,
+    C(m - 1 + n, n) of them and none at m = 0.  Every point has order
+    (n-1)k unless `orders` gives one per point.  One column per exponent in
+    `exponents`, by default per monomial of degree at most (n+1)k.  This is
+    the one closed form of the shape: `jet_matrix` builds to it, the
+    generic sampler targets full rank from it, and the CLI caps the cell
+    count with the default shape.
     """
     cols = monomial_count(n, k)  # first, so k < 1 is refused before comb sees it
     if exponents is not None:
         cols = len(exponents)
-    return v * math.comb((n - 1) * k - 1 + n, n), cols
+    if orders is None:
+        return v * math.comb((n - 1) * k - 1 + n, n), cols
+    return sum(math.comb(m - 1 + n, n) for m in orders), cols
 
 
 def jet_matrix(
-    n: int, lifts: Sequence[Sequence[int]], k: int, exponents: Sequence[tuple[int, ...]] | None = None
+    n: int,
+    lifts: Sequence[Sequence[int]],
+    degree: int,
+    orders: Sequence[int],
+    exponents: Sequence[tuple[int, ...]] | None = None,
 ) -> JetConditionMatrix:
-    """Build the matrix of vanishing conditions defining h0 of power k.
+    """Build the matrix of the conditions that a form of `degree` vanish to `orders`.
 
     `lifts` are points of P^n as nonzero integer vectors (x_0, ..., x_n),
-    such as `PointConfiguration.lifts`.  The columns are the monomials
-    x^beta for beta in `exponents`, each of total degree at most (n+1)k; by
-    default all of them, in graded order.  Shaped as ``jet_shape`` says;
-    integer entries, as described on ``JetConditionMatrix``, with no
-    Fraction formed.  For n = 2, k = 1 the conditions degenerate to plain
-    evaluation, mapping the lift (1, x, y) to the row (1, x, y, x^2, xy,
-    y^2, x^3, x^2 y, x y^2, y^3).
+    such as `PointConfiguration.lifts`, and `orders` holds one vanishing
+    order per lift; h0 of power k is degree (n+1)k with every order
+    (n-1)k.  The columns are the monomials x^beta for beta in `exponents`,
+    each of total degree at most `degree`; by default all of them, in
+    graded order.  Shaped as ``jet_shape`` says; integer entries, as
+    described on ``JetConditionMatrix``, with no Fraction formed.  For
+    n = 2, degree 3 and order 1 the conditions are plain evaluation,
+    mapping the lift (1, x, y) to the row (1, x, y, x^2, xy, y^2, x^3,
+    x^2 y, x y^2, y^3).
 
     A lift's rows are the leaves of a product tree over alpha, in the chart
     of its first nonzero coordinate x_j.  A node is a prefix (alpha_1, ...,
     alpha_i): its parent times the alpha_i-th derivative of the i-th other
     coordinate's power, per column.  The root, x_j to its exponent in each
-    column's form of degree (n+1)k, is all ones when x_j = 1 and is skipped.
-    So an entry costs one product beyond the prefixes it shares, and the
-    columns enter only as exponents.
+    column's form of degree `degree`, is all ones when x_j = 1 and is
+    skipped.  So an entry costs one product beyond the prefixes it shares,
+    and the columns enter only as exponents.
 
-    n = 1 is rejected: there (n-1)k = 0 and the condition set would be
-    vacuous, so the blow-up would not constrain sections at all.
+    n = 1 is rejected: a point of P^1 is a divisor, so the blow-up would
+    not constrain sections at all.
     """
     if n < 2:
         raise ValueError("blow-ups require n >= 2; n = 1 imposes no vanishing conditions")
     # A short or long lift would otherwise be truncated by zip into a wrong matrix of the right shape.
     if not all(len(lift) == n + 1 and any(lift) for lift in lifts):
         raise ValueError(f"each lift must be a nonzero vector of n + 1 = {n + 1} integers")
-    rows, cols = jet_shape(n, len(lifts), k, exponents)
-    top = (n + 1) * k
-    order = (n - 1) * k - 1
-    monomials = _graded_exponents(n, top) if exponents is None else exponents
-    alphas = _graded_exponents(n, order)
-    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= order and a <= b <= top.
-    falling = [[math.perm(b, a) for b in range(a, top + 1)] for a in range(1, order + 1)]
-    # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree top.
-    by_coordinate = [[top - sum(beta) for beta in monomials], *zip(*monomials)]
+    if len(orders) != len(lifts) or min(orders, default=0) < 0:
+        raise ValueError("each lift needs one nonnegative vanishing order")
+    monomials = _graded_exponents(n, degree) if exponents is None else exponents
+    # Per order m: its C(m - 1 + n, n) rows, the multi-indices of order below m.
+    counts = {m: math.comb(m - 1 + n, n) for m in set(orders)}
+    top = max(orders, default=0) - 1  # the highest derivative order
+    # Graded order lists the alphas of order below m first, for every m.
+    alphas = _graded_exponents(n, top)
+    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= top and a <= b <= degree.
+    falling = [[math.perm(b, a) for b in range(a, degree + 1)] for a in range(1, top + 1)]
+    # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree `degree`.
+    by_coordinate = [[degree - sum(beta) for beta in monomials], *zip(*monomials)]
     # Per chart j: the root's exponents, then those of the other coordinates, one per tree level.
     charts = [(by_coordinate[j], by_coordinate[:j] + by_coordinate[j + 1 :]) for j in range(n + 1)]
-    # Tree levels 2..n: the distinct alpha prefixes of each length; the last is the alphas, in row order.
-    levels = [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)]
+    # Per order m: the falling factorials of the derivative orders 1..m-1, and the tree levels
+    # 2..n, the distinct prefixes of each length of its alphas; the last level is the alphas, in
+    # row order.
+    plans = {
+        m: (falling[: m - 1], [list(dict.fromkeys(alpha[:length] for alpha in alphas[:count])) for length in range(2, n + 1)])
+        for m, count in counts.items()
+    }
     entries: list[int] = []
-    for lift in lifts:
+    for lift, m in zip(lifts, orders):
+        if not m:
+            continue
         j = 0 if lift[0] else next(i for i, x in enumerate(lift) if x)
         root_exponents, chart = charts[j]
+        derivatives, levels = plans[m]
         gathered = []
         for x, column_exponents in zip(lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]], chart):
-            q = _powers(x, top)
-            # Per order a: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
-            tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(falling, start=1)]
+            q = _powers(x, degree)
+            # Per order a < m: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
+            tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(derivatives, start=1)]
             gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
         nodes = {(a,): row for a, row in enumerate(gathered[0])}
         if lift[j] != 1:
-            root = list(map(_powers(lift[j], top).__getitem__, root_exponents))
+            root = list(map(_powers(lift[j], degree).__getitem__, root_exponents))
             nodes = {prefix: list(map(mul, root, row)) for prefix, row in nodes.items()}
         for by_order, level in zip(gathered[1:], levels):
             nodes = {prefix: list(map(mul, nodes[prefix[:-1]], by_order[prefix[-1]])) for prefix in level}
         for row in nodes.values():
             entries.extend(row)
-    # RatMatrix checks the entry count, so every build tests jet_shape against the enumeration.
-    matrix = RatMatrix(rows=rows, cols=cols, entries=tuple(entries))
+    # RatMatrix checks the entry count, so every build tests the row count against the enumeration.
+    matrix = RatMatrix(rows=sum(map(counts.__getitem__, orders)), cols=len(monomials), entries=tuple(entries))
     return JetConditionMatrix(matrix=matrix)
 
 
-def _polytope(n: int, k: int, capped: int | None = None) -> list[tuple[int, ...]]:
-    """Exponents beta with (n-1)k <= |beta| <= (n+1)k and beta_i <= 2k for i < capped - 1, graded.
+def _polytope(n: int, degree: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
+    """Exponents beta of degree at most `degree` whose form has exponent at most caps[i] in x_i, graded.
 
-    They are the monomials of degree at most (n+1)k whose form of degree
-    (n+1)k has exponent at most 2k in each of x_0, ..., x_(capped-1), that
-    is, vanishes to order (n-1)k at each of the first `capped` coordinate
-    points; by default all n + 1 of them.  Their number is
-    `_capped_count(n, k, capped)`.
+    The form of beta has degree `degree`, and its exponent in x_0 is
+    degree - |beta|; caps[i] bounds coordinate i for i < len(caps).  A form
+    vanishes to order m at the coordinate point e_i exactly when its
+    exponent in x_i is at most degree - m, so these are the monomials that
+    vanish to order m_i at e_i when caps[i] = degree - m_i.  Their number
+    is `_capped_count(n, degree, caps)`.
     """
-    low, cap = (n - 1) * k, 2 * k
-    bounded = n if capped is None else capped - 1  # x_0's cap is the bound on |beta|
-    # Graded order puts the C(low - 1 + n, n) exponents of degree below low first.
-    above = _graded_exponents(n, (n + 1) * k)[math.comb(low - 1 + n, n) :]
-    return [beta for beta in above if max(beta[:bounded] or (0,)) <= cap]
+    monomials = _graded_exponents(n, degree)
+    if not caps:
+        return monomials
+    # Graded order puts the C(low - 1 + n, n) exponents of degree below low = degree - caps[0] first.
+    above = monomials[math.comb(max(degree - caps[0], 0) - 1 + n, n) :]
+    rest = caps[1:]
+    return [beta for beta in above if all(map(le, beta, rest))]
 
 
-def _capped_count(n: int, k: int, capped: int) -> int:
-    """Exponents of forms of degree (n+1)k in x_0, ..., x_n with the first `capped` at most 2k.
+def _capped_count(n: int, degree: int, caps: Sequence[int]) -> int:
+    """Exponents of forms of `degree` in x_0, ..., x_n with exponent at most caps[i] in x_i.
 
-    This is h0 for `capped` <= n + 1 independent points sent to as many
-    coordinate points.  Inclusion-exclusion over the capped variables whose
-    exponent exceeds 2k: removing 2k + 1 from each of j of them leaves
-    C((n+1)k - j(2k+1) + n, n) forms.
+    This is h0 when the only points are len(caps) <= n + 1 independent
+    ones sent to as many coordinate points, caps[i] being `degree` less the
+    order of the point at e_i.  Inclusion-exclusion over the capped
+    coordinates whose exponent exceeds its cap: removing caps[i] + 1 from
+    each coordinate i of a set S leaves C(degree - sum + n, n) forms, so
+    there are at most 2^(n+1) terms.  A negative cap leaves no form.
     """
-    top = (n + 1) * k
+    if min(caps, default=0) < 0:
+        return 0
     return sum(
-        (-1) ** j * math.comb(capped, j) * math.comb(top - j * (2 * k + 1) + n, n)
-        for j in range(capped + 1)
-        if j * (2 * k + 1) <= top
+        (-1) ** size * math.comb(degree - sum(over) + n, n)
+        for size in range(len(caps) + 1)
+        for over in combinations([cap + 1 for cap in caps], size)
+        if sum(over) <= degree
     )
 
 
@@ -371,27 +429,161 @@ def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) ->
     return images
 
 
+def _fewest(orders: Sequence[int], bound: int) -> int | None:
+    """The fewest of the orders whose sum can exceed `bound`, or None if all of them together do not."""
+    total = 0
+    for count, m in enumerate(sorted(orders, reverse=True), start=1):
+        total += m
+        if total > bound:
+            return count
+    return None
+
+
+def _affine_coordinates(lifts: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """The x and y of affine plane lifts (x_0 > 0), all scaled by one positive integer to integers."""
+    ws, xs, ys = zip(*lifts)
+    scale = math.lcm(*ws)
+    if scale == 1:
+        return xs, ys
+    return [x * (scale // w) for w, x in zip(ws, xs)], [y * (scale // w) for w, y in zip(ws, ys)]
+
+
+def _maybe_collinear(xs: Sequence[int], ys: Sequence[int], count: int) -> bool:
+    """False only if no `count` of the points (x, y) lie on one line.
+
+    For count >= 3 the points are split into max(count - 2, 1) runs of
+    consecutive indices, so count collinear points put at least two pairs
+    into one run, and such pairs have one slope.  A slope is an int / int
+    division, which is correctly rounded, so equal slopes give equal
+    floats; equal floats of unequal slopes, a vertical pair or a slope past
+    the float range only send the caller on to its exact pass.
+    """
+    if count < 3:
+        return True
+    size = -(-len(xs) // max(count - 2, 1))
+    slopes: set[float] = set()
+    pairs = 0
+    try:
+        for start in range(0, len(xs), size):
+            run_x, run_y = xs[start : start + size], ys[start : start + size]
+            slopes.update(map(truediv, starmap(sub, combinations(run_y, 2)), starmap(sub, combinations(run_x, 2))))
+            pairs += math.comb(len(run_x), 2)
+    except (ZeroDivisionError, OverflowError):
+        return True
+    return len(slopes) < pairs
+
+
+def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: int) -> list[int] | None:
+    """Indices of the points on one line whose orders sum above `bound`, or None if there is none.
+
+    The lifts are affine (x_0 > 0).  Such a line holds at least as many
+    points as the fewest orders that sum above `bound`.  Unless
+    `_maybe_collinear` rules that out, each point is a base in turn, and
+    the later points are hashed by their direction from it, made primitive
+    with its first nonzero entry positive: O(v^2).
+    """
+    need = _fewest(orders, bound)
+    if need is None:
+        return None
+    need = max(need, 2)
+    if len(lifts) < need:
+        return None
+    xs, ys = _affine_coordinates(lifts)
+    if not _maybe_collinear(xs, ys, need):
+        return None
+    for i in range(len(lifts) - need + 1):
+        x, y = xs[i], ys[i]
+        lines: dict[tuple[int, int], list[int]] = {}
+        for j, a, b in zip(range(i + 1, len(lifts)), map(x.__rsub__, xs[i + 1 :]), map(y.__rsub__, ys[i + 1 :])):
+            g = math.gcd(a, b) if a > 0 or (a == 0 and b > 0) else -math.gcd(a, b)
+            lines.setdefault((a // g, b // g), [i]).append(j)
+        for members in lines.values():
+            if len(members) >= need:
+                weight = sum(orders[j] for j in members)
+                if weight > bound:
+                    return members
+    return None
+
+
+def _heavy_conic(
+    images: Sequence[Sequence[int]], image_orders: Sequence[int], chosen_orders: Sequence[int], bound: int
+) -> list[int] | None:
+    """Indices of the images on an irreducible conic through e_0, e_1, e_2 whose points' orders sum above `bound`.
+
+    The chosen points sit at the coordinate points, one per entry of
+    `chosen_orders`; with fewer than three, or too few points to sum above
+    `bound`, there is nothing to search.  A conic through e_0, e_1, e_2 is
+    a x_1 x_2 + b x_0 x_2 + c x_0 x_1, and through the first two images q
+    and r it is (a, b, c) = u(q) x u(r), u(q) = (q_1 q_2, q_0 q_2, q_0 q_1).
+    It is irreducible exactly when abc != 0, its matrix's determinant up to
+    a factor.  This is the one candidate: None when it is not irreducible
+    or not heavy.
+    """
+    need = _fewest([*chosen_orders, *image_orders], bound)
+    if len(chosen_orders) < 3 or need is None or 3 + len(images) < max(need, 5):
+        return None
+    (q0, q1, q2), (r0, r1, r2) = images[:2]
+    u, w = (q1 * q2, q0 * q2, q0 * q1), (r1 * r2, r0 * r2, r0 * r1)
+    a, b, c = u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]
+    if not (a and b and c):
+        return None
+    on = [i for i, (x0, x1, x2) in enumerate(images) if not (a * x1 + b * x0) * x2 + c * x0 * x1]
+    weight = sum(chosen_orders) + sum(image_orders[i] for i in on)
+    return on if weight > bound else None
+
+
+def _peel(lifts: list, orders: list[int], curve: Iterable[int]) -> tuple[list, list[int]]:
+    """The points and orders once a fixed curve through the points at `curve` is divided out.
+
+    Their orders drop by one; points left with order 0 impose nothing and go.
+    """
+    on = set(curve)
+    kept = [(lift, m - (i in on)) for i, (lift, m) in enumerate(zip(lifts, orders))]
+    return [lift for lift, m in kept if m], [m for _, m in kept if m]
+
+
 def h0_blowup(config: PointConfiguration, k: int) -> int:
     """dim H^0 of the k-th anticanonical power on the blow-up at the points.
 
-    When the conditions include a derivative ((n-1)k >= 2), the s
-    independent points found first are moved to coordinate points and
-    only the other points' rows are ranked, against the polytope's columns
-    with caps on those s coordinates; v = s independent points need no
-    rank at all (see the module docstring).  Plane k = 1 ranks the matrix
-    on all monomials.  Either way one jet matrix is built and ranked, or
-    none.
+    Sections are forms of degree (n+1)k vanishing to order (n-1)k at each
+    point.  In the plane at k >= 2, lines and conics that must divide
+    every such form are peeled off first (see the module docstring).  When
+    the conditions include a derivative ((n-1)k >= 2), the s independent
+    points found first are moved to coordinate points and only the other
+    points' rows are ranked, against the polytope's columns with caps on
+    those s coordinates; v = s independent points need no rank at all.
+    Plane k = 1 ranks the matrix on all monomials.  Either way one jet
+    matrix is built and ranked, or none.
     """
-    n = config.n
-    lifts = config.lifts
-    if (n - 1) * k >= 2:
+    n, lifts = config.n, config.lifts
+    degree, orders = (n + 1) * k, [(n - 1) * k] * len(lifts)
+    if (n - 1) * k < 2:
+        return monomial_count(n, k) - rank(jet_matrix(n, lifts, degree, orders).matrix)
+    while degree >= 0:
         chosen = _independent_lifts(lifts, n + 1)
+        caps = [degree - orders[c] for c in chosen]
         if len(chosen) == len(lifts):
-            return _capped_count(n, k, len(chosen))
-        columns = _polytope(n, k, len(chosen))
+            return _capped_count(n, degree, caps)
+        others = [i for i in range(len(lifts)) if i not in chosen]
+        images = _coordinate_images(lifts, chosen)
+        image_orders = [orders[i] for i in others]
+        if n == 2:
+            # The conic first: its search is O(v) on the images, and a conic's
+            # parallel chords would send the line search to its exact pass.
+            conic = _heavy_conic(images, image_orders, [orders[c] for c in chosen], 2 * degree)
+            if conic is not None:
+                degree, (lifts, orders) = degree - 2, _peel(lifts, orders, [*chosen, *(others[i] for i in conic)])
+                continue
+            line = _heavy_line(lifts, orders, degree)
+            if line is not None:
+                degree, (lifts, orders) = degree - 1, _peel(lifts, orders, line)
+                continue
+        columns = _polytope(n, degree, caps)
+        if not columns:
+            return 0
         # Positional, as every call of jet_matrix, so wrappers that take *args see it.
-        return len(columns) - rank(jet_matrix(n, _coordinate_images(lifts, chosen), k, columns).matrix)
-    return monomial_count(n, k) - rank(jet_matrix(n, lifts, k).matrix)
+        return len(columns) - rank(jet_matrix(n, images, degree, image_orders, columns).matrix)
+    return 0
 
 
 def _rng(seed: int, *indices: int) -> random.Random:

@@ -71,13 +71,15 @@ FAMILY_MAX_KMAX = 10**4
 # most of it is the lattice-walk oracle, count_sections_by_lattice_points.
 SELFCHECK_MAX_BUDGET = 50
 
-# Largest blow-up jet matrix, in cells (rows x cols).  The slowest stock kind
-# below it is on_conic: v = 9, k = 6 (35,910 cells) takes about 0.19 s on a
-# 2-CPU host.  Its rank is taken on 126 x 127 rows of the six points left after
-# three go to the coordinate points; the rank, 88, fails on the rows at two
-# primes and is certified on the columns with five.  on_conic v = 7, k = 7
-# (49,588 cells) takes about 0.16 s and generic v = 20, k = 5 (40,800 cells)
-# about 0.1 s.  All are whole processes, min of 9, interpreter start included.
+# Largest blow-up jet matrix, in cells (rows x cols).  At k >= 2 every stock
+# collinear and on_conic input below it peels its line or conic before the
+# rank and takes at most about 0.04 s in process (collinear v = 580, k = 2);
+# on_conic v = 9, k = 6 ranks 18 x 57 after four conic peels, where it took
+# 0.19 s on 126 x 127.  The slowest stock kinds are now those that do not
+# peel: on_conic at k = 1 with v = 5,000 (50,000 cells), generic v = 12, k = 6
+# (47,880 cells) and generic v = 20, k = 5 (40,800 cells) each take about
+# 0.15-0.17 s on a 2-CPU host, whole processes, min of 9, interpreter start
+# (about 0.07 s) included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

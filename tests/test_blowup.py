@@ -5,8 +5,12 @@ naive-elimination oracle `naive_rank` (plain integer row elimination with
 gcd reduction) and are asserted against both routes where it matters.
 """
 
+import inspect
 import itertools
 import math
+import random
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +45,12 @@ DATA = Path(__file__).resolve().parent / "data"
 
 coords = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points_2d = st.tuples(coords, coords)
+
+
+def _jet(config: PointConfiguration, k: int):
+    """The jet matrix of power k on all monomials: degree (n+1)k, order (n-1)k at every point."""
+    n = config.n
+    return jet_matrix(n, config.lifts, (n + 1) * k, [(n - 1) * k] * config.v)
 
 
 def configs(min_points: int, max_points: int):
@@ -140,25 +150,25 @@ class TestJetMatrix:
     def test_column_order_is_the_veronese_order(self):
         assert tuple(_graded_exponents(2, 3)) == VERONESE_ORDER
         config = PointConfiguration.from_coordinates([(2, 3)])
-        jet = jet_matrix(config.n, config.lifts, 1)
+        jet = _jet(config, 1)
         assert jet.matrix.row(0) == tuple(2**i * 3**j for i, j in VERONESE_ORDER)
 
     def test_single_point_evaluation_row(self):
         config = PointConfiguration.from_coordinates([(0, 0)])
-        jet = jet_matrix(config.n, config.lifts, 1)
+        jet = _jet(config, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (1, 10)
         assert jet.matrix.row(0) == (Fraction(1),) + (Fraction(0),) * 9
 
     def test_evaluation_rows_are_monomial_vectors(self):
         config = PointConfiguration.from_coordinates([(2, 3)])
-        jet = jet_matrix(config.n, config.lifts, 1)
+        jet = _jet(config, 1)
         x, y = Fraction(2), Fraction(3)
         assert jet.matrix.row(0) == (1, x, y, x**2, x * y, y**2, x**3, x**2 * y, x * y**2, y**3)
 
     def test_power_two_at_origin_selects_low_coefficients(self):
         # Rows: the derivatives alpha = (0, 0), (1, 0), (0, 1), the first three monomials.
         config = PointConfiguration.from_coordinates([(0, 0)])
-        jet = jet_matrix(config.n, config.lifts, 2)
+        jet = _jet(config, 2)
         assert (jet.matrix.rows, jet.matrix.cols) == (3, 28)
         assert _graded_exponents(2, 6)[:3] == [(0, 0), (1, 0), (0, 1)]
         for row_index in range(3):
@@ -168,15 +178,15 @@ class TestJetMatrix:
 
     def test_collinear_rows(self):
         config, _ = generate_configuration("collinear", 5)
-        jet = jet_matrix(config.n, config.lifts, 1)
+        jet = _jet(config, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (5, 10)
         for i, x in enumerate(range(1, 6)):
             assert jet.matrix.row(i) == (1, x, 0, x**2, 0, 0, x**3, 0, 0, 0)
 
     def test_row_count_formula(self):
         config = PointConfiguration.from_coordinates([(0, 0), (1, 1), (2, 5)])
-        assert jet_matrix(config.n, config.lifts, 2).matrix.rows == 3 * 3
-        assert jet_matrix(config.n, config.lifts, 3).matrix.rows == 3 * 6
+        assert _jet(config, 2).matrix.rows == 3 * 3
+        assert _jet(config, 3).matrix.rows == 3 * 6
 
     @pytest.mark.parametrize(
         "n, v, k, shape",
@@ -188,17 +198,21 @@ class TestJetMatrix:
     def test_line_ambient_rejected(self):
         config = PointConfiguration(n=1, points=((Fraction(1),),))
         with pytest.raises(ValueError):
-            jet_matrix(config.n, config.lifts, 1)
+            _jet(config, 1)
 
     @pytest.mark.parametrize("lift", [(1, 2), (1, 2, 3, 4), (0, 0, 0)])
     def test_malformed_lift_rejected(self, lift):
         with pytest.raises(ValueError, match=r"nonzero vector of n \+ 1 = 3 integers"):
-            jet_matrix(2, [(1, 0, 0), lift], 1)
+            jet_matrix(2, [(1, 0, 0), lift], 3, [1, 1])
 
     def test_zero_power_rejected(self):
-        config = PointConfiguration.from_coordinates([(0, 0)])
         with pytest.raises(ValueError):
-            jet_matrix(config.n, config.lifts, 0)
+            jet_shape(2, 1, 0)
+
+    @pytest.mark.parametrize("orders", [[-1], [1, 1], []])
+    def test_one_nonnegative_order_per_lift(self, orders):
+        with pytest.raises(ValueError, match="one nonnegative vanishing order"):
+            jet_matrix(2, [(1, 0, 0)], 3, orders)
 
     @given(configs(1, 4), st.integers(1, 3))
     @settings(max_examples=50)
@@ -253,7 +267,7 @@ def _assert_scaled_true_derivatives(n: int, lifts, k: int) -> None:
     # derivatives, in the chart x_j = 1, of the dehomogenized monomials at
     # P / P_j, times P_j^((n+1)k - |alpha|).  For a point's lift (d, d*x),
     # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).
-    jet = jet_matrix(n, lifts, k)
+    jet = jet_matrix(n, lifts, (n + 1) * k, [(n - 1) * k] * len(lifts))
     top = (n + 1) * k
     monomials = _graded_exponents(n, top)
     # The documented row order: lifts in the order given, then the
@@ -280,7 +294,7 @@ class TestH0Blowup:
 
     def test_five_collinear_points(self):
         config, _ = generate_configuration("collinear", 5)
-        jet = jet_matrix(config.n, config.lifts, 1).matrix
+        jet = _jet(config, 1).matrix
         assert naive_rank(jet) == 4
         assert h0_blowup(config, 1) == 6
 
@@ -293,13 +307,13 @@ class TestH0Blowup:
 
     @given(configs(1, 4))
     def test_few_points_impose_independent_conditions(self, config):
-        jet = jet_matrix(config.n, config.lifts, 1).matrix
+        jet = _jet(config, 1).matrix
         assert rank(jet) == config.v
         assert h0_blowup(config, 1) == 10 - config.v
 
     @given(configs(1, 3))
     def test_matches_naive_nullspace_dimension(self, config):
-        jet = jet_matrix(config.n, config.lifts, 1).matrix
+        jet = _jet(config, 1).matrix
         assert h0_blowup(config, 1) == jet.cols - naive_rank(jet)
 
     @given(configs(1, 6), points_2d)
@@ -349,7 +363,7 @@ class TestH0Blowup:
     def test_at_least_four_independent_conditions(self, config):
         # Shearing x by a multiple of y separates the x-coordinates while
         # preserving rank, which exposes an embedded Vandermonde block.
-        r = rank(jet_matrix(config.n, config.lifts, 1).matrix)
+        r = rank(_jet(config, 1).matrix)
         xs = [p[0] for p in config.points]
         if len(set(xs)) < config.v:
             shear = _separating_shear(config)
@@ -357,7 +371,7 @@ class TestH0Blowup:
                 n=2, points=tuple((x + shear * y, y) for x, y in config.points)
             )
             assert len({p[0] for p in sheared.points}) == config.v
-            assert rank(jet_matrix(sheared.n, sheared.lifts, 1).matrix) == r
+            assert rank(_jet(sheared, 1).matrix) == r
         assert r >= 4
 
 
@@ -373,7 +387,7 @@ def _separating_shear(config: PointConfiguration) -> Fraction:
 class TestSpaceBlowups:
     def test_single_point_in_three_space(self):
         config = PointConfiguration.from_coordinates([(0, 0, 0)])
-        jet = jet_matrix(config.n, config.lifts, 1)
+        jet = _jet(config, 1)
         assert (jet.matrix.rows, jet.matrix.cols) == (4, 35)
         assert naive_rank(jet.matrix) == 4
         assert h0_blowup(config, 1) == 31
@@ -381,12 +395,12 @@ class TestSpaceBlowups:
     def test_two_points_in_three_space(self):
         config = PointConfiguration.from_coordinates([(1, 2, 3), (4, 5, 6)])
         assert h0_blowup(config, 1) == 27
-        assert h0_blowup(config, 1) == 35 - naive_rank(jet_matrix(config.n, config.lifts, 1).matrix)
+        assert h0_blowup(config, 1) == 35 - naive_rank(_jet(config, 1).matrix)
 
 
 def _full_matrix_h0(config: PointConfiguration, k: int) -> int:
     """h0 from the rank of the matrix on all monomials, with no point moved."""
-    return monomial_count(config.n, k) - rank(jet_matrix(config.n, config.lifts, k).matrix)
+    return monomial_count(config.n, k) - rank(_jet(config, k).matrix)
 
 
 @st.composite
@@ -504,17 +518,34 @@ class TestNormalizedH0:
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_polytope_is_the_hexagon_in_graded_order(self, k):
-        columns = _polytope(2, k)
-        assert len(columns) == math.comb(3 * k + 2, 2) - 3 * math.comb(k + 1, 2) == _capped_count(2, k, 3)
+        columns = _polytope(2, 3 * k, [2 * k] * 3)
+        hexagon = math.comb(3 * k + 2, 2) - 3 * math.comb(k + 1, 2)
+        assert len(columns) == hexagon == _capped_count(2, 3 * k, [2 * k] * 3)
         kept = set(columns)
         assert columns == [beta for beta in _graded_exponents(2, 3 * k) if beta in kept]
         assert jet_shape(2, 4, k, columns) == (4 * math.comb(k + 1, 2), len(columns))
 
     @pytest.mark.parametrize("n, k", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_space_polytope_is_the_capped_count(self, n, k):
-        assert _polytope(n, k) == _polytope(n, k, n + 1)
-        for capped in range(1, n + 2):
-            assert len(_polytope(n, k, capped)) == _capped_count(n, k, capped)
+        for capped in range(n + 2):
+            caps = [2 * k] * capped
+            assert len(_polytope(n, (n + 1) * k, caps)) == _capped_count(n, (n + 1) * k, caps)
+
+    @given(st.integers(2, 3), st.integers(0, 9), st.lists(st.integers(-1, 10), max_size=4))
+    @example(2, 6, [4, 0, 7])
+    @settings(max_examples=80)
+    def test_capped_count_is_the_polytope_size(self, n, degree, caps):
+        # Inclusion-exclusion against enumeration, for per-coordinate caps
+        # from below zero to above the degree, on up to n + 1 coordinates.
+        caps = caps[: n + 1]
+        columns = _polytope(n, degree, caps)
+        assert len(columns) == _capped_count(n, degree, caps)
+        enumerated = [
+            beta
+            for beta in _graded_exponents(n, degree)
+            if all(e <= cap for e, cap in zip((degree - sum(beta), *beta), caps))
+        ]
+        assert columns == enumerated
 
     @pytest.mark.parametrize(
         "coordinates, k, capped, h0",
@@ -532,10 +563,12 @@ class TestNormalizedH0:
         monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
         config = PointConfiguration.from_coordinates(coordinates)
         assert h0_blowup(config, k) == h0
-        ((n, images, built_k, columns),) = builds
-        assert (n, len(images), built_k, columns) == (3, config.v - capped, k, _polytope(3, k, capped))
+        ((n, images, degree, orders, columns),) = builds
+        moved = config.v - capped
+        assert (n, len(images), degree, orders) == (3, moved, 4 * k, [2 * k] * moved)
+        assert columns == _polytope(3, 4 * k, [2 * k] * capped)
         assert any(image[0] == 0 for image in images)
-        assert monomial_count(3, k) - naive_rank(original(n, config.lifts, k).matrix) == h0
+        assert monomial_count(3, k) - naive_rank(_jet(config, k).matrix) == h0
 
     @given(subspace_configurations())
     # Every side of the first triangle holds a point of this planar half grid, so one image has x_0 = 0.
@@ -543,7 +576,7 @@ class TestNormalizedH0:
     @settings(max_examples=25, deadline=None)
     def test_subspace_equals_naive_elimination_on_all_monomials(self, case):
         config, k = case
-        jet = jet_matrix(config.n, config.lifts, k).matrix
+        jet = _jet(config, k).matrix
         assert h0_blowup(config, k) == monomial_count(config.n, k) - naive_rank(jet)
 
 class TestGenerateConfiguration:
@@ -555,7 +588,7 @@ class TestGenerateConfiguration:
     def test_conic_coordinates_span_seven_conditions(self):
         config, row = generate_configuration("on_conic", 8)
         assert config.points[3] == (Fraction(4), Fraction(16))
-        jet = jet_matrix(config.n, config.lifts, 1).matrix
+        jet = _jet(config, 1).matrix
         assert naive_rank(jet) == 7
         assert h0_blowup(config, 1) == row.h0_minus_kK == 3
 
@@ -624,21 +657,6 @@ class TestGenerateConfiguration:
             generate_configuration("generic", 5, k=2)
 
 
-def _peeled_h0(v: int, k: int) -> int:
-    """h0(-kK) of v stock points on a conic, by Bezout peeling.
-
-    Sections are plane curves of degree d = 3k with multiplicity m = k at
-    each point.  While v * m exceeds 2d, the conic through the points meets
-    the section too often and is a fixed component: strip it, lowering d by
-    2 and m by 1.  The remaining conditions are then taken as independent,
-    which this form checks against the rank rather than proves.
-    """
-    d, m = 3 * k, k
-    while v * m > 2 * d:
-        d, m = d - 2, m - 1
-    return math.comb(d + 2, 2) - v * math.comb(m + 1, 2)
-
-
 def _line_h0(v: int, k: int) -> int:
     """h0(-kK) of v points on a line, from the Hilbert-Burch resolution of their fat-point ideal.
 
@@ -657,14 +675,111 @@ def _line_h0(v: int, k: int) -> int:
     )
 
 
+def _naive_h0(config: PointConfiguration, k: int) -> int:
+    """h0 of a plane configuration from naive elimination of its matrix on all monomials, nothing moved or peeled."""
+    return monomial_count(2, k) - naive_rank(_jet(config, k).matrix)
+
+
+@st.composite
+def planted_configurations(draw):
+    """(config, k): points on up to two planted lines and a planted conic, and up to three others, shuffled.
+
+    The conic is a parabola y = a x^2 + b x + c or a hyperbola x y = c.
+    """
+    k = draw(st.integers(2, 3))
+    small = st.integers(-6, 6)
+    points = set()
+    for _ in range(draw(st.integers(0, 2))):
+        (bx, by), (dx, dy) = draw(st.tuples(small, small)), draw(st.tuples(small, small).filter(any))
+        ts = draw(st.lists(st.integers(-5, 5), unique=True, min_size=3, max_size=6))
+        points.update((bx + t * dx, by + t * dy) for t in ts)
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.integers(-6, 6).filter(bool), unique=True, min_size=4, max_size=8))
+        if draw(st.booleans()):
+            a, b, c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)])), draw(small), draw(small)
+            points.update((x, a * x * x + b * x + c) for x in xs)
+        else:
+            c = draw(small.filter(bool))
+            points.update((x, Fraction(c, x)) for x in xs)
+    points.update(draw(st.lists(st.tuples(small, small), max_size=3)))
+    assume(points)
+    return PointConfiguration.from_coordinates(draw(st.permutations(sorted(points)))), k
+
+
+# The first two stop at equality: five collinear points at k = 2 peel once,
+# to (5; 1^5), whose line holds 5 = 5, and six on a conic at k = 2 hold
+# 6 * 2 = 2 * 6.  The third peels its line twice and its conic once, to
+# (5; 1^5, 2^5), where the conic holds 10 = 2 * 5; the fourth peels a line
+# and a conic three times each, down to no point.
+PLANTED = [
+    ([(t, 2 * t - 1) for t in range(5)], 2),
+    ([(t, t * t) for t in range(-2, 4)], 2),
+    ([(1, 1), (2, 4), (3, 9), (-1, 1), (-2, 4)] + [(t, 0) for t in range(1, 6)], 3),
+    ([(t, t * t) for t in range(-3, 5)] + [(t, 3 * t + 20) for t in range(10, 14)], 3),
+]
+
+
+def _peeling_matches_naive_elimination(blowup, config: PointConfiguration, k: int) -> bool:
+    return blowup.h0_blowup(config, k) == _naive_h0(config, k)
+
+
+class TestPeeling:
+    """Bezout peeling of lines and conics against naive elimination on all monomials."""
+
+    @given(planted_configurations())
+    @settings(max_examples=60, deadline=None)
+    def test_planted_lines_and_conics_equal_naive_elimination(self, case):
+        assert _peeling_matches_naive_elimination(pluricoh.blowup, *case)
+
+    @pytest.mark.parametrize("coordinates, k", PLANTED)
+    def test_planted_cases_equal_naive_elimination(self, coordinates, k):
+        config = PointConfiguration.from_coordinates(coordinates)
+        assert _peeling_matches_naive_elimination(pluricoh.blowup, config, k)
+
+    def test_peeling_at_equality_fails_the_oracle(self, monkeypatch):
+        # Fault injection: every Bezout comparison "> bound" becomes ">= bound", which divides
+        # out a line or conic that need not be a fixed component.
+        source = inspect.getsource(pluricoh.blowup)
+        assert source.count("> bound") >= 3
+        name = "pluricoh._blowup_peeling_at_equality"
+        mutant = types.ModuleType(name)
+        mutant.__package__ = "pluricoh"
+        monkeypatch.setitem(sys.modules, name, mutant)
+        exec(compile(source.replace("> bound", ">= bound"), name, "exec"), mutant.__dict__)
+        for coordinates, k in PLANTED[:2]:
+            config = PointConfiguration.from_coordinates(coordinates)
+            assert not _peeling_matches_naive_elimination(mutant, config, k)
+
+    def test_sixty_digit_line_peels_to_its_residual_class(self, monkeypatch):
+        # Seven points with 60-digit x on y = 3x + 7 and two off it, which took minutes to
+        # rank unpeeled, peel the line four times at k = 5, to (11; 1^7, 5, 5).  Two line
+        # points and (1, 2) go to the coordinate points.
+        builds = []
+        original = pluricoh.blowup.jet_matrix
+
+        def recording(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+        rng = random.Random(5)
+        xs = [rng.randrange(10**59, 10**60) for _ in range(7)]
+        config = PointConfiguration.from_coordinates([(x, 3 * x + 7) for x in xs] + [(1, 2), (5, -3)])
+        assert h0_blowup(config, 5) == 41
+        ((_, images, degree, orders, columns),) = builds
+        assert (degree, sorted(orders)) == (11, [1] * 5 + [5])
+        assert len(columns) == _capped_count(2, 11, [10, 10, 6])
+
+
 class TestClosedFormsAtHigherPowers:
     """Closed-form and invariance oracles for the special configurations at k > 1."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("v", range(1, 13))
     def test_conic_peeling_form(self, v, k):
-        _, row = generate_configuration("on_conic", v, k=k)
-        assert row.h0_minus_kK == _peeled_h0(v, k)
+        # From v = 7 on, h0_blowup peels the conic; naive elimination ranks the matrix on all monomials.
+        config, row = generate_configuration("on_conic", v, k=k)
+        assert row.h0_minus_kK == _naive_h0(config, k)
 
     @pytest.mark.parametrize("k", range(1, 8))
     @pytest.mark.parametrize("v", range(1, 16))
@@ -714,7 +829,7 @@ class TestAchievableDims:
         witnesses = achievable_dims(5)
         assert [dim for dim, _ in witnesses] == [5, 6]
         for dim, config in witnesses:
-            assert 10 - naive_rank(jet_matrix(config.n, config.lifts, 1).matrix) == dim
+            assert 10 - naive_rank(_jet(config, 1).matrix) == dim
 
     def test_ten_points_realize_everything(self):
         witnesses = achievable_dims(10)

@@ -293,7 +293,8 @@ class TestBlowupCommand:
         path = DATA / name
         code, _, err = run_cli(capsys, "blowup", "--points", str(path), "--k", str(k))
         config = pluricoh.blowup.parse_point_file(path.read_text())
-        matrix = pluricoh.blowup.jet_matrix(config.n, config.lifts, k).matrix
+        n = config.n
+        matrix = pluricoh.blowup.jet_matrix(n, config.lifts, (n + 1) * k, [(n - 1) * k] * config.v).matrix
         assert code == 2
         assert f"gives {matrix.rows} x {matrix.cols} = {matrix.rows * matrix.cols}" in err
 
@@ -332,7 +333,7 @@ class TestEachMatrixBuiltOnce:
         builds, ranks, _ = work
         code, _, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", "5")
         assert code == 0
-        assert [k for _, _, k in builds] == [1]
+        assert [(degree, orders) for _, _, degree, orders in builds] == [(3, [1] * 5)]
         assert len(ranks) == 1
 
     def test_generic_blowup_ranks_each_sampler_attempt_once(self, capsys, work):
@@ -370,36 +371,61 @@ class TestNormalizationScope:
         code, _, _ = run_cli(capsys, "blowup", *argv)
         assert code == 0
         assert len(builds) == len(ranks) == 1
-        (built_n, lifts, built_k), (matrix,) = builds[0], ranks[0]
-        assert (built_n, len(lifts), built_k) == (n, v, k)
+        (built_n, lifts, degree, orders), (matrix,) = builds[0], ranks[0]
+        assert (built_n, len(lifts), degree, orders) == (n, v, (n + 1) * k, [(n - 1) * k] * v)
         assert (matrix.rows, matrix.cols) == jet_shape(n, v, k)
 
     def test_collinear_points_rank_the_line_polytope_once(self, capsys, spies):
-        # Two of the five points go to e_0 and e_1, so the line becomes y = 0
-        # and only the exponents of x_0 and x_1 are capped.
+        # Bezout: (9; 3^5) -> (8; 2^5) -> (7; 1^5), where the line's 5 <= 7 stops the peeling.
+        # Two of the five points go to e_0 and e_1, so the line becomes y = 0 and only the
+        # exponents of x_0 and x_1 are capped, at 7 - 1.
         builds, ranks = spies
         code, record = run_json(capsys, "blowup", "--generate", "collinear", "--v", "5", "--k", "3")
         assert code == 0
-        ((n, images, k, columns),) = builds
+        ((n, images, degree, orders, columns),) = builds
         ((matrix,),) = ranks
-        assert (n, len(images), k, columns) == (2, 3, 3, pluricoh.blowup._polytope(2, 3, 2))
+        assert (n, len(images), degree, orders) == (2, 3, 7, [1, 1, 1])
+        assert columns == pluricoh.blowup._polytope(2, 7, [6, 6])
         assert all(image[2] == 0 for image in images)
-        assert (matrix.rows, matrix.cols) == jet_shape(2, 3, 3, columns) == (18, 43)
+        assert (matrix.rows, matrix.cols) == jet_shape(2, 3, 3, columns, orders) == (3, 34)
         assert record["results"]["h0_minus_kK"] == 31
 
     def test_conic_file_at_k_3_ranks_the_polytope_once(self, capsys, spies, tmp_path):
+        # Bezout: the conic holds 7 * 3 > 2 * 9, so it is a fixed component once, leaving
+        # (7; 2^7), where 7 * 2 <= 2 * 7 stops the peeling.
         builds, ranks = spies
         path = tmp_path / "conic.txt"
         path.write_text("".join(f"{t} {t * t}\n" for t in range(1, 8)))
         code, record = run_json(capsys, "blowup", "--points", str(path), "--k", "3")
         assert code == 0
-        ((n, images, k, columns),) = builds
+        ((n, images, degree, orders, columns),) = builds
         ((matrix,),) = ranks
-        assert (n, len(images), k, columns) == (2, 4, 3, pluricoh.blowup._polytope(2, 3))
-        assert (matrix.rows, matrix.cols) == jet_shape(2, 4, 3, columns) == (24, 37)
-        # Bezout peeling: the conic is a fixed component once, leaving degree 7 with multiplicity 2.
+        assert (n, len(images), degree, orders) == (2, 4, 7, [2] * 4)
+        assert columns == pluricoh.blowup._polytope(2, 7, [5, 5, 5])
+        assert (matrix.rows, matrix.cols) == jet_shape(2, 4, 3, columns, orders) == (12, 27)
         assert record["results"]["h0_minus_kK"] == 15
         assert record["results"]["jet_rank"] == record["results"]["monomial_count"] - 15
+
+    @pytest.mark.parametrize(
+        "argv, v, k",
+        [
+            # The Halphen grid: lines of three points and no conic through six; 3 * 2 <= 6.
+            (["--points", "GRID", "--k", "2"], 9, 2),
+            # Five points on a conic: 5 * 3 <= 2 * 9.
+            (["--generate", "on_conic", "--v", "5", "--k", "3"], 5, 3),
+        ],
+    )
+    def test_unpeelable_points_rank_the_full_polytope_once(self, capsys, spies, tmp_path, argv, v, k):
+        builds, ranks = spies
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join(f"{x} {y}\n" for x in range(3) for y in range(3)))
+        code, _ = run_json(capsys, "blowup", *[str(grid) if arg == "GRID" else arg for arg in argv])
+        assert code == 0
+        ((n, images, degree, orders, columns),) = builds
+        ((matrix,),) = ranks
+        assert (n, len(images), degree, orders) == (2, v - 3, 3 * k, [k] * (v - 3))
+        assert columns == pluricoh.blowup._polytope(2, 3 * k, [2 * k] * 3)
+        assert (matrix.rows, matrix.cols) == jet_shape(2, v - 3, k, columns)
 
     def test_skew_lines_rank_the_space_polytope_once(self, capsys, spies):
         # Four of the six points go to e_0, ..., e_3.  The image of (0, 1, 3) has
@@ -407,9 +433,10 @@ class TestNormalizationScope:
         builds, ranks = spies
         code, record = run_json(capsys, "blowup", "--points", str(DATA / "skew_lines.txt"), "--k", "1")
         assert code == 0
-        ((n, images, k, columns),) = builds
+        ((n, images, degree, orders, columns),) = builds
         ((matrix,),) = ranks
-        assert (n, len(images), k, columns) == (3, 2, 1, pluricoh.blowup._polytope(3, 1))
+        assert (n, len(images), degree, orders) == (3, 2, 4, [2, 2])
+        assert columns == pluricoh.blowup._polytope(3, 4, [2] * 4)
         assert images[1][:2] == (0, 0)
         assert (matrix.rows, matrix.cols) == jet_shape(3, 2, 1, columns) == (8, 19)
         assert record["results"]["h0_minus_kK"] == 13

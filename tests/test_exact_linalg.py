@@ -571,6 +571,40 @@ class TestModularRoute:
         assert exact_linalg._kernel_certificate(*columns) == [[-2, 0, 1]]
         assert not bareiss
 
+    def test_points_on_a_cubic_certify_their_tall_block_on_its_rows(self, monkeypatch):
+        # A CI pin.  A line meets the cubic y = x^3 in at most three points and a
+        # conic in at most six, so nothing peels.  At k = 6 the seven moved points
+        # give one tall 147 x 127 block of rank 126, certified on its own rows; h0
+        # counts the powers of the cubic, whose strict transform is -K with
+        # self-intersection 9 - 10.
+        config = PointConfiguration.from_coordinates([(t, t**3) for t in range(1, 11)])
+        blocks = _spy(monkeypatch, "_block_rank")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert h0_blowup(config, 6) == 1
+        [(m,)] = blocks
+        assert (m.rows, m.cols) == (147, 127)
+        [(own, basis, first)] = certificates
+        assert (len(own), len(basis)) == (147, 126)
+        assert first is not None and not bareiss
+
+    def test_cubic_pencil_rows_fail_at_two_primes_then_its_columns_certify(self, monkeypatch):
+        # A CI pin.  The points (t, t^3) for t = -4..4 have parameters summing to
+        # 0, so they are the base points of a pencil of cubics and h0 = k + 1,
+        # as on the Halphen grid; nothing peels, as above.  At k = 6 the six
+        # moved points give one wide 126 x 127 block of rank 120, whose own rows
+        # fail at two primes before its columns certify.
+        config = PointConfiguration.from_coordinates([(t, t**3) for t in range(-4, 5)])
+        blocks = _spy(monkeypatch, "_block_rank")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert h0_blowup(config, 6) == 7
+        [(m,)] = blocks
+        assert (m.rows, m.cols) == (126, 127)
+        [own, columns] = certificates
+        assert len(own[0]) == 126 and own[-1] == MODULAR_PRIMES[:2]
+        assert len(columns) == 3 and len(columns[0]) == 127 and not bareiss
+
     @pytest.mark.parametrize("kind", ["generic", "collinear", "on_conic"])
     def test_plane_k1_matrices_stay_on_bareiss(self, kind, monkeypatch):
         # At k = 1 a plane jet matrix is v x 10; up to 12 x 10 it is under
@@ -778,7 +812,7 @@ class TestHalphenSections:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_certified_kernel_spans_the_pencil_powers(self, k):
         config = PointConfiguration.from_coordinates([(x, y) for x in range(3) for y in range(3)])
-        jets = jet_matrix(config.n, config.lifts, k)
+        jets = jet_matrix(2, config.lifts, 3 * k, [k] * config.v)
         m = jets.matrix
         vectors = exact_linalg._kernel_certificate(_rows(m), _rows(m), None)
         assert vectors is not None and len(vectors) == k + 1

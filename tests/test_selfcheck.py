@@ -14,7 +14,7 @@ import pluricoh.blowup
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
 from pluricoh import exact_linalg
-from pluricoh.blowup import PointConfiguration, _graded_exponents, _polytope, jet_matrix
+from pluricoh.blowup import PointConfiguration, _polytope, jet_matrix
 from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
@@ -85,9 +85,9 @@ class TestOracles:
         # Cyclic garbage waits for the collector, and generation-2 collections
         # are rare, so every call that leaves some makes the heap grow.
         config = PointConfiguration(n=2, points=((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 3))))
-        jet = jet_matrix(config.n, config.lifts, 2).matrix
+        jet = jet_matrix(2, config.lifts, 6, [2] * config.v).matrix
         call = {
-            "jet_matrix": lambda: jet_matrix(config.n, config.lifts, 3),
+            "jet_matrix": lambda: jet_matrix(2, config.lifts, 9, [3] * config.v),
             "naive_rank": lambda: naive_rank(jet),
         }[name]
         gc.collect()
@@ -265,25 +265,20 @@ class TestRunSelfcheck:
         # Fault injection: the normalized route ranks the polytope's columns,
         # while the naive oracle and the golden corpus saw the matrix on all
         # monomials, so a wrong polytope must fail both.
-        def polytope(n, k, capped):
+        def polytope(n, degree, caps):
             if fault == "one column dropped":
-                return _polytope(n, k, capped)[1:]
-            low, cap = (n - 1) * k - 1, 2 * k + 1
-            return [
-                beta
-                for beta in _graded_exponents(n, (n + 1) * k)
-                if sum(beta) >= low and max(beta[: capped - 1], default=0) <= cap
-            ]
+                return _polytope(n, degree, caps)[1:]
+            return _polytope(n, degree, [cap + 1 for cap in caps])
 
         monkeypatch.setattr(pluricoh.blowup, "_polytope", polytope)
-        # The corpus's conic-6-k2: naive elimination of the unnormalized
-        # matrix disagrees with the faulty count.  Its collinear-12-k2 is
-        # normalized too, but blind to both faults: the columns they drop or
-        # add lie in blocks of full column rank, so h0 does not move.
+        # The corpus's conic-6-k2 does not peel, 6 * 2 <= 2 * 6: naive
+        # elimination of the unnormalized matrix disagrees with the faulty
+        # count.  Its collinear-12-k2 peels to no point at all, so it ranks
+        # no polytope and h0 does not move.
         config = PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)])
-        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(config.n, config.lifts, 2).matrix)
+        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(2, config.lifts, 6, [2] * config.v).matrix)
         line = PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)])
-        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(line.n, line.lifts, 2).matrix)
+        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(2, line.lifts, 6, [2] * line.v).matrix)
         # A dropped column takes h0 below what Riemann-Roch allows, which fails
         # the corpus build and with it both jet rows.
         results = {r.name: r for r in run_selfcheck(budget=10)}
