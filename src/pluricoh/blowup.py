@@ -35,9 +35,10 @@ every point, the class (d; m, ..., m).  In the plane at k >= 2,
 Each step tries a conic, then the lines, until neither search finds a
 curve.  Each step is proved, so a curve the searches miss costs speed,
 not correctness.  The conic tried is the one through the three chosen
-points below and the first two images, O(v).  Lines are found by hashing
-each point's primitive directions to the later points, O(v^2), after a
-float screen of the slopes of fewer pairs has ruled out most inputs.
+points below and the first two images, O(v).  The line through the first
+two points is tested exactly, O(v); other lines are found by hashing each
+point's primitive directions to the later points, O(v^2), after a float
+screen of the slopes of fewer pairs has ruled out most inputs.
 P^n with n >= 3 and plane k = 1 are not peeled.
 
 A projective change of coordinates keeps h0, and at the coordinate points
@@ -358,8 +359,12 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, by Laplace expansion along its first row.
 
     Its sizes here are n, at most 5 within the CLI's dimension cap, where
-    the expansion is cheaper than elimination.
+    the expansion is cheaper than elimination.  Size 2, every minor of the
+    plane's adjugate, is a d - b c in closed form.
     """
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
     if len(rows) == 1:
         return rows[0][0]
     rest = rows[1:]
@@ -477,10 +482,15 @@ def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: in
     """Indices of the points on one line whose orders sum above `bound`, or None if there is none.
 
     The lifts are affine (x_0 > 0).  Such a line holds at least as many
-    points as the fewest orders that sum above `bound`.  Unless
-    `_maybe_collinear` rules that out, each point is a base in turn, and
-    the later points are hashed by their direction from it, made primitive
-    with its first nonzero entry positive: O(v^2).
+    points as the fewest orders that sum above `bound`.  The line through
+    the first two points is tested first, exactly and in O(v), so points
+    that all lie on one line skip the screen.  Unless `_maybe_collinear`
+    rules a heavy line out, each point is a base in turn, and the later
+    points are hashed by their direction from it, made primitive with its
+    first nonzero entry positive: O(v^2).  The first base's lines are
+    hashed in the order of their first later point, so when the line
+    through the first two points is heavy, the hashing returns it first
+    too, with the same indices.
     """
     need = _fewest(orders, bound)
     if need is None:
@@ -489,6 +499,10 @@ def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: in
     if len(lifts) < need:
         return None
     xs, ys = _affine_coordinates(lifts)
+    x0, y0, a, b = xs[0], ys[0], xs[1] - xs[0], ys[1] - ys[0]
+    first = [j for j, x, y in zip(range(len(xs)), xs, ys) if a * (y - y0) == b * (x - x0)]
+    if sum(orders[j] for j in first) > bound:
+        return first
     if not _maybe_collinear(xs, ys, need):
         return None
     for i in range(len(lifts) - need + 1):

@@ -25,7 +25,18 @@ One elimination of the matrix A modulo the prime MODULAR_PRIME = 2^27 - 39
 gives its rank r mod p and its pivot rows and columns.  `_eliminate_mod_p`,
 the one elimination mod p, packs each row into one Python int with a 64-bit
 slot per column, so packing and unpacking run in C through `array("Q")` and
-updating a row is one big-int multiply-add.
+updating a row is one big-int multiply-add.  Every prime is 2^27 - c with
+0 < c < 2^8, and 2^27 = c mod p, so a pivot row is scaled to a leading 1
+in every slot at once by pseudo-Mersenne folds x -> (x mod 2^27) + c * (x
+div 2^27), each a few big-int ops (Crandall and Pomerance, "Prime Numbers:
+A Computational Perspective", 9.2.3).  Its slots are then congruent to the
+normalized row and at most p + 2c - 1, not reduced.
+
+A tall A (rows > cols) is eliminated on its leading cols x cols square
+first.  Rank cols there is A's full column rank.  Below it, when every
+other row is orthogonal mod p to the square's kernel, one packed product
+per row, A has the square's rank mod p and the square's pass stands for
+A's; otherwise A is eliminated whole.
 
 - Reduction mod p is a ring map from the integers, so every minor that
   vanishes over the integers vanishes mod p: r is at most the rational
@@ -44,8 +55,8 @@ updating a row is one big-int multiply-add.
   row of the side, checked exactly with the columns of N packed into one
   int per column, r is proved.
 - The first side is A's own rows, with its pivot rows as the basis: the
-  first pass is their elimination at the first prime, so that prime costs
-  no elimination.  A tall or square A (cols <= rows) spends every prime of
+  first pass (the square's, when it stands for A's) is their elimination
+  at the first prime, so that prime costs no elimination.  A tall or square A (cols <= rows) spends every prime of
   MODULAR_PRIMES there.  A wide one tries only the first two, since its own
   kernel is the larger, and skips them when its rows are longer than
   MODULAR_MAX_PIVOTS; then its transpose, whose rows are A's columns and
@@ -118,17 +129,22 @@ class RatMatrix:
 
 # The modular route's primes: 2^27 - 39, the largest prime below 2^27, and
 # the next primes down.  They are fixed, so the route each matrix takes is
-# reproducible; the rank itself never depends on them.  They are this small
-# so that every packed slot is exactly 64 bits: a slot starts reduced, below
-# p, and each of a row's at most `full` updates adds (p - f) * y with f, y
-# < p, so no slot reaches (p - 1) + full * (p - 1)^2.  That is below 2^64
-# exactly when full <= (2^64 - p) // (p - 1)^2, and MODULAR_MAX_PIVOTS is
-# the least of these over the primes: 1024.  The same bound covers back
-# substitution, a sum of at most cols - 1 products of residues on a side
-# with at most MODULAR_MAX_PIVOTS columns.  That covers every jet
-# matrix within the cell cap (smaller side at most isqrt(50,000) = 223) and
-# the Halphen target at k = 10 (495 rows).  A matrix whose smaller side is
-# larger goes straight to Bareiss.
+# reproducible; the rank itself never depends on them.  Each is 2^27 - c
+# with 0 < c < 2^8 (asserted below), so a pivot row is folded by 2^27 = c
+# mod p instead of reduced slot by slot, and its slots end at most p + 2c -
+# 1 (`_scaled_tail`).  They are this small so that every packed slot is
+# exactly 64 bits: a slot starts reduced, below p, and each of a row's at
+# most `full` updates adds (p - f) * y with f < p and y <= p + 2c - 1, so
+# no slot reaches (p - 1) + full * (p - 1) * (p + 2c - 1).  That is below
+# 2^64 exactly when full <= (2^64 - p) // ((p - 1) * (p + 2c - 1)), and
+# MODULAR_MAX_PIVOTS is the least of these over the primes: 1024, as with
+# fully reduced rows.  The same bound covers back substitution, a sum of at
+# most cols - 1 products of a folded slot and a residue on a side with at
+# most MODULAR_MAX_PIVOTS columns, and the span test of a tall block's
+# leading square, a sum of at most cols products of residues.  That covers
+# every jet matrix within the cell cap (smaller side at most isqrt(50,000) =
+# 223) and the Halphen target at k = 10 (495 rows).  A matrix whose smaller
+# side is larger goes straight to Bareiss.
 #
 # The number of primes is the certificate's budget.  Swept over the stock
 # on_conic configurations within the cell cap (v = 5..20, k = 2..7, moved
@@ -159,8 +175,15 @@ MODULAR_PRIMES = (
     2**27 - 235,
 )
 MODULAR_PRIME = MODULAR_PRIMES[0]
-MODULAR_MAX_PIVOTS = min((2**64 - p) // (p - 1) ** 2 for p in MODULAR_PRIMES)
+FOLD_BITS = 27
+MODULAR_MAX_PIVOTS = min((2**64 - p) // ((p - 1) * (p + 2 * (2**FOLD_BITS - p) - 1)) for p in MODULAR_PRIMES)
+assert all(0 < 2**FOLD_BITS - p < 2**8 for p in MODULAR_PRIMES), "each prime is 2^27 - c with 0 < c < 2^8"
+assert MODULAR_MAX_PIVOTS == 1024, "the folded slot bound must admit 1,024 pivots at every prime"
 assert array("Q").itemsize == 8, "packed slots need 64-bit unsigned array items"
+# [slots, low mask, high mask], grown by `_fold_masks` to the widest pivot
+# tail so far.  Shared by every call: the masks are the same at every prime,
+# and a narrower row's masks are the low slots of a wider one's.
+_FOLD_MASKS = [0, 0, 0]
 
 # The route rule: the modular route runs first when min(rows, cols) * (largest
 # entry bit length) exceeds MODULAR_RULE_BITS or rows * cols * min(rows,
@@ -274,8 +297,10 @@ def _block_rank(matrix: RatMatrix) -> int:
     When min(rows, cols) is at most MODULAR_MAX_PIVOTS and either
     min(rows, cols) times the largest entry bit length exceeds
     MODULAR_RULE_BITS or rows * cols * min(rows, cols) exceeds
-    MODULAR_RULE_WORK, the matrix is eliminated modulo MODULAR_PRIME.  The
-    rank mod p is at most the rational rank, so a rank mod p of
+    MODULAR_RULE_WORK, the matrix is eliminated modulo MODULAR_PRIME: a
+    tall one on its leading square first, which settles full column rank,
+    and stands for the whole when the other rows lie in its span mod p.
+    The rank mod p is at most the rational rank, so a rank mod p of
     min(rows, cols) is returned at once.  A lower one is returned if
     integer kernel vectors pass the exact check (see the module
     docstring): of the matrix's own rows, with every prime when cols <=
@@ -288,7 +313,19 @@ def _block_rank(matrix: RatMatrix) -> int:
     bits = max(max(entries), -min(entries)).bit_length() if entries else 0
     # The rule keeps small matrices, most of the CLI's ranks, on Bareiss, which is faster there.
     if (full * bits > MODULAR_RULE_BITS or rows * cols * full > MODULAR_RULE_WORK) and full <= MODULAR_MAX_PIVOTS:
-        first = _eliminate_mod_p(entries, cols, MODULAR_PRIME)
+        first = None
+        if rows > cols:
+            # A tall block is eliminated on its leading square first.  Full
+            # rank there is full column rank.  Below it, rows that all lie in
+            # the square's span mod p leave the rank mod p as it is, so the
+            # square's pass serves as the first pass.
+            square = _eliminate_mod_p(entries[: cols * cols], cols, MODULAR_PRIME)
+            if len(square[0]) == cols:
+                return cols
+            if _in_span_mod_p(square, entries[cols * cols :], cols, MODULAR_PRIME):
+                first = square
+        if first is None:
+            first = _eliminate_mod_p(entries, cols, MODULAR_PRIME)
         columns, pivot_rows, _ = first
         found = len(columns)
         if found == full:
@@ -328,6 +365,35 @@ def _unpack(packed: int, count: int) -> array:
     return slots
 
 
+def _fold_masks(slots: int) -> tuple[int, int]:
+    """The masks of the low 27 bits and of the next 37 of each of at least
+    `slots` 64-bit slots.  Built once and grown as wider rows arrive: a
+    mask wider than the row it is applied to costs nothing more under &."""
+    if slots > _FOLD_MASKS[0]:
+        _FOLD_MASKS[:] = slots, _pack([(1 << FOLD_BITS) - 1] * slots), _pack([(1 << (64 - FOLD_BITS)) - 1] * slots)
+    return _FOLD_MASKS[1], _FOLD_MASKS[2]
+
+
+def _scaled_tail(tail: int, factor: int, c: int, low: int, high: int) -> int:
+    """factor * tail mod p = 2^27 - c, slot by slot, for packed slots below
+    2^64 and 0 <= factor < p: each slot of the result is congruent to
+    factor times its slot and at most p + 2c - 1.
+
+    A fold x -> (x & low) + c * ((x >> 27) & high), with the masks of
+    `_fold_masks`, maps each slot x to (x mod 2^27) + c * (x div 2^27),
+    congruent since 2^27 = c mod p, in every slot at once.  Two folds take
+    a slot below 2^64 to below 2^28, the product with the factor stays
+    below 2^55, and three more folds take it below 2^27 + 2c^2, then to at
+    most (2^27 - 1) + c = p + 2c - 1.  No slot carries into the next.
+    """
+    tail = (tail & low) + c * ((tail >> FOLD_BITS) & high)
+    tail = (tail & low) + c * ((tail >> FOLD_BITS) & high)
+    tail *= factor
+    tail = (tail & low) + c * ((tail >> FOLD_BITS) & high)
+    tail = (tail & low) + c * ((tail >> FOLD_BITS) & high)
+    return (tail & low) + c * ((tail >> FOLD_BITS) & high)
+
+
 def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[int], list[int], list[int]]:
     """Row echelon form modulo the prime p of flat row-major integer entries
     in rows of `cols` >= 1.
@@ -335,21 +401,23 @@ def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[in
     Returns (columns, rows, tails): the pivot columns, ascending, whose
     count is the rank mod p; for each pivot, the index of the input row it
     came from; and for each pivot its normalized row: the entries right of
-    the pivot, whose own entry is 1, packed from the next column up.
-    Pivoting is deterministic: the first remaining row with a nonzero
-    residue in the column.
+    the pivot, whose own entry is 1, packed from the next column up, each
+    slot congruent to its entry mod p and at most p + 2c - 1 for p =
+    2^27 - c.  Pivoting is deterministic: the first remaining row with a
+    nonzero residue in the column.
 
     Gaussian elimination over GF(p) on packed rows.  All entries are
     reduced mod p and packed in one pass through `array("Q")`, each row
     into one int with a 64-bit slot per column, the current first column
-    in the low bits, each slot below 2^64 and congruent to its entry mod p;
-    the number of pivots must be at most MODULAR_MAX_PIVOTS.  Processing a
-    column shifts it out of every row.  Only the pivot row is unpacked,
-    reduced mod p and scaled to a leading 1; with `tail` the rest of it,
-    repacked, every other row r with leading residue f becomes (r >> 64) +
-    (p - f) * tail, one big-int multiply-add.  Slots stay nonnegative and
-    below 2^64 (see MODULAR_PRIMES), so no carry crosses a slot and each
-    slot stays congruent to its entry mod p.
+    in the low bits, each slot below 2^64 and congruent to its entry mod
+    p; the number of pivots must be at most MODULAR_MAX_PIVOTS.  Processing a
+    column shifts it out of every row.  The pivot row's tail is scaled by
+    the inverse of its leading residue with five folds by 2^27 = c mod p
+    and one multiply (`_scaled_tail`), all in big-int ops, and every other
+    row r with leading residue f becomes (r >> 64) + (p - f) * tail, one
+    big-int multiply-add.  Slots stay nonnegative and below 2^64 (see
+    MODULAR_PRIMES), so no carry crosses a slot and each slot stays
+    congruent to its entry mod p.
     """
     data = array("Q", map(p.__rmod__, entries))
     if sys.byteorder == "big":
@@ -358,6 +426,8 @@ def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[in
     stride = 8 * cols
     work = [int.from_bytes(data[i : i + stride], "little") for i in range(0, len(data), stride)]
     del data  # the packed rows hold the same residues; keep one copy through the elimination
+    c = (1 << FOLD_BITS) - p
+    low, high = _fold_masks(cols - 1)
     mask = (1 << 64) - 1  # local and literal: these loops run once per row per pivot
     unused = list(range(len(work)))
     columns, rows, tails = [], [], []
@@ -370,13 +440,38 @@ def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[in
             continue
         pivot = work.pop(index)
         rows.append(unused.pop(index))
-        inverse = pow((pivot & mask) % p, -1, p)
-        slots = _unpack(pivot >> 64, cols - column - 1)
-        tail = _pack(map(p.__rmod__, map(inverse.__mul__, slots)))
+        tail = _scaled_tail(pivot >> 64, pow((pivot & mask) % p, -1, p), c, low, high)
         work = [(row >> 64) + (p - f) * tail if (f := (row & mask) % p) else row >> 64 for row in work]
         columns.append(column)
         tails.append(tail)
     return columns, rows, tails
+
+
+def _in_span_mod_p(echelon: tuple[list[int], list[int], list[int]], rest: Sequence[int], cols: int, p: int) -> bool:
+    """Whether every row of the flat entries `rest` lies mod p in the span
+    of the rows that `_eliminate_mod_p` gave `echelon` for at p.
+
+    A row does when it is orthogonal mod p to the right kernel of those
+    rows, whose reduced echelon basis `_kernel_mod_p` gives.  The rows'
+    residues are packed by column, one 64-bit slot per row, so each kernel
+    vector's products with all the rows are one sum of cols multiples of
+    these columns, and one unpacking checks them mod p.  A slot sums at
+    most cols products of residues, below 2^64 for cols <=
+    MODULAR_MAX_PIVOTS, so no carry crosses a slot.
+    """
+    columns, _, tails = echelon
+    free = sorted(set(range(cols)) - set(columns))
+    d = len(free)
+    flat = _kernel_mod_p(columns, tails, free, p)
+    residues = array("Q", map(p.__rmod__, rest))
+    count = len(residues) // cols
+    packed = [_pack(residues[j::cols]) for j in range(cols)]
+    pivot_columns = [packed[column] for column in columns]
+    for t, own in enumerate(free):
+        products = packed[own] + sum(map(int.__mul__, flat[t::d], pivot_columns))
+        if any(map(p.__rmod__, _unpack(products, count))):
+            return False
+    return True
 
 
 def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int) -> list[int]:

@@ -25,6 +25,7 @@ from pluricoh.blowup import (
     PointFileError,
     SamplingBudgetError,
     _capped_count,
+    _det,
     _graded_exponents,
     _independent_lifts,
     _polytope,
@@ -458,6 +459,15 @@ def subspace_configurations(draw):
 class TestNormalizedH0:
     """Chosen points sent to coordinate points, the rest ranked on the polytope's columns."""
 
+    @given(st.integers(2, 5), st.randoms(use_true_random=False))
+    def test_det_matches_the_leibniz_formula(self, size, rng):
+        rows = [[rng.randint(-(10**30), 10**30) for _ in range(size)] for _ in range(size)]
+        leibniz = 0
+        for perm in itertools.permutations(range(size)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            leibniz += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+        assert _det(rows) == leibniz
+
     @given(drawn_configurations())
     # (2, -1) lies on the line through (1, 0) and (0, 1), so its image has x_0 = 0
     # and is ranked in the chart of x_1.
@@ -749,6 +759,19 @@ class TestPeeling:
         for coordinates, k in PLANTED[:2]:
             config = PointConfiguration.from_coordinates(coordinates)
             assert not _peeling_matches_naive_elimination(mutant, config, k)
+
+    @pytest.mark.parametrize("v, k", [(580, 2), (9, 5)])
+    def test_points_all_on_one_line_skip_the_screen(self, v, k, monkeypatch):
+        # The line through the first two points holds them all, so it is found by its
+        # O(v) exact test and the O(v^2) slope screen never runs.
+        def forbidden(*args):
+            raise AssertionError("the slope screen ran on points that all lie on one line")
+
+        monkeypatch.setattr(pluricoh.blowup, "_maybe_collinear", forbidden)
+        rng = random.Random(f"one-line:{v}")
+        xs = rng.sample(range(-(10**9), 10**9), v)
+        config = PointConfiguration.from_coordinates([(x, Fraction(2 * x - 5, 3)) for x in xs])
+        assert h0_blowup(config, k) == _line_h0(v, k)
 
     def test_sixty_digit_line_peels_to_its_residual_class(self, monkeypatch):
         # Seven points with 60-digit x on y = 3x + 7 and two off it, which took minutes to

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pluricoh import exact_linalg
@@ -328,6 +328,11 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def _folded_slot_bound(p: int, full: int) -> int:
+    """The largest a slot can reach after `full` updates by folded tails mod p = 2^27 - c."""
+    return (p - 1) + full * (p - 1) * (p + 2 * (2**27 - p) - 1)
+
+
 class TestModularRoute:
     @settings(max_examples=60)
     @given(large_entry_matrices())
@@ -348,7 +353,7 @@ class TestModularRoute:
         assert rank(m) == expected == rank(m.transpose())
 
     @settings(max_examples=200)
-    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
+    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES))
     def test_pass_matches_an_independent_elimination_mod_p(self, m, p):
         columns, pivot_rows, _ = _echelon(m, p)
         assert columns == _oracle_pivots_mod_p(m, p)
@@ -358,7 +363,7 @@ class TestModularRoute:
         assert rank(m) == naive_rank(m)
 
     @settings(max_examples=100)
-    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES[:2]))
+    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES))
     def test_kernel_mod_p_is_the_reduced_echelon_kernel(self, m, p):
         columns, _, tails = _echelon(m, p)
         d = m.cols - len(columns)
@@ -373,26 +378,52 @@ class TestModularRoute:
                 vector[column] = x
             assert all(sum(a * b for a, b in zip(m.row(i), vector)) % p == 0 for i in range(m.rows))
 
+    @settings(max_examples=150)
+    @given(mod_p_matrices(), st.sampled_from(MODULAR_PRIMES))
+    def test_span_test_matches_the_rank_mod_p(self, m, p):
+        # The other rows of a tall matrix lie in the span of its leading
+        # square mod p exactly when they add no rank mod p.
+        assume(m.rows > m.cols)
+        echelon = exact_linalg._eliminate_mod_p(m.entries[: m.cols**2], m.cols, p)
+        in_span = exact_linalg._in_span_mod_p(echelon, m.entries[m.cols**2 :], m.cols, p)
+        assert in_span == (len(_oracle_pivots_mod_p(m, p)) == len(echelon[0]))
+
     def test_certificate_primes(self):
-        # Distinct primes below 2^27, the first the largest, each the next
-        # prime down from the one before, and each within the slot bound
-        # that MODULAR_MAX_PIVOTS pivots need.
+        # Distinct primes 2^27 - c with 0 < c < 2^8, the first the largest,
+        # each the next prime down from the one before, and each within the
+        # folded slot bound that MODULAR_MAX_PIVOTS pivots need.
         assert MODULAR_PRIMES[0] == MODULAR_PRIME
         assert len(set(MODULAR_PRIMES)) == len(MODULAR_PRIMES) >= 2
         assert all(map(_is_prime, MODULAR_PRIMES))
-        assert all(p < 2**27 for p in MODULAR_PRIMES)
+        assert all(0 < 2**27 - p < 2**8 for p in MODULAR_PRIMES)
         for above, p in zip((2**27, *MODULAR_PRIMES), MODULAR_PRIMES):
             assert above > p and not any(map(_is_prime, range(p + 1, above)))
-        assert all((p - 1) + MODULAR_MAX_PIVOTS * (p - 1) ** 2 < 2**64 for p in MODULAR_PRIMES)
+        assert all(_folded_slot_bound(p, MODULAR_MAX_PIVOTS) < 2**64 for p in MODULAR_PRIMES)
 
     def test_slot_bound_holds_exactly_up_to_the_pivot_limit(self):
         # A slot that starts below p and takes `full` updates of (p - f) * y,
-        # f and y below p, must stay below 2^64.
-        def bound(full):
-            return (MODULAR_PRIME - 1) + full * (MODULAR_PRIME - 1) ** 2
+        # f below p and y a folded tail slot of at most p + 2c - 1, must stay
+        # below 2^64: at every prime up to the limit, and at some prime past it.
+        assert all(_folded_slot_bound(p, MODULAR_MAX_PIVOTS) < 2**64 for p in MODULAR_PRIMES)
+        assert _folded_slot_bound(MODULAR_PRIME, MODULAR_MAX_PIVOTS + 1) >= 2**64
 
-        assert bound(MODULAR_MAX_PIVOTS) < 2**64
-        assert bound(MODULAR_MAX_PIVOTS + 1) >= 2**64
+    @pytest.mark.parametrize("p", MODULAR_PRIMES)
+    def test_scaled_tail_folds_every_slot_to_the_bound(self, p):
+        # Slots at the edges of the folds, 0 up to 2^64 - 1, each scaled by
+        # factors at the edges of GF(p): every result slot is congruent to
+        # factor * slot and at most p + 2c - 1.  The last factor takes the
+        # slot 2^27 - 1 to 2^27 + (c - 1) * factor - c, between 2^28 +
+        # 2^27 - c and 2^28 + 2^27, after the third fold, and so above the
+        # bound after the fourth: all five folds are needed.
+        c = 2**27 - p
+        slots = [0, p - 1, p, p + 2 * c - 1, 2**27 - 1, 2**27, 2**64 - 1, *(random.Random(p).getrandbits(64) for _ in range(9))]
+        low, high = exact_linalg._fold_masks(len(slots))
+        packed = exact_linalg._pack(slots)
+        for factor in (0, 1, 2, p - 1, pow(2**27, -1, p), random.Random(c).randrange(p), -(-(2**28) // (c - 1))):
+            scaled = exact_linalg._scaled_tail(packed, factor, c, low, high)
+            assert scaled < 2 ** (64 * len(slots))
+            for x, y in zip(slots, exact_linalg._unpack(scaled, len(slots))):
+                assert y % p == factor * x % p and y <= p + 2 * c - 1
 
     def test_pivot_limit_covers_the_cell_cap(self):
         # A jet matrix within the cell cap has min(rows, cols) <= isqrt(cap).
@@ -439,6 +470,62 @@ class TestModularRoute:
         monkeypatch.setattr(exact_linalg, "_bareiss_rank", forbidden)
         monkeypatch.setattr(exact_linalg, "_kernel_certificate", forbidden)
         assert rank(m) == 10
+
+    def test_tall_deficient_square_with_full_column_rank_takes_a_full_pass(self, monkeypatch):
+        # Row 9 is row 0 minus row 1, so the leading 10 x 10 square has rank 9,
+        # but rows 10 and 11 lift the block to full column rank: the full pass
+        # proves it, with no certificate.
+        grid = _large_grid(random.Random("tall-square-full"), 12, 10)
+        grid[9] = [x - y for x, y in zip(grid[0], grid[1])]
+        m = _integer_matrix(grid)
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 10 == naive_rank(m)
+        assert [(args[0], args[1]) for args in eliminations] == [(m.entries[:100], 10), (m.entries, 10)]
+        assert len(_echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)[0]) == 9
+        assert not certificates and not bareiss
+
+    def test_tall_rows_in_the_span_of_the_square_reuse_its_pass(self, monkeypatch):
+        # Column 9 is column 0 minus twice column 1, so every row is orthogonal
+        # to (-1, 2, 0, ..., 0, 1), the kernel of the leading square: the one
+        # 10 x 10 pass serves as the first pass, its pivot rows are the basis,
+        # and the certificate checks the vector against all 12 rows.
+        grid = _large_grid(random.Random("tall-square-span"), 12, 10)
+        grid = [[*row[:9], row[0] - 2 * row[1]] for row in grid]
+        m = _integer_matrix(grid)
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 9 == naive_rank(m)
+        [(square, cols, p)] = eliminations
+        assert (square, cols, p) == (m.entries[:100], 10, MODULAR_PRIME)
+        [(own, basis, first)] = certificates
+        assert (len(own), len(basis)) == (12, 9)
+        assert first == _echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)
+        assert basis == [m.row(i) for i in first[1]] and max(first[1]) < 10
+        assert exact_linalg._kernel_certificate(own, basis, first) == [[-1, 2, 0, 0, 0, 0, 0, 0, 0, 1]]
+        assert not bareiss
+
+    def test_tall_rows_outside_the_span_of_the_square_take_a_full_pass(self, monkeypatch):
+        # As above, but rows 8 and 9 are combinations of rows 0 to 7, so the
+        # square has rank 8 and a two-dimensional kernel.  Rows 10 and 11 are
+        # not orthogonal to all of it: the full pass gives rank 9, and the
+        # certificate takes its pivot rows as the basis.
+        grid = _large_grid(random.Random("tall-square-outside"), 12, 10)
+        grid = [[*row[:9], row[0] - 2 * row[1]] for row in grid]
+        grid[8] = [x + 3 * y for x, y in zip(grid[2], grid[5])]
+        grid[9] = [x - y for x, y in zip(grid[7], grid[4])]
+        m = _integer_matrix(grid)
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        certificates = _spy(monkeypatch, "_kernel_certificate")
+        bareiss = _spy(monkeypatch, "_bareiss_rank")
+        assert rank(m) == 9 == naive_rank(m)
+        assert [(args[0], args[1]) for args in eliminations] == [(m.entries[:100], 10), (m.entries, 10)]
+        assert len(_echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)[0]) == 8
+        [(own, basis, first)] = certificates
+        assert (len(own), len(basis)) == (12, 9) and first == _echelon(m, MODULAR_PRIME)
+        assert not bareiss
 
     @pytest.mark.parametrize("rows, cols", [(10, 12), (12, 10), (11, 11)])
     def test_deficient_large_entries_are_certified_without_bareiss(self, rows, cols, monkeypatch):
@@ -656,7 +743,9 @@ class TestBlockSplit:
     def test_zero_free_row_or_column_takes_the_unsplit_route(self, transpose, monkeypatch):
         # Row 0 has no zero and every other row has one, column 0 too, so
         # only the row links the rows (in the transpose, only the column):
-        # the matrix itself goes to the modular pass, as it did unsplit.
+        # the matrix itself is ranked, as it was unsplit.  Its entries go to
+        # the modular pass; the tall transpose's leading 10 x 10 square does,
+        # and settles it.
         grid = _large_grid(random.Random("zero-free"), 10, 12)
         grid[0] = [x or 1 for x in grid[0]]
         for i in range(1, 10):
@@ -669,7 +758,12 @@ class TestBlockSplit:
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         assert rank(m) == 10 == naive_rank(m)
         [(ranked,)] = blocks
-        assert ranked is m and eliminations[0][0] is m.entries
+        assert ranked is m
+        if transpose:
+            [(square, cols, _)] = eliminations
+            assert (square, cols) == (m.entries[:100], 10)
+        else:
+            assert eliminations[0][0] is m.entries
 
     def test_each_block_takes_its_own_route(self, monkeypatch):
         # A large-entry block past the modular rule, full rank mod p, and a
