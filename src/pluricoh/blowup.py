@@ -19,8 +19,8 @@ evaluating them at the lift instead of at the lift divided by x_j scales
 each row by a power of x_j.
 
 A section is a form of degree d = (n+1)k vanishing to order m = (n-1)k at
-every point, the class (d; m, ..., m).  In the plane at k >= 2,
-``h0_blowup`` first peels fixed curves off that class by Bezout's theorem
+every point, the class (d; m, ..., m).  In the plane ``h0_blowup`` first
+peels fixed curves off that class by Bezout's theorem
 (Miranda, "Linear systems of plane curves", Notices AMS 46, 1999):
 
 - if the orders of the points on a line L sum above d, the restriction of
@@ -38,21 +38,21 @@ not correctness.  The conic tried is the one through the three chosen
 points below and the first two images, O(v).  The line through the first
 two points is tested exactly, O(v); other lines are found by hashing each
 point's primitive directions to the later points, O(v^2), after a float
-screen of the slopes of fewer pairs has ruled out most inputs.
-P^n with n >= 3 and plane k = 1 are not peeled.
+screen of the slopes of fewer pairs has ruled out most inputs.  That O(v^2)
+pass is skipped when v^2 exceeds the multiply count of Bareiss on the
+class's matrix on all monomials.  P^n with n >= 3 is not peeled.
 
 A projective change of coordinates keeps h0, and at the coordinate points
 e_0, ..., e_n the conditions are monomial: a form of degree d vanishes to
 order m at e_i exactly when each of its monomials has exponent at most
-d - m in x_i.  So when the conditions include a derivative, (n-1)k >= 2,
-``h0_blowup`` takes the first s points of positive order whose lifts are
-independent, s the dimension of the span of all their lifts, completes
-them to a basis of unit vectors, and sends them to coordinate points by
-the adjugate of that basis.  It then ranks the rows of the other images,
-each with its own order, against the polytope of exponents beta of degree
-at most d with exponent at most d - m_i in each of the s chosen
-coordinates (unpeeled, for s = n + 1 in the plane a hexagon of
-C(3k+2, 2) - 3 C(k+1, 2) points):
+d - m in x_i.  So ``h0_blowup`` takes the first s points of positive
+order whose lifts are independent, s the dimension of the span of all
+their lifts, completes them to a basis of unit vectors, and sends them to
+coordinate points by the adjugate of that basis.  It then ranks the rows
+of the other images, each with its own order, against the polytope of
+exponents beta of degree at most d with exponent at most d - m_i in each
+of the s chosen coordinates (unpeeled, for s = n + 1 in the plane a hexagon of
+C(3k+2, 2) - 3 C(k+1, 2) points, 7 of the 10 cubics at k = 1):
 
     h0 = (number of polytope points) - rank(rows of the images)
 
@@ -60,9 +60,7 @@ When the points span less than P^n, every image is zero on the completing
 coordinates, so its jet rows vanish off the columns whose exponents there
 match the derivative's; ``rank`` splits such matrices into blocks.  With
 s independent points and no other, no condition is left to rank, and h0
-is the lattice count with caps on s coordinates only.  Plane k = 1 (plain
-evaluation, whose moved entries would be three times as long) keeps the
-matrix on all monomials.
+is the lattice count with caps on s coordinates only.
 
 The module also ships deterministic configuration generators (generic,
 collinear, on a conic) and a sweep that certifies, point replacement by
@@ -208,29 +206,16 @@ def monomial_count(n: int, k: int) -> int:
     return math.comb((n + 1) * k + n, n)
 
 
-def jet_shape(
-    n: int,
-    v: int,
-    k: int,
-    exponents: Sequence[tuple[int, ...]] | None = None,
-    orders: Sequence[int] | None = None,
-) -> tuple[int, int]:
-    """(rows, cols) of the jet matrix of v points in dimension n at power k.
+def jet_shape(n: int, v: int, k: int) -> tuple[int, int]:
+    """(rows, cols) of the jet matrix of v points in dimension n at power k, on all monomials.
 
-    A point of order m has one row per multi-index alpha with |alpha| < m,
-    C(m - 1 + n, n) of them and none at m = 0.  Every point has order
-    (n-1)k unless `orders` gives one per point.  One column per exponent in
-    `exponents`, by default per monomial of degree at most (n+1)k.  This is
-    the one closed form of the shape: `jet_matrix` builds to it, the
-    generic sampler targets full rank from it, and the CLI caps the cell
-    count with the default shape.
+    A point of order m = (n-1)k has one row per multi-index alpha with
+    |alpha| < m, C(m - 1 + n, n) of them, and there is one column per
+    monomial of degree at most (n+1)k.  The generic sampler targets full
+    rank from this shape, and the CLI caps the cell count with it.
     """
     cols = monomial_count(n, k)  # first, so k < 1 is refused before comb sees it
-    if exponents is not None:
-        cols = len(exponents)
-    if orders is None:
-        return v * math.comb((n - 1) * k - 1 + n, n), cols
-    return sum(math.comb(m - 1 + n, n) for m in orders), cols
+    return v * math.comb((n - 1) * k - 1 + n, n), cols
 
 
 def jet_matrix(
@@ -247,11 +232,12 @@ def jet_matrix(
     order per lift; h0 of power k is degree (n+1)k with every order
     (n-1)k.  The columns are the monomials x^beta for beta in `exponents`,
     each of total degree at most `degree`; by default all of them, in
-    graded order.  Shaped as ``jet_shape`` says; integer entries, as
-    described on ``JetConditionMatrix``, with no Fraction formed.  For
-    n = 2, degree 3 and order 1 the conditions are plain evaluation,
-    mapping the lift (1, x, y) to the row (1, x, y, x^2, xy, y^2, x^3,
-    x^2 y, x y^2, y^3).
+    graded order.  A lift of order m has C(m - 1 + n, n) rows, one per
+    multi-index of order below m, and there is one column per exponent;
+    integer entries, as described on ``JetConditionMatrix``, with no
+    Fraction formed.  For n = 2, degree 3 and order 1 the conditions are
+    plain evaluation, mapping the lift (1, x, y) to the row (1, x, y, x^2,
+    xy, y^2, x^3, x^2 y, x y^2, y^3).
 
     A lift's rows are the leaves of a product tree over alpha, in the chart
     of its first nonzero coordinate x_j.  A node is a prefix (alpha_1, ...,
@@ -320,15 +306,14 @@ def _polytope(n: int, degree: int, caps: Sequence[int]) -> list[tuple[int, ...]]
     """Exponents beta of degree at most `degree` whose form has exponent at most caps[i] in x_i, graded.
 
     The form of beta has degree `degree`, and its exponent in x_0 is
-    degree - |beta|; caps[i] bounds coordinate i for i < len(caps).  A form
-    vanishes to order m at the coordinate point e_i exactly when its
-    exponent in x_i is at most degree - m, so these are the monomials that
-    vanish to order m_i at e_i when caps[i] = degree - m_i.  Their number
-    is `_capped_count(n, degree, caps)`.
+    degree - |beta|; caps[i] bounds coordinate i for i < len(caps), and
+    there is at least one cap.  A form vanishes to order m at the
+    coordinate point e_i exactly when its exponent in x_i is at most
+    degree - m, so these are the monomials that vanish to order m_i at e_i
+    when caps[i] = degree - m_i.  Their number is
+    `_capped_count(n, degree, caps)`.
     """
     monomials = _graded_exponents(n, degree)
-    if not caps:
-        return monomials
     # Graded order puts the C(low - 1 + n, n) exponents of degree below low = degree - caps[0] first.
     above = monomials[math.comb(max(degree - caps[0], 0) - 1 + n, n) :]
     rest = caps[1:]
@@ -490,7 +475,11 @@ def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: in
     first nonzero entry positive: O(v^2).  The first base's lines are
     hashed in the order of their first later point, so when the line
     through the first two points is heavy, the hashing returns it first
-    too, with the same indices.
+    too, with the same indices.  The screen and the hashing are skipped
+    when v^2 exceeds rows * cols * min(rows, cols), Bareiss's multiply
+    count on the class's matrix on all monomials (rows = sum of C(m + 1, 2)
+    over the orders, cols = C(bound + 2, 2)): a line missed costs no more
+    than the rank it could have saved.
     """
     need = _fewest(orders, bound)
     if need is None:
@@ -503,7 +492,8 @@ def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: in
     first = [j for j, x, y in zip(range(len(xs)), xs, ys) if a * (y - y0) == b * (x - x0)]
     if sum(orders[j] for j in first) > bound:
         return first
-    if not _maybe_collinear(xs, ys, need):
+    rows, cols = sum(math.comb(m + 1, 2) for m in orders), math.comb(bound + 2, 2)
+    if len(lifts) ** 2 > rows * cols * min(rows, cols) or not _maybe_collinear(xs, ys, need):
         return None
     for i in range(len(lifts) - need + 1):
         x, y = xs[i], ys[i]
@@ -560,19 +550,20 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
     """dim H^0 of the k-th anticanonical power on the blow-up at the points.
 
     Sections are forms of degree (n+1)k vanishing to order (n-1)k at each
-    point.  In the plane at k >= 2, lines and conics that must divide
-    every such form are peeled off first (see the module docstring).  When
-    the conditions include a derivative ((n-1)k >= 2), the s independent
-    points found first are moved to coordinate points and only the other
-    points' rows are ranked, against the polytope's columns with caps on
-    those s coordinates; v = s independent points need no rank at all.
-    Plane k = 1 ranks the matrix on all monomials.  Either way one jet
-    matrix is built and ranked, or none.
+    point.  In the plane, lines and conics that must divide every such
+    form are peeled off first (see the module docstring).  Then the s
+    independent points found first are moved to coordinate points and
+    only the other points' rows are ranked, against the polytope's columns
+    with caps on those s coordinates; v = s independent points need no
+    rank at all.  So one jet matrix is built and ranked, or none.  n = 1
+    is rejected, as in ``jet_matrix``, and so is k < 1.
     """
     n, lifts = config.n, config.lifts
+    if n < 2:
+        raise ValueError("blow-ups require n >= 2; n = 1 imposes no vanishing conditions")
+    if k < 1:
+        raise ValueError("k must be positive")
     degree, orders = (n + 1) * k, [(n - 1) * k] * len(lifts)
-    if (n - 1) * k < 2:
-        return monomial_count(n, k) - rank(jet_matrix(n, lifts, degree, orders).matrix)
     while degree >= 0:
         chosen = _independent_lifts(lifts, n + 1)
         caps = [degree - orders[c] for c in chosen]
@@ -646,7 +637,7 @@ def generate_configuration(
     generic    v points with integer coordinates drawn deterministically
                from `seed`, resampled until the jet matrix of power k has
                full rank, i.e. h0(-kK) = max(cols - rows, 0) for the
-               (rows, cols) of `jet_shape(2, v, k)`.  At k >= 2 and v >= 4,
+               (rows, cols) of `jet_shape(2, v, k)`.  At v >= 4,
                `h0_blowup` ranks the polytope's matrix of the v - 3 moved
                points instead, and the target is the same number as that
                matrix's full-rank value, |P| - (v - 3) C(k+1, 2).

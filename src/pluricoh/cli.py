@@ -71,16 +71,17 @@ FAMILY_MAX_KMAX = 10**4
 # most of it is the lattice-walk oracle, count_sections_by_lattice_points.
 SELFCHECK_MAX_BUDGET = 50
 
-# Largest blow-up jet matrix, in cells (rows x cols).  At k >= 2 every stock
-# collinear and on_conic input below it peels its line or conic before the
-# rank and takes at most about 7 ms in h0_blowup (collinear v = 595, k = 2);
-# on_conic v = 9, k = 6 ranks 18 x 57 after four conic peels, where it took
-# 0.19 s on 126 x 127.  The slowest stock kinds are those that do not peel:
-# on_conic at k = 1 with v = 5,000 (50,000 cells) takes about 0.13 s, and
-# generic v = 12, k = 6 (47,880 cells) and generic v = 20, k = 5 (40,800
-# cells), tall blocks settled by their leading squares, about 0.08 s, on a
-# 2-CPU host, whole processes, min of 9, interpreter start and import
-# (about 0.06 s) included.
+# Largest blow-up jet matrix, in cells (rows x cols).  Every stock collinear
+# and on_conic input below it peels its line or conic before the rank; at
+# k >= 2 it takes at most about 7 ms in h0_blowup (collinear v = 595, k = 2),
+# and on_conic v = 9, k = 6 ranks 18 x 57 after four conic peels, where it
+# took 0.19 s on 126 x 127.  The slowest stock inputs fill the cap at k = 1
+# with v = 5,000 (50,000 cells): generic points, which do not peel and rank
+# 4,997 x 7 after the move, take about 0.16 s, and collinear and on_conic,
+# which peel, about 0.11 s; generic v = 12, k = 6 (47,880 cells) and v = 20,
+# k = 5 (40,800 cells), tall blocks settled by their leading squares, take
+# about 0.08 s.  On a 2-CPU host, whole processes, min of 9, interpreter
+# start and import (about 0.07 s) included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

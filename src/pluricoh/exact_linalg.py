@@ -201,7 +201,7 @@ _FOLD_MASKS = [0, 0, 0]
 # between the bounds, route time over Bareiss's:
 #
 #   block (seeded moves)           shape    work     route / Bareiss
-#   plane, k = 1, deficient    10..12 x 10  <= 1200   3 to 17
+#   plane, k = 1, unmoved      10..12 x 10  <= 1200   3 to 17
 #   on_conic v = 8, k = 2          15 x 19    4275    1.6 to 2.5
 #   twisted cubic v = 8, k = 1     16 x 19    4864    0.8 to 2.0
 #   on_conic v = 5, k = 3          12 x 37    5328    0.25 to 0.5
@@ -210,14 +210,26 @@ _FOLD_MASKS = [0, 0, 0]
 #   twisted cubic v = 5, k = 2     20 x 85   34000    0.21 to 0.24
 #   3 x 3 grid, k = 3              36 x 37   47952    0.29 to 0.39
 #
-# So any bound from 6156 up to 9747 is best; 8000 is in the middle.  With it
-# in place the bit rule is the same on these workloads from 640 to 2048.
-# Below 640 the plane jet matrices at k = 1 (10 columns of at most 60-bit
-# entries for sampled coordinates up to 10^6) go modular, and
-# interactive_mix's rank time without selfcheck rises from 3.5 to 12.3 ms
-# at 576.  The first sweep of the bit rule alone, before the work rule,
-# found the same floor: certified deficient matrices lost up to 2.9 times
-# below 640 and won from about 1600.
+# So any bound from 6156 up to 9747 is best; 8000 is in the middle.  The
+# first sweep of the bit rule alone, before the work rule, found its floor:
+# certified deficient matrices lost up to 2.9 times below 640 and won from
+# about 1600.  Plane k = 1 was then ranked on all monomials (the table's
+# first row); it is now peeled and moved like every power, so its
+# collinear and conic inputs rank no matrix and its generic ones rank one
+# (v - 3) x 7 block on the hexagon's cubics, with entries of 112 to 123 bits
+# for sampled coordinates up to 10^6.  By rows, that block's modular route
+# takes 2.5, 1.7, 1.06, 0.80, 0.63, 0.53, 0.41 and 0.33 times Bareiss's at
+# 2 to 9.  The bit rule swept again on the same workloads' blocks, with
+# selfcheck's probes (built to exceed the rule) kept modular, rank time per
+# interactive_mix pass in ms:
+#
+#   MODULAR_RULE_BITS   320   448..576   640   704   768   896..1024
+#   seed 1              2.03    2.02    2.03  2.07  2.07     2.26
+#   seed 7              2.08    2.08    2.09  2.09  2.13     2.33
+#
+# special_structure (seeds 1..10) and generic_elimination do not move from
+# 448 to 1024.  So 640 stays: it keeps up to five rows of the block on
+# Bareiss and sends six and more (v >= 9) to the modular route.
 MODULAR_RULE_BITS = 640
 MODULAR_RULE_WORK = 8000
 

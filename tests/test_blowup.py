@@ -533,20 +533,22 @@ class TestNormalizedH0:
         assert len(columns) == hexagon == _capped_count(2, 3 * k, [2 * k] * 3)
         kept = set(columns)
         assert columns == [beta for beta in _graded_exponents(2, 3 * k) if beta in kept]
-        assert jet_shape(2, 4, k, columns) == (4 * math.comb(k + 1, 2), len(columns))
+        matrix = jet_matrix(2, [(1, 1, 2), (1, 2, 3), (1, 3, 5), (1, 5, 7)], 3 * k, [k] * 4, columns).matrix
+        assert (matrix.rows, matrix.cols) == (4 * math.comb(k + 1, 2), len(columns))
 
     @pytest.mark.parametrize("n, k", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_space_polytope_is_the_capped_count(self, n, k):
-        for capped in range(n + 2):
+        for capped in range(1, n + 2):
             caps = [2 * k] * capped
             assert len(_polytope(n, (n + 1) * k, caps)) == _capped_count(n, (n + 1) * k, caps)
 
-    @given(st.integers(2, 3), st.integers(0, 9), st.lists(st.integers(-1, 10), max_size=4))
+    @given(st.integers(2, 3), st.integers(0, 9), st.lists(st.integers(-1, 10), min_size=1, max_size=4))
     @example(2, 6, [4, 0, 7])
     @settings(max_examples=80)
     def test_capped_count_is_the_polytope_size(self, n, degree, caps):
         # Inclusion-exclusion against enumeration, for per-coordinate caps
-        # from below zero to above the degree, on up to n + 1 coordinates.
+        # from below zero to above the degree, on 1 to n + 1 coordinates: h0_blowup
+        # ranks a polytope only after choosing at least one point.
         caps = caps[: n + 1]
         columns = _polytope(n, degree, caps)
         assert len(columns) == _capped_count(n, degree, caps)
@@ -651,10 +653,11 @@ class TestGenerateConfiguration:
 
     def test_defective_sampler_exhausts_its_budget(self, monkeypatch):
         # With rank pinned to 0 no sample can ever certify as generic, so
-        # the bounded retry loop must give up loudly.
+        # the bounded retry loop must give up loudly.  Four points, as three
+        # independent ones are a lattice count that ranks nothing.
         monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 0)
         with pytest.raises(SamplingBudgetError):
-            generate_configuration("generic", 3)
+            generate_configuration("generic", 4)
 
     def test_generic_is_certified_at_the_power_used(self, monkeypatch):
         # Rank 0 on every matrix wider than the k = 1 one: a sampler that
@@ -691,12 +694,12 @@ def _naive_h0(config: PointConfiguration, k: int) -> int:
 
 
 @st.composite
-def planted_configurations(draw):
+def planted_configurations(draw, powers=st.integers(2, 3)):
     """(config, k): points on up to two planted lines and a planted conic, and up to three others, shuffled.
 
-    The conic is a parabola y = a x^2 + b x + c or a hyperbola x y = c.
+    The conic is a parabola y = a x^2 + b x + c or a hyperbola x y = c; k is drawn from `powers`.
     """
-    k = draw(st.integers(2, 3))
+    k = draw(powers)
     small = st.integers(-6, 6)
     points = set()
     for _ in range(draw(st.integers(0, 2))):
@@ -720,12 +723,15 @@ def planted_configurations(draw):
 # to (5; 1^5), whose line holds 5 = 5, and six on a conic at k = 2 hold
 # 6 * 2 = 2 * 6.  The third peels its line twice and its conic once, to
 # (5; 1^5, 2^5), where the conic holds 10 = 2 * 5; the fourth peels a line
-# and a conic three times each, down to no point.
+# and a conic three times each, down to no point.  The last is a CI pin: its
+# line of four misses the first two points, so only the O(v^2) pass finds it,
+# and (3; 1^6) peels to (2; 1, 1).
 PLANTED = [
     ([(t, 2 * t - 1) for t in range(5)], 2),
     ([(t, t * t) for t in range(-2, 4)], 2),
     ([(1, 1), (2, 4), (3, 9), (-1, 1), (-2, 4)] + [(t, 0) for t in range(1, 6)], 3),
     ([(t, t * t) for t in range(-3, 5)] + [(t, 3 * t + 20) for t in range(10, 14)], 3),
+    ([(0, 5), (7, -3), (1, 0), (2, 0), (3, 0), (4, 0)], 1),
 ]
 
 
@@ -745,6 +751,39 @@ class TestPeeling:
     def test_planted_cases_equal_naive_elimination(self, coordinates, k):
         config = PointConfiguration.from_coordinates(coordinates)
         assert _peeling_matches_naive_elimination(pluricoh.blowup, config, k)
+
+    @given(planted_configurations(st.just(1)))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_plane_k1_equals_naive_elimination(self, case):
+        # Plane k = 1 peels and moves its points like every other power, while the
+        # oracle ranks plain evaluation on all ten cubics.  Seeded, so every run
+        # sweeps the same 300 configurations.
+        assert _peeling_matches_naive_elimination(pluricoh.blowup, *case)
+
+    def test_quadratic_line_pass_runs_when_cheaper_than_the_rank(self, monkeypatch):
+        # v^2 = 36 is below rows * cols * min(rows, cols) = 6 * 10 * 6 of (3; 1^6),
+        # so the pass runs, and it finds the line of four that misses the first two points.
+        calls = []
+        original = pluricoh.blowup._maybe_collinear
+
+        def recording(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(pluricoh.blowup, "_maybe_collinear", recording)
+        config = PointConfiguration.from_coordinates(PLANTED[-1][0])
+        assert h0_blowup(config, 1) == 4
+        assert calls == [6]
+
+    def test_quadratic_line_pass_is_skipped_above_the_rank_work(self, monkeypatch):
+        # A CI pin: 5,000 generic points at k = 1, where v^2 = 25,000,000 exceeds
+        # 5,000 * 10 * 10, Bareiss's multiply count on all monomials.
+        def forbidden(*args):
+            raise AssertionError("the O(v^2) line pass ran above the rank's work")
+
+        monkeypatch.setattr(pluricoh.blowup, "_maybe_collinear", forbidden)
+        config, row = generate_configuration("generic", 5000)
+        assert row.h0_minus_kK == h0_blowup(config, 1) == 0
 
     def test_peeling_at_equality_fails_the_oracle(self, monkeypatch):
         # Fault injection: every Bezout comparison "> bound" becomes ">= bound", which divides
@@ -862,9 +901,13 @@ class TestAchievableDims:
             assert h0_blowup(config, 1) == dim
 
     def test_unreachable_rank_exhausts_search_budget(self, monkeypatch):
-        monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 4)
-        with pytest.raises(SamplingBudgetError, match=f"within {SWEEP_STEP_ATTEMPTS} attempts"):
-            achievable_dims(5)
+        # While four or more points stay on the line, it peels and the rest are
+        # a lattice count, so the sweep of eight points first ranks at h0 = 2:
+        # conics through four sampled points, one 1 x 3 block of rank 0 here.
+        monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 0)
+        message = f"no sample reached h0\\(-1K\\) = 2 within {SWEEP_STEP_ATTEMPTS} attempts"
+        with pytest.raises(SamplingBudgetError, match=message):
+            achievable_dims(8)
 
 
 class TestH12K:

@@ -3,6 +3,7 @@ formats, schema conformance, provenance completeness and determinism."""
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ import pluricoh.cli
 import pluricoh.exact_linalg
 import pluricoh.family
 import pluricoh.hirzebruch
-from pluricoh.blowup import generate_configuration, jet_shape
+from pluricoh.blowup import generate_configuration
 from pluricoh.cli import BASIS_MAX_K, FAMILY_MAX_KMAX, JET_MAX_CELLS, JET_MAX_DIMENSION, SELFCHECK_MAX_BUDGET, main
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import run_selfcheck
@@ -198,6 +199,17 @@ class TestBlowupCommand:
         assert code == 2
         assert "distinct" in err
 
+    @pytest.mark.parametrize("text", ["1\n", "1\n2\n"])
+    def test_projective_line_is_usage_error(self, capsys, tmp_path, text):
+        # One or two points of P^1 are independent, a lattice count with no jet
+        # matrix to refuse them, so h0_blowup refuses n = 1 itself.
+        path = tmp_path / "line.txt"
+        path.write_text(text)
+        for k in ("1", "2"):
+            code, out, err = run_cli(capsys, "blowup", "--points", str(path), "--k", k)
+            assert (code, out) == (2, "")
+            assert "blow-ups require n >= 2" in err
+
     # "1e200000" is refused by its syntax; Fraction() would take it and the
     # k = 2 rank would run before echoing the point failed.
     @pytest.mark.parametrize("line", ["foo bar", "1e200000 0"])
@@ -330,11 +342,27 @@ class TestEachMatrixBuiltOnce:
         return builds, ranks, attempts
 
     def test_blowup_builds_one_matrix(self, capsys, work):
+        # Five points on a conic: two images of order 1 against the cubics.
         builds, ranks, _ = work
-        code, _, _ = run_cli(capsys, "blowup", "--generate", "collinear", "--v", "5")
+        code, _, _ = run_cli(capsys, "blowup", "--generate", "on_conic", "--v", "5")
         assert code == 0
-        assert [(degree, orders) for _, _, degree, orders in builds] == [(3, [1] * 5)]
+        assert [(degree, orders) for _, _, degree, orders, _ in builds] == [(3, [1, 1])]
         assert len(ranks) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The line through the first two points holds all five: (3; 1^5) peels to (2; ).
+            ["--generate", "collinear", "--v", "5"],
+            # Its first two points lie on y = 0 with three more: (3; 1^6) peels to (2; 1).
+            ["--points", str(DATA / "plane_points.txt")],
+        ],
+    )
+    def test_blowup_peeled_to_a_count_builds_no_matrix(self, capsys, work, argv):
+        builds, ranks, _ = work
+        code, _, _ = run_cli(capsys, "blowup", *argv)
+        assert code == 0
+        assert builds == ranks == []
 
     def test_generic_blowup_ranks_each_sampler_attempt_once(self, capsys, work):
         builds, ranks, attempts = work
@@ -344,36 +372,18 @@ class TestEachMatrixBuiltOnce:
 
     def test_family_blowup_builds_sampler_attempts_plus_one(self, capsys, work):
         builds, ranks, attempts = work
-        code, _, _ = run_cli(capsys, "family", "--blowup", "--special", "collinear", "--v", "5")
+        code, _, _ = run_cli(capsys, "family", "--blowup", "--special", "on_conic", "--v", "5")
         assert code == 0
         assert len(builds) == len(ranks) == attempts + 1
 
 
 class TestNormalizationScope:
-    """Which inputs move points to coordinate points before the one build and rank."""
+    """What each input ranks once its points are peeled and moved to coordinate points."""
 
     @pytest.fixture
     def spies(self, monkeypatch):
         builds = _record_calls(monkeypatch, pluricoh.blowup.jet_matrix)
         return builds, _record_calls(monkeypatch, pluricoh.exact_linalg.rank)
-
-    @pytest.mark.parametrize(
-        "argv, n, v, k",
-        [
-            # Plane k = 1: plain evaluation, never moved.
-            (["--generate", "on_conic", "--v", "6", "--k", "1"], 2, 6, 1),
-            (["--generate", "generic", "--v", "4", "--k", "1", "--seed", "3"], 2, 4, 1),
-            (["--points", str(DATA / "plane_points.txt"), "--k", "1"], 2, 6, 1),
-        ],
-    )
-    def test_builds_the_default_columns(self, capsys, spies, argv, n, v, k):
-        builds, ranks = spies
-        code, _, _ = run_cli(capsys, "blowup", *argv)
-        assert code == 0
-        assert len(builds) == len(ranks) == 1
-        (built_n, lifts, degree, orders), (matrix,) = builds[0], ranks[0]
-        assert (built_n, len(lifts), degree, orders) == (n, v, (n + 1) * k, [(n - 1) * k] * v)
-        assert (matrix.rows, matrix.cols) == jet_shape(n, v, k)
 
     def test_collinear_points_rank_the_line_polytope_once(self, capsys, spies):
         # Bezout: (9; 3^5) -> (8; 2^5) -> (7; 1^5), where the line's 5 <= 7 stops the peeling.
@@ -387,7 +397,7 @@ class TestNormalizationScope:
         assert (n, len(images), degree, orders) == (2, 3, 7, [1, 1, 1])
         assert columns == pluricoh.blowup._polytope(2, 7, [6, 6])
         assert all(image[2] == 0 for image in images)
-        assert (matrix.rows, matrix.cols) == jet_shape(2, 3, 3, columns, orders) == (3, 34)
+        assert (matrix.rows, matrix.cols) == (3, len(columns)) == (3, 34)
         assert record["results"]["h0_minus_kK"] == 31
 
     def test_conic_file_at_k_3_ranks_the_polytope_once(self, capsys, spies, tmp_path):
@@ -402,7 +412,7 @@ class TestNormalizationScope:
         ((matrix,),) = ranks
         assert (n, len(images), degree, orders) == (2, 4, 7, [2] * 4)
         assert columns == pluricoh.blowup._polytope(2, 7, [5, 5, 5])
-        assert (matrix.rows, matrix.cols) == jet_shape(2, 4, 3, columns, orders) == (12, 27)
+        assert (matrix.rows, matrix.cols) == (12, len(columns)) == (12, 27)
         assert record["results"]["h0_minus_kK"] == 15
         assert record["results"]["jet_rank"] == record["results"]["monomial_count"] - 15
 
@@ -413,6 +423,10 @@ class TestNormalizationScope:
             (["--points", "GRID", "--k", "2"], 9, 2),
             # Five points on a conic: 5 * 3 <= 2 * 9.
             (["--generate", "on_conic", "--v", "5", "--k", "3"], 5, 3),
+            # Plane k = 1 is moved too, onto the 7 cubics of the hexagon: six points on a
+            # conic, 6 <= 2 * 3, and four generic ones.
+            (["--generate", "on_conic", "--v", "6", "--k", "1"], 6, 1),
+            (["--generate", "generic", "--v", "4", "--k", "1", "--seed", "3"], 4, 1),
         ],
     )
     def test_unpeelable_points_rank_the_full_polytope_once(self, capsys, spies, tmp_path, argv, v, k):
@@ -425,7 +439,7 @@ class TestNormalizationScope:
         ((matrix,),) = ranks
         assert (n, len(images), degree, orders) == (2, v - 3, 3 * k, [k] * (v - 3))
         assert columns == pluricoh.blowup._polytope(2, 3 * k, [2 * k] * 3)
-        assert (matrix.rows, matrix.cols) == jet_shape(2, v - 3, k, columns)
+        assert (matrix.rows, matrix.cols) == ((v - 3) * math.comb(k + 1, 2), len(columns))
 
     def test_skew_lines_rank_the_space_polytope_once(self, capsys, spies):
         # Four of the six points go to e_0, ..., e_3.  The image of (0, 1, 3) has
@@ -438,7 +452,7 @@ class TestNormalizationScope:
         assert (n, len(images), degree, orders) == (3, 2, 4, [2, 2])
         assert columns == pluricoh.blowup._polytope(3, 4, [2] * 4)
         assert images[1][:2] == (0, 0)
-        assert (matrix.rows, matrix.cols) == jet_shape(3, 2, 1, columns) == (8, 19)
+        assert (matrix.rows, matrix.cols) == (8, len(columns)) == (8, 19)
         assert record["results"]["h0_minus_kK"] == 13
 
 

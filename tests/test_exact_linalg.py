@@ -692,20 +692,22 @@ class TestModularRoute:
         assert len(own[0]) == 126 and own[-1] == MODULAR_PRIMES[:2]
         assert len(columns) == 3 and len(columns[0]) == 127 and not bareiss
 
-    @pytest.mark.parametrize("kind", ["generic", "collinear", "on_conic"])
-    def test_plane_k1_matrices_stay_on_bareiss(self, kind, monkeypatch):
-        # At k = 1 a plane jet matrix is v x 10; up to 12 x 10 it is under
-        # both rules, where Bareiss is faster.
-        assert 12 * 10 * 10 <= MODULAR_RULE_WORK
-
-        def forbidden(*args):
-            raise AssertionError("modular route ran on a plane k = 1 matrix")
-
-        monkeypatch.setattr(exact_linalg, "_eliminate_mod_p", forbidden)
+    def test_plane_k1_blocks_take_the_modular_route_from_six_rows(self, monkeypatch):
+        # At k = 1 the v - 3 moved points give one (v - 3) x 7 block on the hexagon's
+        # cubics.  Sampled generic coordinates up to 10^6 give entries of 112 to 123
+        # bits (seeds 0 to 19): up to five rows that is under both rules, where Bareiss
+        # is faster, and from six rows (v = 9) on the bit rule sends the block to the
+        # modular route, which is faster there.  Points on a conic have small entries
+        # and stay on Bareiss.
+        assert 5 * 123 <= MODULAR_RULE_BITS < 6 * 112 and 7 * 7 * 7 <= MODULAR_RULE_WORK
+        modular = _spy(monkeypatch, "_eliminate_mod_p")
         blocks = _spy(monkeypatch, "_block_rank")
-        for v in range(5, 13):
+        for kind, v in [("generic", v) for v in range(5, 13)] + [("on_conic", 5), ("on_conic", 6)]:
+            blocks.clear()
+            modular.clear()
             generate_configuration(kind, v, seed=3)
-        assert blocks and all(m.rows <= 12 and m.cols <= 10 for (m,) in blocks)
+            assert blocks and all((m.rows, m.cols) == (v - 3, 7) for (m,) in blocks)
+            assert bool(modular) == (kind == "generic" and v >= 9)
 
 
 def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:

@@ -14,7 +14,7 @@ import pluricoh.blowup
 import pluricoh.hirzebruch
 import pluricoh.surface_invariants
 from pluricoh import exact_linalg
-from pluricoh.blowup import PointConfiguration, _polytope, jet_matrix
+from pluricoh.blowup import PointConfiguration, _polytope, generate_configuration, jet_matrix, monomial_count
 from pluricoh.cli import main
 from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
@@ -270,15 +270,28 @@ class TestRunSelfcheck:
                 return _polytope(n, degree, caps)[1:]
             return _polytope(n, degree, [cap + 1 for cap in caps])
 
+        # The corpus entries that rank a polytope or peel to none, the generic
+        # ones sampled before the fault as the corpus samples them.
+        corpus = {
+            "conic-6-k2": (PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)]), 2),
+            "generic-5": (generate_configuration("generic", 5, seed=1)[0], 1),
+            "generic-10": (generate_configuration("generic", 10, seed=2)[0], 1),
+            "collinear-12": (PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)]), 1),
+            "collinear-12-k2": (PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)]), 2),
+        }
         monkeypatch.setattr(pluricoh.blowup, "_polytope", polytope)
-        # The corpus's conic-6-k2 does not peel, 6 * 2 <= 2 * 6: naive
-        # elimination of the unnormalized matrix disagrees with the faulty
-        # count.  Its collinear-12-k2 peels to no point at all, so it ranks
-        # no polytope and h0 does not move.
-        config = PointConfiguration.from_coordinates([(t, t * t) for t in range(1, 7)])
-        assert pluricoh.blowup.h0_blowup(config, 2) != 28 - naive_rank(jet_matrix(2, config.lifts, 6, [2] * config.v).matrix)
-        line = PointConfiguration.from_coordinates([(t, 0) for t in range(1, 13)])
-        assert pluricoh.blowup.h0_blowup(line, 2) == 28 - naive_rank(jet_matrix(2, line.lifts, 6, [2] * line.v).matrix)
+        # conic-6-k2 does not peel, 6 * 2 <= 2 * 6, and the generic points are
+        # moved at k = 1 too, so naive elimination of the unnormalized matrix
+        # disagrees with the faulty count; generic-10's seven images have full
+        # rank on six columns, so only the wider caps move its h0.  The
+        # collinear entries peel to no point at all and rank no polytope.
+        caught = {
+            label
+            for label, (config, k) in corpus.items()
+            if pluricoh.blowup.h0_blowup(config, k)
+            != monomial_count(2, k) - naive_rank(jet_matrix(2, config.lifts, 3 * k, [k] * config.v).matrix)
+        }
+        assert caught == {"conic-6-k2", "generic-5"} | ({"generic-10"} if fault == "caps of 2k + 1" else set())
         # A dropped column takes h0 below what Riemann-Roch allows, which fails
         # the corpus build and with it both jet rows.
         results = {r.name: r for r in run_selfcheck(budget=10)}
