@@ -56,6 +56,19 @@ C(3k+2, 2) - 3 C(k+1, 2) points, 7 of the 10 cubics at k = 1):
 
     h0 = (number of polytope points) - rank(rows of the images)
 
+An entry of that matrix is a product of `degree` coordinates of an image,
+up to derivative factors, so its length is predicted as the degree times
+the bit length of the longest image coordinate.  When
+`exact_linalg.takes_modular_route` sends the matrix to the modular route
+on that prediction, and the prediction exceeds RESIDUE_PRODUCT_BITS, the
+length of a product of two residues mod p = MODULAR_PRIME, the matrix is
+first built mod p (`jet_matrix` with a modulus): each row is the integer
+row times a unit mod p.  Their rank mod p is at most the rational rank,
+so full rank mod p is the rank and the integer matrix is never built
+(`exact_linalg.rank_from_residues`).  Below full rank the integer matrix
+is built and ranked with the residues' elimination as its first pass,
+which unit row scalings leave as it is.
+
 When the points span less than P^n, every image is zero on the completing
 coordinates, so its jet rows vanish off the columns whose exponents there
 match the derivative's; ``rank`` splits such matrices into blocks.  With
@@ -74,16 +87,21 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, starmap
-from operator import le, mul, sub, truediv
+from itertools import combinations, repeat, starmap
+from operator import le, mod, mul, sub, truediv
 from typing import Iterable, Sequence
 
-from .exact_linalg import RatMatrix, rank
+from .exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, takes_modular_route
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
 GENERIC_SAMPLE_ATTEMPTS = 64
 SWEEP_STEP_ATTEMPTS = 32
+
+# The length of a product of two residues below MODULAR_PRIME, the entries
+# of a jet matrix built mod p: `h0_blowup` builds one only when the integer
+# entries are predicted longer.
+RESIDUE_PRODUCT_BITS = ((MODULAR_PRIME - 1) ** 2).bit_length()
 
 # A point-file coordinate: an ASCII numerator and an optional denominator,
 # each handed to int().  Fraction(str) would also take decimals, exponents,
@@ -168,7 +186,9 @@ class JetConditionMatrix:
     the chart x_j = 1 at P / P_j.  Scaling rows changes no rank.  A point's
     default lift (d, d*x) has j = 0, so its rows are the true derivatives
     times d^(D - |alpha|), and integer points (d = 1) give the true
-    derivatives.
+    derivatives.  Built with a modulus p, the rows are instead congruent
+    mod p to the true derivatives in the chart of the first coordinate
+    that is a unit mod p (see `jet_matrix`).
     """
 
     matrix: RatMatrix
@@ -191,12 +211,19 @@ def _graded_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
     return [beta for betas in by_degree for beta in betas]
 
 
-def _powers(x: int, top: int) -> list[int]:
-    """x^0, x^1, ..., x^top."""
+def _powers(x: int, top: int, modulus: int | None = None) -> list[int]:
+    """x^0, x^1, ..., x^top, each reduced mod `modulus` when one is given."""
     out = [1]
     for _ in range(top):
-        out.append(out[-1] * x)
+        out.append(out[-1] * x if modulus is None else out[-1] * x % modulus)
     return out
+
+
+def _product(left: Sequence[int], right: Sequence[int], modulus: int | None = None) -> list[int]:
+    """The entrywise product, reduced mod `modulus` when one is given."""
+    if modulus is None:
+        return list(map(mul, left, right))
+    return list(map(mod, map(mul, left, right), repeat(modulus)))
 
 
 def monomial_count(n: int, k: int) -> int:
@@ -224,6 +251,7 @@ def jet_matrix(
     degree: int,
     orders: Sequence[int],
     exponents: Sequence[tuple[int, ...]] | None = None,
+    modulus: int | None = None,
 ) -> JetConditionMatrix:
     """Build the matrix of the conditions that a form of `degree` vanish to `orders`.
 
@@ -247,6 +275,19 @@ def jet_matrix(
     skipped.  So an entry costs one product beyond the prefixes it shares,
     and the columns enter only as exponents.
 
+    With a prime `modulus` p the rows are built mod p.  Each lift is then
+    taken in the chart of its first coordinate x_j that is a unit mod p,
+    its other coordinates times the inverse of x_j mod p, so the root is
+    all ones and skipped: a row is congruent to the true derivatives at
+    P / P_j, the integer row in that chart times the unit P_j^(|alpha| -
+    degree).  When the first nonzero coordinate is a unit, as it is for all
+    but about one lift in p, that is the integer row of the same lift and
+    alpha times a unit.  A lift whose coordinates are all divisible by p
+    is first divided by their gcd.  Powers, derivative tables and inner
+    tree levels are reduced mod p, so each entry is a product of two
+    residues, below p^2; the one elimination mod p that reads them reduces
+    them.
+
     n = 1 is rejected: a point of P^1 is a divisor, so the blow-up would
     not constrain sections at all.
     """
@@ -265,6 +306,8 @@ def jet_matrix(
     alphas = _graded_exponents(n, top)
     # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= top and a <= b <= degree.
     falling = [[math.perm(b, a) for b in range(a, degree + 1)] for a in range(1, top + 1)]
+    if modulus is not None:
+        falling = [[x % modulus for x in perms] for perms in falling]
     # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree `degree`.
     by_coordinate = [[degree - sum(beta) for beta in monomials], *zip(*monomials)]
     # Per chart j: the root's exponents, then those of the other coordinates, one per tree level.
@@ -281,20 +324,31 @@ def jet_matrix(
         if not m:
             continue
         j = 0 if lift[0] else next(i for i, x in enumerate(lift) if x)
+        if modulus is not None and not lift[j] % modulus:
+            if not any(x % modulus for x in lift):
+                g = math.gcd(*lift)
+                lift = [x // g for x in lift]
+            j = next(i for i, x in enumerate(lift) if x % modulus)
+        others = lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]]
+        if modulus is not None:
+            unit = pow(lift[j], -1, modulus)
+            others = [x * unit for x in others]
         root_exponents, chart = charts[j]
         derivatives, levels = plans[m]
         gathered = []
-        for x, column_exponents in zip(lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]], chart):
-            q = _powers(x, degree)
+        for x, column_exponents in zip(others, chart):
+            q = _powers(x, degree, modulus)
             # Per order a < m: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
-            tables = [q] + [[0] * a + list(map(mul, perms, q)) for a, perms in enumerate(derivatives, start=1)]
+            tables = [q] + [[0] * a + _product(perms, q, modulus) for a, perms in enumerate(derivatives, start=1)]
             gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
         nodes = {(a,): row for a, row in enumerate(gathered[0])}
-        if lift[j] != 1:
+        if modulus is None and lift[j] != 1:
             root = list(map(_powers(lift[j], degree).__getitem__, root_exponents))
-            nodes = {prefix: list(map(mul, root, row)) for prefix, row in nodes.items()}
-        for by_order, level in zip(gathered[1:], levels):
-            nodes = {prefix: list(map(mul, nodes[prefix[:-1]], by_order[prefix[-1]])) for prefix in level}
+            nodes = {prefix: _product(root, row) for prefix, row in nodes.items()}
+        # With a modulus every level but the last is reduced, so each entry is a product of two residues.
+        for depth, (by_order, level) in enumerate(zip(gathered[1:], levels), start=2):
+            inner = modulus if depth < n else None
+            nodes = {prefix: _product(nodes[prefix[:-1]], by_order[prefix[-1]], inner) for prefix in level}
         for row in nodes.values():
             entries.extend(row)
     # RatMatrix checks the entry count, so every build tests the row count against the enumeration.
@@ -586,7 +640,15 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
         columns = _polytope(n, degree, caps)
         if not columns:
             return 0
+        # An entry is a product of `degree` coordinates of an image, up to derivative factors.
+        predicted = degree * max(abs(x) for image in images for x in image).bit_length()
+        rows = sum(math.comb(m - 1 + n, n) for m in image_orders)
         # Positional, as every call of jet_matrix, so wrappers that take *args see it.
+        if predicted > RESIDUE_PRODUCT_BITS and takes_modular_route(rows, len(columns), predicted):
+            residues = jet_matrix(n, images, degree, image_orders, columns, MODULAR_PRIME).matrix
+            return len(columns) - rank_from_residues(
+                residues, lambda: jet_matrix(n, images, degree, image_orders, columns).matrix
+            )
         return len(columns) - rank(jet_matrix(n, images, degree, image_orders, columns).matrix)
     return 0
 

@@ -77,11 +77,12 @@ SELFCHECK_MAX_BUDGET = 50
 # and on_conic v = 9, k = 6 ranks 18 x 57 after four conic peels, where it
 # took 0.19 s on 126 x 127.  The slowest stock inputs fill the cap at k = 1
 # with v = 5,000 (50,000 cells): generic points, which do not peel and rank
-# 4,997 x 7 after the move, take about 0.16 s, and collinear and on_conic,
-# which peel, about 0.11 s; generic v = 12, k = 6 (47,880 cells) and v = 20,
-# k = 5 (40,800 cells), tall blocks settled by their leading squares, take
-# about 0.08 s.  On a 2-CPU host, whole processes, min of 9, interpreter
-# start and import (about 0.07 s) included.
+# 4,997 x 7 after the move, take about 0.15 s, and collinear and on_conic,
+# which peel, about 0.10 s.  Generic v = 12, k = 6 (47,880 cells), v = 20,
+# k = 5 (40,800 cells) and v = 7, k = 7, whose full-rank blocks are settled
+# from their residues mod p with no integer matrix built, take about 0.07 s.
+# On a 2-CPU host, whole processes, min of 9, interpreter start and import
+# (about 0.055 s) included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

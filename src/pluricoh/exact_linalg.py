@@ -20,7 +20,8 @@ it takes exactly beta_i derivatives in x_i.
 Each block has two routes.  When min(rows, cols) is at most
 MODULAR_MAX_PIVOTS and either min(rows, cols) times the largest entry bit
 length exceeds MODULAR_RULE_BITS or Bareiss's multiply count rows * cols *
-min(rows, cols) exceeds MODULAR_RULE_WORK, the modular route runs first.
+min(rows, cols) exceeds MODULAR_RULE_WORK (`takes_modular_route`, the one
+route rule), the modular route runs first.
 One elimination of the matrix A modulo the prime MODULAR_PRIME = 2^27 - 39
 gives its rank r mod p and its pivot rows and columns.  `_eliminate_mod_p`,
 the one elimination mod p, packs each row into one Python int with a 64-bit
@@ -56,14 +57,30 @@ A's; otherwise A is eliminated whole.
   int per column, r is proved.
 - The first side is A's own rows, with its pivot rows as the basis: the
   first pass (the square's, when it stands for A's) is their elimination
-  at the first prime, so that prime costs no elimination.  A tall or square A (cols <= rows) spends every prime of
-  MODULAR_PRIMES there.  A wide one tries only the first two, since its own
-  kernel is the larger, and skips them when its rows are longer than
-  MODULAR_MAX_PIVOTS; then its transpose, whose rows are A's columns and
-  whose rank is the same, with A's pivot columns as the basis, gets every
-  prime.  On jet matrices the own rows' kernel is the space of sections,
-  which on the special configurations never needed more primes than the
-  columns' kernel (see MODULAR_PRIMES).
+  at the first prime, so that prime costs no elimination, and the square's
+  kernel, which its span test found, no back substitution.  A tall or
+  square A (cols <= rows) spends every prime of MODULAR_PRIMES there.  A
+  wide one tries only the first two, since its own kernel is the larger,
+  and skips them when its rows are longer than MODULAR_MAX_PIVOTS; then
+  its transpose, whose rows are A's columns and whose rank is the same,
+  with A's pivot columns as the basis, gets every prime.  On jet matrices
+  the own rows' kernel is the space of sections, which on the special
+  configurations never needed more primes than the columns' kernel (see
+  MODULAR_PRIMES).
+
+`rank_from_residues` takes the first pass from residues before A exists.
+`blowup.h0_blowup` builds a jet matrix's rows mod p directly when the
+route rule holds for its shape and its predicted entry length.  They are
+R = U B mod p for a diagonal U of units and an integer matrix B with A's
+rational row span: B is A, or has some lifts' rows in another chart.  So
+R's rank r mod p is B's rank mod p, at most A's rational rank by the
+first bullet, and a full r is A's rank: A is never built.  Otherwise A is
+built and, when it is one block, takes R's pass as its first.  When B is
+A, that is A's own pass, since scaling rows by units mod p keeps the pivot
+rows and columns, the normalized rows and the square's kernel, so A pays
+no elimination at the first prime.  In every case r is at most A's rank
+and the certificate's exact check on A's rows proves it at most r, so the
+rank returned is proved.
 
 Every other matrix goes to fraction-free Bareiss elimination over the
 integers, which is exact on all inputs: every small one, and every one
@@ -78,8 +95,9 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Iterable, Sequence
+from itertools import chain, compress, repeat
+from operator import mod, neg
+from typing import Callable, Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -242,6 +260,13 @@ MODULAR_RULE_WORK = 8000
 # false candidates through to the check.
 RECONSTRUCTION_MARGIN = 2**8
 
+# `_eliminate_mod_p`'s (pivot columns, pivot rows, normalized rows), and a
+# first pass mod MODULAR_PRIME: that echelon form with the kernel of a tall
+# block's leading square when the square's pass stands for the whole, else
+# None (`_first_pass`).
+Echelon = tuple[list[int], list[int], list[int]]
+FirstPass = tuple[Echelon, list[int] | None]
+
 
 def rank(matrix: RatMatrix) -> int:
     """Rank over the rationals of the integer matrix, computed exactly.
@@ -256,6 +281,50 @@ def rank(matrix: RatMatrix) -> int:
     if blocks is None:
         return _block_rank(matrix)
     return sum(map(_block_rank, blocks))
+
+
+def rank_from_residues(residues: RatMatrix, build: Callable[[], RatMatrix]) -> int:
+    """Rank over the rationals of the integer matrix A that `build` returns,
+    from `residues` first.
+
+    `residues` has A's shape and rank mod p at most A's rational rank: A's
+    rows times units mod p have it, and so do the rows of any integer
+    matrix with A's rational row span times units.  Its entries are any
+    integers; the elimination reduces them.  Its first pass mod p
+    (`_first_pass`: a tall matrix on its leading square first) gives that
+    rank r.  An r of min(rows, cols) is A's rank, and A is never built.
+    Otherwise A is built and ranked as `rank` ranks it, with the residues'
+    pass as its first pass when A is one block.  When the rows are A's own
+    times units, that pass is A's own: a unit row scaling keeps the pivot
+    rows and columns, the normalized rows and a tall square's kernel.  In
+    any case r is at most A's rational rank and the certificate checks its
+    kernel against A's rows exactly, so the rank is proved.
+    """
+    full = min(residues.rows, residues.cols)
+    if not full:
+        return 0
+    first = _first_pass(residues.entries, residues.rows, residues.cols)
+    if len(first[0][0]) == full:
+        return full
+    matrix = build()
+    blocks = _blocks(matrix)
+    if blocks is None:
+        return _block_rank(matrix, first)
+    return sum(map(_block_rank, blocks))
+
+
+def takes_modular_route(rows: int, cols: int, bits: int) -> bool:
+    """The route rule: whether a block of this shape whose largest entry has
+    `bits` bits is eliminated mod p first.
+
+    It is when min(rows, cols) is at most MODULAR_MAX_PIVOTS and either
+    min(rows, cols) * bits exceeds MODULAR_RULE_BITS or Bareiss's multiply
+    count rows * cols * min(rows, cols) exceeds MODULAR_RULE_WORK.
+    `_block_rank` applies it to a block's actual entries, and
+    `blowup.h0_blowup` to the entry length it predicts for a jet matrix.
+    """
+    full = min(rows, cols)
+    return (full * bits > MODULAR_RULE_BITS or rows * cols * full > MODULAR_RULE_WORK) and full <= MODULAR_MAX_PIVOTS
 
 
 def _blocks(matrix: RatMatrix) -> list[RatMatrix] | None:
@@ -303,42 +372,29 @@ def _blocks(matrix: RatMatrix) -> list[RatMatrix] | None:
     return out
 
 
-def _block_rank(matrix: RatMatrix) -> int:
+def _block_rank(matrix: RatMatrix, first: FirstPass | None = None) -> int:
     """Rank of one block: the modular route when it applies, else Bareiss.
 
-    When min(rows, cols) is at most MODULAR_MAX_PIVOTS and either
-    min(rows, cols) times the largest entry bit length exceeds
-    MODULAR_RULE_BITS or rows * cols * min(rows, cols) exceeds
-    MODULAR_RULE_WORK, the matrix is eliminated modulo MODULAR_PRIME: a
-    tall one on its leading square first, which settles full column rank,
-    and stands for the whole when the other rows lie in its span mod p.
-    The rank mod p is at most the rational rank, so a rank mod p of
-    min(rows, cols) is returned at once.  A lower one is returned if
-    integer kernel vectors pass the exact check (see the module
-    docstring): of the matrix's own rows, with every prime when cols <=
-    rows, else with the first two primes and then of its columns with every
-    prime.  Otherwise, or below the rule, one-step fraction-free (Bareiss)
-    elimination runs over the integers and its answer is returned.
+    When `takes_modular_route` holds for the block's shape and largest
+    entry, or `first` hands over its first pass (`rank_from_residues`), the
+    rank mod MODULAR_PRIME comes from that pass (`_first_pass`).  It is at
+    most the rational rank, so a rank mod p of min(rows, cols) is returned
+    at once.  A lower one is returned if integer kernel vectors pass the
+    exact check (see the module docstring): of the matrix's own rows, with
+    every prime when cols <= rows, else with the first two primes and then
+    of its columns with every prime.  Otherwise, or below the rule,
+    one-step fraction-free (Bareiss) elimination runs over the integers and
+    its answer is returned.
     """
     rows, cols, entries = matrix.rows, matrix.cols, matrix.entries
     full = min(rows, cols)
-    bits = max(max(entries), -min(entries)).bit_length() if entries else 0
-    # The rule keeps small matrices, most of the CLI's ranks, on Bareiss, which is faster there.
-    if (full * bits > MODULAR_RULE_BITS or rows * cols * full > MODULAR_RULE_WORK) and full <= MODULAR_MAX_PIVOTS:
-        first = None
-        if rows > cols:
-            # A tall block is eliminated on its leading square first.  Full
-            # rank there is full column rank.  Below it, rows that all lie in
-            # the square's span mod p leave the rank mod p as it is, so the
-            # square's pass serves as the first pass.
-            square = _eliminate_mod_p(entries[: cols * cols], cols, MODULAR_PRIME)
-            if len(square[0]) == cols:
-                return cols
-            if _in_span_mod_p(square, entries[cols * cols :], cols, MODULAR_PRIME):
-                first = square
-        if first is None:
-            first = _eliminate_mod_p(entries, cols, MODULAR_PRIME)
-        columns, pivot_rows, _ = first
+    if first is None:
+        bits = max(max(entries), -min(entries)).bit_length() if entries else 0
+        # The rule keeps small matrices, most of the CLI's ranks, on Bareiss, which is faster there.
+        if takes_modular_route(rows, cols, bits):
+            first = _first_pass(entries, rows, cols)
+    if first is not None:
+        columns, pivot_rows, _ = first[0]
         found = len(columns)
         if found == full:
             return full
@@ -359,6 +415,28 @@ def _block_rank(matrix: RatMatrix) -> int:
             if _kernel_certificate(side, [side[j] for j in columns], None) is not None:
                 return found
     return _bareiss_rank([list(matrix.row(i)) for i in range(rows)], cols)
+
+
+def _first_pass(entries: Sequence[int], rows: int, cols: int) -> FirstPass:
+    """The first pass mod MODULAR_PRIME of flat row-major entries: (echelon, kernel).
+
+    `echelon` is `_eliminate_mod_p`'s result for the whole matrix, or for
+    its leading cols x cols square when that stands for the whole, and
+    `kernel` is then the square's right kernel mod p as `_kernel_mod_p`
+    lays it out, else None.  A tall block is eliminated on its leading
+    square first.  Full rank there is full column rank.  Below it, rows that
+    all lie in the square's span mod p leave the rank mod p as it is, so the
+    square's pass serves as the first pass; otherwise the whole is
+    eliminated.
+    """
+    if rows > cols:
+        square = _eliminate_mod_p(entries[: cols * cols], cols, MODULAR_PRIME)
+        if len(square[0]) == cols:
+            return square, None
+        kernel = _in_span_mod_p(square, entries[cols * cols :], cols, MODULAR_PRIME)
+        if kernel is not None:
+            return square, kernel
+    return _eliminate_mod_p(entries, cols, MODULAR_PRIME), None
 
 
 def _pack(values: Iterable[int]) -> int:
@@ -406,7 +484,7 @@ def _scaled_tail(tail: int, factor: int, c: int, low: int, high: int) -> int:
     return (tail & low) + c * ((tail >> FOLD_BITS) & high)
 
 
-def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[int], list[int], list[int]]:
+def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> Echelon:
     """Row echelon form modulo the prime p of flat row-major integer entries
     in rows of `cols` >= 1.
 
@@ -431,7 +509,7 @@ def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[in
     MODULAR_PRIMES), so no carry crosses a slot and each slot stays
     congruent to its entry mod p.
     """
-    data = array("Q", map(p.__rmod__, entries))
+    data = array("Q", map(mod, entries, repeat(p)))
     if sys.byteorder == "big":
         data.byteswap()
     data = data.tobytes()
@@ -459,12 +537,13 @@ def _eliminate_mod_p(entries: Iterable[int], cols: int, p: int) -> tuple[list[in
     return columns, rows, tails
 
 
-def _in_span_mod_p(echelon: tuple[list[int], list[int], list[int]], rest: Sequence[int], cols: int, p: int) -> bool:
-    """Whether every row of the flat entries `rest` lies mod p in the span
-    of the rows that `_eliminate_mod_p` gave `echelon` for at p.
+def _in_span_mod_p(echelon: Echelon, rest: Sequence[int], cols: int, p: int) -> list[int] | None:
+    """The right kernel mod p of the rows that `_eliminate_mod_p` gave
+    `echelon` for at p, as `_kernel_mod_p` lays it out, if every row of the
+    flat entries `rest` lies mod p in their span; else None.
 
-    A row does when it is orthogonal mod p to the right kernel of those
-    rows, whose reduced echelon basis `_kernel_mod_p` gives.  The rows'
+    A row does when it is orthogonal mod p to that kernel, whose reduced
+    echelon basis `_kernel_mod_p` gives.  The rows'
     residues are packed by column, one 64-bit slot per row, so each kernel
     vector's products with all the rows are one sum of cols multiples of
     these columns, and one unpacking checks them mod p.  A slot sums at
@@ -475,15 +554,15 @@ def _in_span_mod_p(echelon: tuple[list[int], list[int], list[int]], rest: Sequen
     free = sorted(set(range(cols)) - set(columns))
     d = len(free)
     flat = _kernel_mod_p(columns, tails, free, p)
-    residues = array("Q", map(p.__rmod__, rest))
+    residues = array("Q", map(mod, rest, repeat(p)))
     count = len(residues) // cols
     packed = [_pack(residues[j::cols]) for j in range(cols)]
     pivot_columns = [packed[column] for column in columns]
     for t, own in enumerate(free):
         products = packed[own] + sum(map(int.__mul__, flat[t::d], pivot_columns))
-        if any(map(p.__rmod__, _unpack(products, count))):
-            return False
-    return True
+        if any(map(mod, _unpack(products, count), repeat(p))):
+            return None
+    return flat
 
 
 def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int) -> list[int]:
@@ -503,33 +582,37 @@ def _kernel_mod_p(columns: list[int], tails: list[int], free: list[int], p: int)
         packed[column] = 1 << (64 * t)
     for column, tail in zip(reversed(columns), reversed(tails)):
         total = sum(map(int.__mul__, _unpack(tail, cols - column - 1), packed[column + 1 :]))
-        packed[column] = _pack(map(p.__rmod__, map(int.__neg__, _unpack(total, len(free)))))
+        packed[column] = _pack(map(mod, map(neg, _unpack(total, len(free))), repeat(p)))
     return [x for column in columns for x in _unpack(packed[column], len(free))]
 
 
 def _kernel_certificate(
     rows: list[Sequence[int]],
     basis: list[Sequence[int]],
-    first: tuple[list[int], ...] | None,
+    first: FirstPass | None,
     primes: Sequence[int] = MODULAR_PRIMES,
 ) -> list[list[int]] | None:
     """cols - r integer vectors that prove the rows have rank <= r, or None.
 
     `basis` holds rows whose rank mod MODULAR_PRIME is r and whose span
     lies in that of the rows: r independent ones of them, or all of them.
-    `first` is `_eliminate_mod_p`'s result mod MODULAR_PRIME for rows with
-    the same span mod p as the basis, when the caller has one; otherwise,
-    and at every later prime, the basis's flat entries are eliminated.  The
-    right-kernel bases of the basis mod each of `primes` in turn, a prefix
-    of MODULAR_PRIMES, are combined by the Chinese remainder theorem; after
-    each prime the vectors are reconstructed and returned as soon as
-    `_proves_kernel` accepts them for all the rows.  The basis has rank at least r over the
-    rationals, so if the rows have rank r its kernel is theirs.  None means
-    no proof: a later prime found other pivot columns, or the primes ran
-    out.  `rows` must not be empty; cols is the length of its rows.
+    `first` is `_first_pass`'s (echelon, kernel) mod MODULAR_PRIME for rows
+    with the same span mod p as the basis, when the caller has one, and a
+    kernel that is not None is taken at that prime in place of back
+    substitution; otherwise, and at every later prime, the basis's flat
+    entries are eliminated.  The right-kernel bases of the basis mod each
+    of `primes` in turn, a prefix of MODULAR_PRIMES, are combined by the
+    Chinese remainder theorem; after each prime the vectors are
+    reconstructed and returned as soon as `_proves_kernel` accepts them
+    for all the rows.  The basis has rank at least r over the rationals,
+    so if the rows have rank r its kernel is theirs.  That check is exact,
+    so a `first` whose span differs can cost the proof but never make a
+    wrong one.  None means no proof: a later prime found other pivot
+    columns, or the primes ran out.  `rows` must not be empty; cols is the
+    length of its rows.
     """
     cols = len(rows[0])
-    pivots, _, tails = first or _eliminate_mod_p(chain.from_iterable(basis), cols, MODULAR_PRIME)
+    (pivots, _, tails), kernel = first or (_eliminate_mod_p(chain.from_iterable(basis), cols, MODULAR_PRIME), None)
     free = sorted(set(range(cols)) - set(pivots))
     values = [0] * (len(pivots) * len(free))
     modulus = 1
@@ -538,8 +621,9 @@ def _kernel_certificate(
             columns, _, tails = _eliminate_mod_p(chain.from_iterable(basis), cols, p)
             if columns != pivots:
                 return None
+            kernel = None
         inverse = pow(modulus, -1, p)
-        residues = _kernel_mod_p(pivots, tails, free, p)
+        residues = _kernel_mod_p(pivots, tails, free, p) if kernel is None else kernel
         values = [x + modulus * ((y - x) * inverse % p) for x, y in zip(values, residues)]
         modulus *= p
         vectors = _integer_kernel(values, modulus, pivots, free)

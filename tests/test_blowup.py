@@ -39,7 +39,7 @@ from pluricoh.blowup import (
     parse_point_file,
 )
 from pluricoh.cli import JET_MAX_CELLS
-from pluricoh.exact_linalg import RatMatrix, rank
+from pluricoh.exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues
 from pluricoh.selfcheck import naive_rank
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -75,6 +75,45 @@ def chart_lifts(draw):
         lambda j: st.tuples(*[st.just(0)] * j, entry.filter(bool), *[entry] * (n - j))
     )
     return n, draw(st.lists(lift, min_size=1, max_size=3 if k < 3 else 2)), k
+
+
+def _zero_ranks(monkeypatch, where=lambda matrix: True) -> list[str]:
+    """Make h0_blowup see rank 0 for every matrix `where` holds for, on the integer route and the residue route.
+
+    Returns the routes taken, "integer" or "residues", one per rank.  On
+    the residue route `where` sees the residues, which have the integer
+    matrix's shape.
+    """
+    routes = []
+
+    def integer(matrix):
+        routes.append("integer")
+        return 0 if where(matrix) else rank(matrix)
+
+    def residues(matrix, build):
+        routes.append("residues")
+        return 0 if where(matrix) else rank_from_residues(matrix, build)
+
+    monkeypatch.setattr(pluricoh.blowup, "rank", integer)
+    monkeypatch.setattr(pluricoh.blowup, "rank_from_residues", residues)
+    return routes
+
+
+@st.composite
+def residue_lifts(draw):
+    """(n, lifts, k): nonzero lifts of P^2 or P^3 with leading zeros, multiples of p and long coordinates.
+
+    A first nonzero coordinate that is a multiple of p moves the chart of
+    the residue build, and a lift scaled by p or p^2 has no unit coordinate.
+    """
+    n, k = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]))
+    small = st.integers(-9, 9)
+    entry = st.one_of(small, small.map(MODULAR_PRIME.__mul__), st.integers(-(2**80), 2**80))
+    lift = st.integers(0, n).flatmap(lambda j: st.tuples(*[st.just(0)] * j, entry.filter(bool), *[entry] * (n - j)))
+    scaled = st.tuples(lift, st.sampled_from([1, 1, MODULAR_PRIME, -(MODULAR_PRIME**2)])).map(
+        lambda pair: tuple(x * pair[1] for x in pair[0])
+    )
+    return n, draw(st.lists(scaled, min_size=1, max_size=3 if k < 3 else 2)), k
 
 
 VERONESE_ORDER = (
@@ -249,6 +288,29 @@ class TestJetMatrix:
     def test_rows_off_the_first_chart_are_scaled_true_derivatives(self, case):
         _assert_scaled_true_derivatives(*case)
 
+    @given(residue_lifts())
+    # The first nonzero coordinate is p, so the chart moves to x_2; and to x_1 of (0, 3p, 5, 1).
+    @example((2, [(MODULAR_PRIME, 0, 7), (2, 3, -5)], 3))
+    @example((3, [(0, 3 * MODULAR_PRIME, 5, 1), (4, 1, 0, 2)], 2))
+    # Every coordinate divisible by p: the lift is divided by its gcd, p^2, first.
+    @example((2, [(MODULAR_PRIME**2, 2 * MODULAR_PRIME**2, 0)], 2))
+    @settings(max_examples=30, deadline=None)
+    def test_residue_rows_are_unit_multiples_of_true_derivatives(self, case):
+        _assert_scaled_true_derivatives(*case, MODULAR_PRIME)
+
+    def test_residue_rows_of_a_unit_chart_are_the_integer_rows_times_units(self):
+        # Lifts whose first nonzero coordinate is a unit mod p, with 40- to 80-bit
+        # coordinates: each residue row is its integer row times a unit, so the
+        # two have one elimination mod p.
+        rng = random.Random("residue-rows")
+        lifts = [(rng.getrandbits(40) | 1, -rng.getrandbits(60), rng.getrandbits(80)) for _ in range(4)]
+        lifts.append((0, 3, rng.getrandbits(70)))
+        integer = jet_matrix(2, lifts, 9, [3] * len(lifts)).matrix
+        residues = jet_matrix(2, lifts, 9, [3] * len(lifts), None, MODULAR_PRIME).matrix
+        assert (residues.rows, residues.cols) == (integer.rows, integer.cols)
+        for i in range(integer.rows):
+            _assert_unit_multiple(residues.row(i), integer.row(i))
+
 
 def _true_derivative(beta, alpha, point) -> Fraction:
     """The alpha-th partial derivative of the monomial z^beta at `point`, over Fraction."""
@@ -263,13 +325,29 @@ def _true_derivative(beta, alpha, point) -> Fraction:
     return value
 
 
-def _assert_scaled_true_derivatives(n: int, lifts, k: int) -> None:
+def _assert_unit_multiple(row, reference) -> None:
+    """row = u * reference mod MODULAR_PRIME for a unit u, each entry of row a product of two residues."""
+    p = MODULAR_PRIME
+    assert all(type(x) is int and 0 <= x < p * p for x in row)
+    row, reference = [x % p for x in row], [x % p for x in reference]
+    pivot = next((i for i, x in enumerate(reference) if x), None)
+    if pivot is None:
+        assert not any(row)
+        return
+    unit = row[pivot] * pow(reference[pivot], -1, p) % p
+    assert unit and row == [unit * x % p for x in reference]
+
+
+def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None = None) -> None:
     # Each row of a lift P whose first nonzero coordinate is x_j holds the true
     # derivatives, in the chart x_j = 1, of the dehomogenized monomials at
     # P / P_j, times P_j^((n+1)k - |alpha|).  For a point's lift (d, d*x),
-    # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).
-    jet = jet_matrix(n, lifts, (n + 1) * k, [(n - 1) * k] * len(lifts))
+    # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).  Built mod
+    # p = `modulus`, each row is instead a unit times those derivatives mod p,
+    # and x_j is the first coordinate that is a unit mod p, of P divided by the
+    # gcd of its coordinates when all of them are divisible by p.
     top = (n + 1) * k
+    jet = jet_matrix(n, lifts, top, [(n - 1) * k] * len(lifts), None, modulus)
     monomials = _graded_exponents(n, top)
     # The documented row order: lifts in the order given, then the
     # multi-indices of order below (n-1)k in the graded order of the columns.
@@ -278,14 +356,23 @@ def _assert_scaled_true_derivatives(n: int, lifts, k: int) -> None:
     rows = iter(range(jet.matrix.rows))
     homogenized = [(top - sum(beta), *beta) for beta in monomials]
     for lift in lifts:
-        j = next(c for c, x in enumerate(lift) if x)
+        if modulus is None:
+            j = next(c for c, x in enumerate(lift) if x)
+        else:
+            if all(x % modulus == 0 for x in lift):
+                lift = [x // math.gcd(*lift) for x in lift]
+            j = next(c for c, x in enumerate(lift) if x % modulus)
         point = [Fraction(x, lift[j]) for c, x in enumerate(lift) if c != j]
         # Each column's form of degree top, with x_j's exponent dropped.
         charted = [beta[:j] + beta[j + 1 :] for beta in homogenized]
         for alpha in alphas:
             row = jet.matrix.row(next(rows))
-            assert all(type(x) is int for x in row)
-            assert row == tuple(lift[j] ** (top - sum(alpha)) * _true_derivative(b, alpha, point) for b in charted)
+            derivatives = [_true_derivative(b, alpha, point) for b in charted]
+            if modulus is None:
+                assert all(type(x) is int for x in row)
+                assert row == tuple(lift[j] ** (top - sum(alpha)) * d for d in derivatives)
+            else:
+                _assert_unit_multiple(row, [d.numerator * pow(d.denominator, -1, modulus) for d in derivatives])
 
 
 class TestH0Blowup:
@@ -655,19 +742,21 @@ class TestGenerateConfiguration:
         # With rank pinned to 0 no sample can ever certify as generic, so
         # the bounded retry loop must give up loudly.  Four points, as three
         # independent ones are a lattice count that ranks nothing.
-        monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 0)
+        _zero_ranks(monkeypatch)
         with pytest.raises(SamplingBudgetError):
             generate_configuration("generic", 4)
 
     def test_generic_is_certified_at_the_power_used(self, monkeypatch):
         # Rank 0 on every matrix wider than the k = 1 one: a sampler that
-        # certifies at k = 1 only would accept these points for k = 2.
-        monkeypatch.setattr(
-            pluricoh.blowup, "rank", lambda matrix: 0 if matrix.cols > 10 else rank(matrix)
-        )
+        # certifies at k = 1 only would accept these points for k = 2.  At
+        # k = 2 the two moved points give a 6 x 19 block with predicted
+        # entries of about 6 * 40 bits, ranked from its residues, so the
+        # fault reaches that route too.
+        routes = _zero_ranks(monkeypatch, lambda matrix: matrix.cols > 10)
         generate_configuration("generic", 5, k=1)
         with pytest.raises(SamplingBudgetError):
             generate_configuration("generic", 5, k=2)
+        assert "residues" in routes
 
 
 def _line_h0(v: int, k: int) -> int:
@@ -828,8 +917,10 @@ class TestPeeling:
         xs = [rng.randrange(10**59, 10**60) for _ in range(7)]
         config = PointConfiguration.from_coordinates([(x, 3 * x + 7) for x in xs] + [(1, 2), (5, -3)])
         assert h0_blowup(config, 5) == 41
-        ((_, images, degree, orders, columns),) = builds
-        assert (degree, sorted(orders)) == (11, [1] * 5 + [5])
+        # Its images have 203-bit coordinates and its 20 x 61 matrix full rank
+        # mod p, so only the residues are built.
+        ((_, images, degree, orders, columns, modulus),) = builds
+        assert (degree, sorted(orders), modulus) == (11, [1] * 5 + [5], MODULAR_PRIME)
         assert len(columns) == _capped_count(2, 11, [10, 10, 6])
 
 
@@ -904,7 +995,7 @@ class TestAchievableDims:
         # While four or more points stay on the line, it peels and the rest are
         # a lattice count, so the sweep of eight points first ranks at h0 = 2:
         # conics through four sampled points, one 1 x 3 block of rank 0 here.
-        monkeypatch.setattr(pluricoh.blowup, "rank", lambda matrix: 0)
+        _zero_ranks(monkeypatch)
         message = f"no sample reached h0\\(-1K\\) = 2 within {SWEEP_STEP_ATTEMPTS} attempts"
         with pytest.raises(SamplingBudgetError, match=message):
             achievable_dims(8)

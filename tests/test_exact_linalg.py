@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pluricoh.blowup
 from pluricoh import exact_linalg
 from pluricoh.blowup import (
     PointConfiguration,
@@ -311,16 +312,16 @@ def small_entry_matrices(draw):
     return m
 
 
-def _spy(monkeypatch, name: str) -> list:
-    """Record the arguments of every call to exact_linalg.<name>, then call it."""
+def _spy(monkeypatch, name: str, module=exact_linalg) -> list:
+    """Record the arguments of every call to <module>.<name>, exact_linalg's by default, then call it."""
     calls = []
-    original = getattr(exact_linalg, name)
+    original = getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(exact_linalg, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -385,8 +386,11 @@ class TestModularRoute:
         # square mod p exactly when they add no rank mod p.
         assume(m.rows > m.cols)
         echelon = exact_linalg._eliminate_mod_p(m.entries[: m.cols**2], m.cols, p)
-        in_span = exact_linalg._in_span_mod_p(echelon, m.entries[m.cols**2 :], m.cols, p)
-        assert in_span == (len(_oracle_pivots_mod_p(m, p)) == len(echelon[0]))
+        kernel = exact_linalg._in_span_mod_p(echelon, m.entries[m.cols**2 :], m.cols, p)
+        assert (kernel is not None) == (len(_oracle_pivots_mod_p(m, p)) == len(echelon[0]))
+        if kernel is not None:
+            free = [j for j in range(m.cols) if j not in echelon[0]]
+            assert kernel == exact_linalg._kernel_mod_p(echelon[0], echelon[2], free, p)
 
     def test_certificate_primes(self):
         # Distinct primes 2^27 - c with 0 < c < 2^8, the first the largest,
@@ -496,14 +500,19 @@ class TestModularRoute:
         m = _integer_matrix(grid)
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         certificates = _spy(monkeypatch, "_kernel_certificate")
+        kernels = _spy(monkeypatch, "_kernel_mod_p")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert rank(m) == 9 == naive_rank(m)
         [(square, cols, p)] = eliminations
         assert (square, cols, p) == (m.entries[:100], 10, MODULAR_PRIME)
         [(own, basis, first)] = certificates
+        (echelon, kernel) = first
         assert (len(own), len(basis)) == (12, 9)
-        assert first == _echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)
-        assert basis == [m.row(i) for i in first[1]] and max(first[1]) < 10
+        assert echelon == _echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)
+        assert basis == [m.row(i) for i in echelon[1]] and max(echelon[1]) < 10
+        # The span test's kernel serves the certificate's first prime: one back substitution there.
+        assert kernel == [(p - 1, 2)[i] if i < 2 else 0 for i in range(9)]
+        assert [args[-1] for args in kernels] == [MODULAR_PRIME]
         assert exact_linalg._kernel_certificate(own, basis, first) == [[-1, 2, 0, 0, 0, 0, 0, 0, 0, 1]]
         assert not bareiss
 
@@ -524,7 +533,7 @@ class TestModularRoute:
         assert [(args[0], args[1]) for args in eliminations] == [(m.entries[:100], 10), (m.entries, 10)]
         assert len(_echelon(_integer_matrix(grid[:10]), MODULAR_PRIME)[0]) == 8
         [(own, basis, first)] = certificates
-        assert (len(own), len(basis)) == (12, 9) and first == _echelon(m, MODULAR_PRIME)
+        assert (len(own), len(basis)) == (12, 9) and first == (_echelon(m, MODULAR_PRIME), None)
         assert not bareiss
 
     @pytest.mark.parametrize("rows, cols", [(10, 12), (12, 10), (11, 11)])
@@ -630,14 +639,17 @@ class TestModularRoute:
     def test_full_rank_twisted_cubic_block_takes_one_elimination(self, monkeypatch):
         # Five twisted-cubic points at k = 2: four go to the coordinate
         # points, and the 20 x 85 block of the fifth has full rank, proved by
-        # the first pass.
+        # the first pass.  Its image has coordinates of 9 bits, so entries of
+        # about 8 * 9 = 72 bits are predicted, longer than the residues' 54:
+        # the residues are built, and the integer matrix never is.
         config = parse_point_file((DATA / "space_points.txt").read_text())
+        residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
         blocks = _spy(monkeypatch, "_block_rank")
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert h0_blowup(config, 2) == 65
-        assert [(m.rows, m.cols) for (m,) in blocks] == [(20, 85)]
-        assert len(eliminations) == 1 and not bareiss
+        assert [(m.rows, m.cols) for m, _ in residues] == [(20, 85)]
+        assert len(eliminations) == 1 and not blocks and not bareiss
 
     def test_wide_planted_row_certifies_on_its_columns_after_two_primes(self, monkeypatch):
         # Selfcheck's 3 x 4 shape: row 2 is twice row 0.  The own kernel is
@@ -664,16 +676,27 @@ class TestModularRoute:
         # give one tall 147 x 127 block of rank 126, certified on its own rows; h0
         # counts the powers of the cubic, whose strict transform is -K with
         # self-intersection 9 - 10.
+        # Its residues are built first and fall short of full rank, so the
+        # integer matrix is built and handed the residues' pass: the leading
+        # square's elimination and the kernel of its span test.  So it is
+        # eliminated once at MODULAR_PRIME and back-substituted once there.
         config = PointConfiguration.from_coordinates([(t, t**3) for t in range(1, 11)])
+        residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
         blocks = _spy(monkeypatch, "_block_rank")
+        eliminations = _spy(monkeypatch, "_eliminate_mod_p")
+        kernels = _spy(monkeypatch, "_kernel_mod_p")
         certificates = _spy(monkeypatch, "_kernel_certificate")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert h0_blowup(config, 6) == 1
-        [(m,)] = blocks
-        assert (m.rows, m.cols) == (147, 127)
-        [(own, basis, first)] = certificates
+        [(r, _)] = residues
+        [(m, first)] = blocks
+        assert (r.rows, r.cols) == (m.rows, m.cols) == (147, 127)
+        [(own, basis, handed)] = certificates
         assert (len(own), len(basis)) == (147, 126)
-        assert first is not None and not bareiss
+        assert handed is first and first[1] is not None and not bareiss
+        at_first_prime = [args for args in eliminations if args[-1] == MODULAR_PRIME]
+        assert [args[0] for args in at_first_prime] == [r.entries[: 127 * 127]]
+        assert [args[-1] for args in kernels].count(MODULAR_PRIME) == 1
 
     def test_cubic_pencil_rows_fail_at_two_primes_then_its_columns_certify(self, monkeypatch):
         # A CI pin.  The points (t, t^3) for t = -4..4 have parameters summing to
@@ -686,28 +709,31 @@ class TestModularRoute:
         certificates = _spy(monkeypatch, "_kernel_certificate")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert h0_blowup(config, 6) == 7
-        [(m,)] = blocks
-        assert (m.rows, m.cols) == (126, 127)
+        [(m, first)] = blocks
+        assert (m.rows, m.cols) == (126, 127) and first is not None
         [own, columns] = certificates
         assert len(own[0]) == 126 and own[-1] == MODULAR_PRIMES[:2]
         assert len(columns) == 3 and len(columns[0]) == 127 and not bareiss
 
     def test_plane_k1_blocks_take_the_modular_route_from_six_rows(self, monkeypatch):
         # At k = 1 the v - 3 moved points give one (v - 3) x 7 block on the hexagon's
-        # cubics.  Sampled generic coordinates up to 10^6 give entries of 112 to 123
-        # bits (seeds 0 to 19): up to five rows that is under both rules, where Bareiss
-        # is faster, and from six rows (v = 9) on the bit rule sends the block to the
-        # modular route, which is faster there.  Points on a conic have small entries
-        # and stay on Bareiss.
+        # cubics.  Sampled generic coordinates up to 10^6 give images of 37 to 41 bits
+        # (seeds 0 to 19), so entries of up to 3 * 41 = 123 bits are predicted: up to
+        # five rows that is under both rules, where Bareiss is faster, and from six
+        # rows (v = 9) on the bit rule sends the block to the modular route, which is
+        # faster there, on its residues.  Points on a conic have small entries and
+        # stay on Bareiss.
         assert 5 * 123 <= MODULAR_RULE_BITS < 6 * 112 and 7 * 7 * 7 <= MODULAR_RULE_WORK
         modular = _spy(monkeypatch, "_eliminate_mod_p")
         blocks = _spy(monkeypatch, "_block_rank")
+        residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
         for kind, v in [("generic", v) for v in range(5, 13)] + [("on_conic", 5), ("on_conic", 6)]:
-            blocks.clear()
-            modular.clear()
+            for calls in (blocks, modular, residues):
+                calls.clear()
             generate_configuration(kind, v, seed=3)
-            assert blocks and all((m.rows, m.cols) == (v - 3, 7) for (m,) in blocks)
-            assert bool(modular) == (kind == "generic" and v >= 9)
+            ranked = [m for m, *_ in blocks + residues]
+            assert ranked and all((m.rows, m.cols) == (v - 3, 7) for m in ranked)
+            assert bool(modular) == bool(residues) == (kind == "generic" and v >= 9)
 
 
 def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:

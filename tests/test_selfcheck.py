@@ -20,6 +20,8 @@ from pluricoh.exact_linalg import RatMatrix
 from pluricoh.hirzebruch import FormulaEvaluation
 from pluricoh.selfcheck import (
     CheckResult,
+    _check_jet_rank_cross_check,
+    _jet_corpus,
     _run,
     count_sections_by_lattice_points,
     naive_rank,
@@ -214,6 +216,30 @@ class TestRunSelfcheck:
         assert results["jet_rank_production_vs_naive"].passed
         assert results["blowup_h1_2K_within_range"].passed
         assert len(calls) == 7
+
+    def test_the_jet_corpus_checks_the_residue_route(self, monkeypatch):
+        # generic-10's seven moved points give one 7 x 7 block at k = 1 whose
+        # images have 40-bit coordinates: 7 * 3 * 40 exceeds MODULAR_RULE_BITS,
+        # so its residues are built and have full rank mod p, and
+        # jet_rank_production_vs_naive checks that route against naive
+        # elimination on every run.
+        routed = []
+        original_rank = pluricoh.blowup.rank_from_residues
+        original_generate = pluricoh.blowup.generate_configuration
+
+        def spy(residues, build):
+            routed[-1][1].append((residues.rows, residues.cols))
+            return original_rank(residues, build)
+
+        def generate(kind, v, **kwargs):
+            routed.append(((kind, v), []))
+            return original_generate(kind, v, **kwargs)
+
+        monkeypatch.setattr(pluricoh.blowup, "rank_from_residues", spy)
+        monkeypatch.setattr(pluricoh.blowup, "generate_configuration", generate)
+        corpus = _jet_corpus(12)
+        assert [shapes for (kind, _), shapes in routed if kind == "generic"] == [[], [(7, 7)]]
+        assert all(case is None for case in _check_jet_rank_cross_check(lambda: corpus))
 
     def test_budget_zero_is_empty(self):
         assert run_selfcheck(budget=0) == []
