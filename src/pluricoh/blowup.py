@@ -47,12 +47,14 @@ e_0, ..., e_n the conditions are monomial: a form of degree d vanishes to
 order m at e_i exactly when each of its monomials has exponent at most
 d - m in x_i.  So ``h0_blowup`` takes the first s points of positive
 order whose lifts are independent, s the dimension of the span of all
-their lifts, completes them to a basis of unit vectors, and sends them to
-coordinate points by the adjugate of that basis.  It then ranks the rows
-of the other images, each with its own order, against the polytope of
-exponents beta of degree at most d with exponent at most d - m_i in each
-of the s chosen coordinates (unpeeled, for s = n + 1 in the plane a hexagon of
-C(3k+2, 2) - 3 C(k+1, 2) points, 7 of the 10 cubics at k = 1):
+their lifts, and sends them to e_0, ..., e_(s-1) with one fraction-free
+Gauss-Jordan pass over the lifts (`_move`), which also finds them; every
+other point goes to its coefficients in the chosen lifts, followed by
+zeros.  It then ranks the rows of the other images, each with its own
+order, against the polytope of exponents beta of degree at most d with
+exponent at most d - m_i in each of the s chosen coordinates (unpeeled,
+for s = n + 1 in the plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points,
+7 of the 10 cubics at k = 1):
 
     h0 = (number of polytope points) - rank(rows of the images)
 
@@ -69,11 +71,12 @@ so full rank mod p is the rank and the integer matrix is never built
 is built and ranked with the residues' elimination as its first pass,
 which unit row scalings leave as it is.
 
-When the points span less than P^n, every image is zero on the completing
-coordinates, so its jet rows vanish off the columns whose exponents there
-match the derivative's; ``rank`` splits such matrices into blocks.  With
-s independent points and no other, no condition is left to rank, and h0
-is the lattice count with caps on s coordinates only.
+When the points span less than P^n, every image is zero on the
+coordinates past the s-th, so its jet rows vanish off the columns whose
+exponents there match the derivative's; ``rank`` splits such matrices
+into blocks.  With s independent points and no other, no condition is
+left to rank, and h0 is the lattice count with caps on s coordinates
+only.
 
 The module also ships deterministic configuration generators (generic,
 collinear, on a conic) and a sweep that certifies, point replacement by
@@ -394,83 +397,48 @@ def _capped_count(n: int, degree: int, caps: Sequence[int]) -> int:
     )
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by Laplace expansion along its first row.
+def _move(size: int, lifts: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first independent lifts, and the other lifts moved so that those become coordinate points.
 
-    Its sizes here are n, at most 5 within the CLI's dimension cap, where
-    the expansion is cheaper than elimination.  Size 2, every minor of the
-    plane's adjugate, is a d - b c in closed form.
+    One fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968)
+    over the lifts as columns, one row per coordinate, `size` of them:
+    pivots are taken in column order, each in the first row not yet
+    pivoted whose entry is nonzero, and every other row y becomes
+    (pivot * y - f * z) // prev for the pivot row z, f the entry of y in
+    the pivot column and prev the pivot before, an exact division
+    (Sylvester's identity).  The pass
+    stops at `size` pivots.  Its pivot columns, `chosen`, are the
+    lexicographically first independent lifts L_0, ..., L_(s-1), s the
+    dimension of the span of all the lifts, so every other lift is Q =
+    sum_i c_i L_i, and its column ends in the pivot rows as the last pivot
+    times (c_0, ..., c_(s-1)), integers by Cramer's rule.  That sends the
+    chosen points to e_0, ..., e_(s-1) and Q to those entries, in pivot
+    order, followed by size - s zeros.  Each image is divided by its
+    content, which removes the pivot's scale, and signed so that its first
+    nonzero coordinate is positive.
     """
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if len(rows) == 1:
-        return rows[0][0]
-    rest = rows[1:]
-    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in rest]) for j, x in enumerate(rows[0]) if x)
-
-
-def _cofactor_row(columns: Sequence[Sequence[int]], i: int) -> list[int]:
-    """Row i of adj(M) for the matrix M with these columns.
-
-    Its product with a vector Q is det(M with column i replaced by Q), so it
-    vanishes on the hyperplane through the other columns; entry j is the
-    cofactor of M at (j, i).  A list of columns read as rows is M's
-    transpose, which has the same minors.
-    """
-    others = [*columns[:i], *columns[i + 1 :]]
-    return [(-1) ** (i + j) * _det([column[:j] + column[j + 1 :] for column in others]) for j in range(len(columns))]
-
-
-def _independent_lifts(lifts: Sequence[Sequence[int]], cap: int) -> list[int]:
-    """Indices of the lifts each independent of those kept before it, at most `cap` of them.
-
-    Fraction-free elimination in one pass, so O(v) for v lifts: each lift
-    is reduced against the rows kept so far, each with its own pivot
-    column, and a nonzero remainder is kept.  Greedy selection gives the
-    lexicographically first independent set, so with cap = n + 1 these are
-    the first n + 1 points, in lexicographic order, whose lifts span.
-    """
-    kept: list[tuple[int, list[int]]] = []
-    indices: list[int] = []
-    for index, lift in enumerate(lifts):
-        row = list(lift)
-        for c, pivot_row in kept:
-            if row[c]:
-                a, b = pivot_row[c], row[c]
-                row = [a * x - b * y for x, y in zip(row, pivot_row)]
-        c = next((i for i, x in enumerate(row) if x), None)
-        if c is not None:
-            kept.append((c, row))
-            indices.append(index)
-            if len(indices) == cap:
-                break
-    return indices
-
-
-def _coordinate_images(lifts: Sequence[Sequence[int]], chosen: Sequence[int]) -> list[tuple[int, ...]]:
-    """The other lifts moved so that the chosen points become coordinate points.
-
-    The chosen lifts, followed by the unit vectors e_0, ..., e_n that are
-    independent of them and of those taken before, are a basis, the columns
-    of a matrix M.  Row i of adj(M) maps Q to det(M with column i replaced
-    by Q), so adj(M) sends the chosen lifts to det(M) e_i and every other
-    lift Q to the integer vector adj(M) Q, zero at the completion's
-    coordinates when Q lies in the chosen points' span.  Each image is
-    divided by its content, signed so that its first nonzero coordinate is
-    positive.
-    """
-    size = len(lifts[0])
-    units = [tuple([int(i == j) for i in range(size)]) for j in range(size)]
-    basis = [*[lifts[c] for c in chosen], *units]
-    columns = [basis[j] for j in _independent_lifts(basis, size)]
-    adjugate = [_cofactor_row(columns, i) for i in range(size)]
+    rows = [list(coordinate) for coordinate in zip(*lifts)]
+    chosen: list[int] = []
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(lifts)):
+        r = next((i for i, row in enumerate(rows) if row[c] and i not in pivots), None)
+        if r is None:
+            continue
+        top = rows[r]
+        pivot = top[c]
+        rows = [row if i == r else [(pivot * y - row[c] * z) // prev for y, z in zip(row, top)] for i, row in enumerate(rows)]
+        prev = pivot
+        chosen.append(c)
+        pivots.append(r)
+        if len(chosen) == size:
+            break
     images = []
-    for q in (q for index, q in enumerate(lifts) if index not in chosen):
-        image = [sum(map(mul, row, q)) for row in adjugate]
+    for q in (q for q in range(len(lifts)) if q not in chosen):
+        image = [rows[r][q] for r in pivots] + [0] * (size - len(pivots))
         g = math.gcd(*image) if next(filter(None, image)) > 0 else -math.gcd(*image)
         images.append(tuple([x // g for x in image]))
-    return images
+    return chosen, images
 
 
 def _fewest(orders: Sequence[int], bound: int) -> int | None:
@@ -604,12 +572,13 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
     """dim H^0 of the k-th anticanonical power on the blow-up at the points.
 
     Sections are forms of degree (n+1)k vanishing to order (n-1)k at each
-    point.  In the plane, lines and conics that must divide every such
-    form are peeled off first (see the module docstring).  Then the s
-    independent points found first are moved to coordinate points and
-    only the other points' rows are ranked, against the polytope's columns
-    with caps on those s coordinates; v = s independent points need no
-    rank at all.  So one jet matrix is built and ranked, or none.  n = 1
+    point.  Each step sends the s independent points found first to
+    coordinate points, with one pass of `_move`.  In the plane, a line or
+    conic that must divide every such form is then peeled off and the step
+    repeats (see the module docstring).  Once none is found, only the other
+    points' rows are ranked, against the polytope's columns with caps on
+    those s coordinates; v = s independent points need no rank at all.
+    So one jet matrix is built and ranked, or none.  n = 1
     is rejected, as in ``jet_matrix``, and so is k < 1.
     """
     n, lifts = config.n, config.lifts
@@ -619,12 +588,11 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
         raise ValueError("k must be positive")
     degree, orders = (n + 1) * k, [(n - 1) * k] * len(lifts)
     while degree >= 0:
-        chosen = _independent_lifts(lifts, n + 1)
+        chosen, images = _move(n + 1, lifts)
         caps = [degree - orders[c] for c in chosen]
-        if len(chosen) == len(lifts):
+        if not images:
             return _capped_count(n, degree, caps)
         others = [i for i in range(len(lifts)) if i not in chosen]
-        images = _coordinate_images(lifts, chosen)
         image_orders = [orders[i] for i in others]
         if n == 2:
             # The conic first: its search is O(v) on the images, and a conic's

@@ -8,6 +8,7 @@ gcd reduction) and are asserted against both routes where it matters.
 import inspect
 import itertools
 import math
+import operator
 import random
 import sys
 import types
@@ -19,15 +20,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pluricoh.blowup
+import pluricoh.exact_linalg
 from pluricoh.blowup import (
     PointConfiguration,
     SWEEP_STEP_ATTEMPTS,
     PointFileError,
     SamplingBudgetError,
     _capped_count,
-    _det,
     _graded_exponents,
-    _independent_lifts,
+    _move,
     _polytope,
     achievable_dims,
     blowup_row,
@@ -543,17 +544,66 @@ def subspace_configurations(draw):
     return PointConfiguration(n=n, points=tuple(points)), k
 
 
+def _leibniz(rows) -> int:
+    """Determinant by the Leibniz formula: a sum over permutations, each signed by its inversions."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _square(columns, rows):
+    """The square matrix of these columns' entries at these rows, read as rows (its transpose)."""
+    return [[column[r] for r in rows] for column in columns]
+
+
+@st.composite
+def spanned_lifts(draw):
+    """(n, lifts): distinct nonzero integer lifts in P^2, P^3 or P^4 spanning a subspace of any dimension.
+
+    The lifts are small integer combinations of s basis vectors, s <= n + 1, with
+    entries in -2..2 (so many are zero), 40-digit, or 40-digit and zero.
+    """
+    n = draw(st.sampled_from([2, 3, 4]))
+    s = draw(st.integers(1, n + 1))
+    big = st.integers(-(10**40), 10**40)
+    scalar = draw(st.sampled_from([st.integers(-2, 2), big, st.one_of(st.just(0), big)]))
+    basis = draw(st.lists(st.tuples(*[scalar] * (n + 1)), min_size=s, max_size=s))
+    factors = st.lists(st.tuples(*[st.integers(-2, 2)] * s), min_size=1, max_size=n + 5)
+    lifts = [tuple(sum(a * b[i] for a, b in zip(f, basis)) for i in range(n + 1)) for f in draw(factors)]
+    lifts = list(dict.fromkeys(lift for lift in lifts if any(lift)))
+    assume(lifts)
+    return n, lifts
+
+
 class TestNormalizedH0:
     """Chosen points sent to coordinate points, the rest ranked on the polytope's columns."""
 
-    @given(st.integers(2, 5), st.randoms(use_true_random=False))
-    def test_det_matches_the_leibniz_formula(self, size, rng):
-        rows = [[rng.randint(-(10**30), 10**30) for _ in range(size)] for _ in range(size)]
-        leibniz = 0
-        for perm in itertools.permutations(range(size)):
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            leibniz += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
-        assert _det(rows) == leibniz
+    @given(spanned_lifts())
+    # Three points of P^2 on one line, the second a multiple of the first: s = 2.
+    @example((2, [(1, 0, 0), (2, 0, 0), (0, 1, 1), (5, 3, 3)]))
+    # One line of P^4 through 40-digit lifts with zero coordinates.
+    @example((4, [(10**40, 0, 1, 0, 0), (0, 1, 0, 0, 10**39), (10**40, 1, 1, 0, 10**39)]))
+    @settings(max_examples=150, deadline=None)
+    def test_images_are_the_cramer_coefficients(self, case):
+        # Each other lift Q, in the span of the chosen lifts L_i, is det(N) Q = sum_i
+        # det(N_i) L_i on any rows where their square N has det(N) != 0, N_i being N with
+        # column i replaced by Q's entries (Cramer's rule, by Leibniz determinants).  Its
+        # image is (det(N_0), ..., det(N_(s-1)), 0, ...) up to content and sign.
+        n, lifts = case
+        chosen, images = _move(n + 1, lifts)
+        basis = [lifts[c] for c in chosen]
+        s = len(basis)
+        rows = next(rows for rows in itertools.combinations(range(n + 1), s) if _leibniz(_square(basis, rows)))
+        det = _leibniz(_square(basis, rows))
+        others = [q for index, q in enumerate(lifts) if index not in chosen]
+        assert len(images) == len(others)
+        for q, image in zip(others, images):
+            cramer = [_leibniz(_square([*basis[:i], q, *basis[i + 1 :]], rows)) for i in range(s)]
+            assert [det * x for x in q] == [sum(map(operator.mul, cramer, coordinate)) for coordinate in zip(*basis)]
+            content = math.gcd(*cramer) if next(filter(None, cramer)) > 0 else -math.gcd(*cramer)
+            assert image == tuple([x // content for x in cramer] + [0] * (n + 1 - s))
 
     @given(drawn_configurations())
     # (2, -1) lies on the line through (1, 0) and (0, 1), so its image has x_0 = 0
@@ -601,7 +651,7 @@ class TestNormalizedH0:
             ),
             None,
         )
-        chosen = _independent_lifts(lifts, config.n + 1)
+        chosen, _ = _move(config.n + 1, lifts)
         assert chosen == first if first is not None else len(chosen) < size
 
     def test_count_path_builds_no_matrix(self, monkeypatch):
@@ -668,6 +718,24 @@ class TestNormalizedH0:
         assert columns == _polytope(3, 4 * k, [2 * k] * capped)
         assert any(image[0] == 0 for image in images)
         assert monomial_count(3, k) - naive_rank(_jet(config, k).matrix) == h0
+
+    def test_coplanar_points_rank_their_blocks(self, monkeypatch):
+        # A CI pin: seven points (a, b, a + b) of P^3 with 30-digit a and b span a plane, so
+        # their images are zero at x_3 and the jet matrix splits into blocks, ranked one by one.
+        splits = []
+        original = pluricoh.exact_linalg._blocks
+
+        def recording(matrix):
+            blocks = original(matrix)
+            splits.append(blocks)
+            return blocks
+
+        monkeypatch.setattr(pluricoh.exact_linalg, "_blocks", recording)
+        r = random.Random(3)
+        pairs = [(r.randrange(10**29, 10**30), r.randrange(10**29, 10**30)) for _ in range(7)]
+        config = PointConfiguration.from_coordinates([(a, b, a + b) for a, b in pairs])
+        assert h0_blowup(config, 2) == 56
+        assert len(splits) == 1 and splits[0] is not None and len(splits[0]) >= 2
 
     @given(subspace_configurations())
     # Every side of the first triangle holds a point of this planar half grid, so one image has x_0 = 0.
@@ -900,6 +968,28 @@ class TestPeeling:
         xs = rng.sample(range(-(10**9), 10**9), v)
         config = PointConfiguration.from_coordinates([(x, Fraction(2 * x - 5, 3)) for x in xs])
         assert h0_blowup(config, k) == _line_h0(v, k)
+
+    def test_one_move_per_peel_step(self, monkeypatch):
+        # The 60-digit line below peels four times, and every step, the last included,
+        # moves the points with one pass.
+        moves, peels = [], []
+        move, peel = pluricoh.blowup._move, pluricoh.blowup._peel
+
+        def recording_move(size, lifts):
+            moves.append(len(lifts))
+            return move(size, lifts)
+
+        def recording_peel(*args):
+            peels.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(pluricoh.blowup, "_move", recording_move)
+        monkeypatch.setattr(pluricoh.blowup, "_peel", recording_peel)
+        rng = random.Random(5)
+        xs = [rng.randrange(10**59, 10**60) for _ in range(7)]
+        config = PointConfiguration.from_coordinates([(x, 3 * x + 7) for x in xs] + [(1, 2), (5, -3)])
+        assert h0_blowup(config, 5) == 41
+        assert (moves, len(peels)) == ([9] * 5, 4)
 
     def test_sixty_digit_line_peels_to_its_residual_class(self, monkeypatch):
         # Seven points with 60-digit x on y = 3x + 7 and two off it, which took minutes to
