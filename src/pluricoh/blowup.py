@@ -64,12 +64,21 @@ the bit length of the longest image coordinate.  When
 `exact_linalg.takes_modular_route` sends the matrix to the modular route
 on that prediction, and the prediction exceeds RESIDUE_PRODUCT_BITS, the
 length of a product of two residues mod p = MODULAR_PRIME, the matrix is
-first built mod p (`jet_matrix` with a modulus): each row is the integer
-row times a unit mod p.  Their rank mod p is at most the rational rank,
-so full rank mod p is the rank and the integer matrix is never built
+first built mod p (`jet_matrix` with a modulus).  In the unit chart of a
+lift, with other coordinates u, d^alpha u^e = C_alpha u^e u^(-alpha),
+and C_alpha = prod_i perm(e_i, alpha_i) depends only on the columns, so
+each row is C_alpha times the lift's one monomial row u^e; a coordinate
+that is 0 mod p puts [e_i = alpha_i] perm(e_i, alpha_i) into C_alpha
+instead.  Each row is the integer row of its chart times a unit mod p.
+Their rank mod p is at most the rational rank, so full rank mod p is the
+rank and the integer matrix is never built
 (`exact_linalg.rank_from_residues`).  Below full rank the integer matrix
 is built and ranked with the residues' elimination as its first pass,
-which unit row scalings leave as it is.
+which unit row scalings leave as it is.  A tall matrix (more rows than
+columns) first builds the residues of its leading images only, the
+fewest whose rows reach its columns: their full column rank mod p is at
+most their rational rank, which is at most the matrix's, so h0 = 0;
+otherwise the whole matrix takes the route above.
 
 When the points span less than P^n, every image is zero on the
 coordinates past the s-th, so its jet rows vanish off the columns whose
@@ -88,13 +97,14 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, repeat, starmap
+from itertools import accumulate, combinations, repeat, starmap
 from operator import le, mod, mul, sub, truediv
 from typing import Iterable, Sequence
 
-from .exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, takes_modular_route
+from .exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, rank_mod_p, takes_modular_route
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
@@ -189,9 +199,9 @@ class JetConditionMatrix:
     the chart x_j = 1 at P / P_j.  Scaling rows changes no rank.  A point's
     default lift (d, d*x) has j = 0, so its rows are the true derivatives
     times d^(D - |alpha|), and integer points (d = 1) give the true
-    derivatives.  Built with a modulus p, the rows are instead congruent
-    mod p to the true derivatives in the chart of the first coordinate
-    that is a unit mod p (see `jet_matrix`).
+    derivatives.  Built with a modulus p, the rows are instead units mod p
+    times the true derivatives in the chart of the first coordinate that is
+    a unit mod p (see `jet_matrix`).
     """
 
     matrix: RatMatrix
@@ -270,26 +280,22 @@ def jet_matrix(
     plain evaluation, mapping the lift (1, x, y) to the row (1, x, y, x^2,
     xy, y^2, x^3, x^2 y, x y^2, y^3).
 
-    A lift's rows are the leaves of a product tree over alpha, in the chart
-    of its first nonzero coordinate x_j.  A node is a prefix (alpha_1, ...,
-    alpha_i): its parent times the alpha_i-th derivative of the i-th other
-    coordinate's power, per column.  The root, x_j to its exponent in each
-    column's form of degree `degree`, is all ones when x_j = 1 and is
-    skipped.  So an entry costs one product beyond the prefixes it shares,
-    and the columns enter only as exponents.
+    Built over the integers, a lift's rows are the leaves of a product
+    tree over alpha, in the chart of its first nonzero coordinate x_j.  A
+    node is a prefix (alpha_1, ..., alpha_i): its parent times the
+    alpha_i-th derivative of the i-th other coordinate's power, per
+    column.  The root, x_j to its exponent in each column's form of degree
+    `degree`, is all ones when x_j = 1 and is skipped.  So an entry costs
+    one product beyond the prefixes it shares, and the columns enter only
+    as exponents.
 
-    With a prime `modulus` p the rows are built mod p.  Each lift is then
-    taken in the chart of its first coordinate x_j that is a unit mod p,
-    its other coordinates times the inverse of x_j mod p, so the root is
-    all ones and skipped: a row is congruent to the true derivatives at
-    P / P_j, the integer row in that chart times the unit P_j^(|alpha| -
-    degree).  When the first nonzero coordinate is a unit, as it is for all
-    but about one lift in p, that is the integer row of the same lift and
-    alpha times a unit.  A lift whose coordinates are all divisible by p
-    is first divided by their gcd.  Powers, derivative tables and inner
-    tree levels are reduced mod p, so each entry is a product of two
-    residues, below p^2; the one elimination mod p that reads them reduces
-    them.
+    With a prime `modulus` p the rows are built mod p by `_residue_rows`:
+    each row is a row of constants C_alpha, computed once per call for
+    each chart, set of coordinates divisible by p and order, times the
+    lift's one monomial row M, entry by entry.  Each entry is a product of
+    two residues, below p^2, and each row is the integer row of the same
+    lift and alpha, in the chart of the lift's first coordinate that is a
+    unit mod p, times a unit mod p.
 
     n = 1 is rejected: a point of P^1 is a divisor, so the blow-up would
     not constrain sections at all.
@@ -302,61 +308,142 @@ def jet_matrix(
     if len(orders) != len(lifts) or min(orders, default=0) < 0:
         raise ValueError("each lift needs one nonnegative vanishing order")
     monomials = _graded_exponents(n, degree) if exponents is None else exponents
-    # Per order m: its C(m - 1 + n, n) rows, the multi-indices of order below m.
-    counts = {m: math.comb(m - 1 + n, n) for m in set(orders)}
-    top = max(orders, default=0) - 1  # the highest derivative order
-    # Graded order lists the alphas of order below m first, for every m.
-    alphas = _graded_exponents(n, top)
-    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= top and a <= b <= degree.
-    falling = [[math.perm(b, a) for b in range(a, degree + 1)] for a in range(1, top + 1)]
-    if modulus is not None:
-        falling = [[x % modulus for x in perms] for perms in falling]
+    # Per order m: its rows' multi-indices, the C(m - 1 + n, n) of order below m, which graded
+    # order lists first.
+    alphas = _graded_exponents(n, max(orders, default=0) - 1)
+    by_order = {m: alphas[: math.comb(m - 1 + n, n)] for m in set(orders)}
     # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree `degree`.
     by_coordinate = [[degree - sum(beta) for beta in monomials], *zip(*monomials)]
+    if modulus is None:
+        entries = _integer_rows(lifts, orders, degree, by_coordinate, by_order)
+    else:
+        entries = _residue_rows(lifts, orders, degree, by_coordinate, by_order, modulus)
+    # RatMatrix checks the entry count, so every build tests the row count against the enumeration.
+    rows = sum(len(by_order[m]) for m in orders)
+    return JetConditionMatrix(matrix=RatMatrix(rows=rows, cols=len(monomials), entries=tuple(entries)))
+
+
+def _integer_rows(
+    lifts: Sequence[Sequence[int]],
+    orders: Sequence[int],
+    degree: int,
+    by_coordinate: Sequence[Sequence[int]],
+    by_order: dict[int, list[tuple[int, ...]]],
+) -> list[int]:
+    """The entries of `jet_matrix`'s integer rows, row-major: each lift's product tree.
+
+    `by_coordinate[i]` holds coordinate i's exponent in each column's form,
+    and `by_order[m]` the multi-indices of an order-m lift's rows.
+    """
+    n = len(by_coordinate) - 1
+    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= top and a <= b <= degree, top the highest derivative order.
+    falling = [[math.perm(b, a) for b in range(a, degree + 1)] for a in range(1, max(by_order, default=0))]
     # Per chart j: the root's exponents, then those of the other coordinates, one per tree level.
     charts = [(by_coordinate[j], by_coordinate[:j] + by_coordinate[j + 1 :]) for j in range(n + 1)]
     # Per order m: the falling factorials of the derivative orders 1..m-1, and the tree levels
     # 2..n, the distinct prefixes of each length of its alphas; the last level is the alphas, in
     # row order.
     plans = {
-        m: (falling[: m - 1], [list(dict.fromkeys(alpha[:length] for alpha in alphas[:count])) for length in range(2, n + 1)])
-        for m, count in counts.items()
+        m: (falling[: m - 1], [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)])
+        for m, alphas in by_order.items()
     }
     entries: list[int] = []
     for lift, m in zip(lifts, orders):
         if not m:
             continue
         j = 0 if lift[0] else next(i for i, x in enumerate(lift) if x)
-        if modulus is not None and not lift[j] % modulus:
-            if not any(x % modulus for x in lift):
-                g = math.gcd(*lift)
-                lift = [x // g for x in lift]
-            j = next(i for i, x in enumerate(lift) if x % modulus)
         others = lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]]
-        if modulus is not None:
-            unit = pow(lift[j], -1, modulus)
-            others = [x * unit for x in others]
         root_exponents, chart = charts[j]
         derivatives, levels = plans[m]
         gathered = []
         for x, column_exponents in zip(others, chart):
-            q = _powers(x, degree, modulus)
+            q = _powers(x, degree)
             # Per order a < m: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
-            tables = [q] + [[0] * a + _product(perms, q, modulus) for a, perms in enumerate(derivatives, start=1)]
+            tables = [q] + [[0] * a + _product(perms, q) for a, perms in enumerate(derivatives, start=1)]
             gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
         nodes = {(a,): row for a, row in enumerate(gathered[0])}
-        if modulus is None and lift[j] != 1:
+        if lift[j] != 1:
             root = list(map(_powers(lift[j], degree).__getitem__, root_exponents))
             nodes = {prefix: _product(root, row) for prefix, row in nodes.items()}
-        # With a modulus every level but the last is reduced, so each entry is a product of two residues.
-        for depth, (by_order, level) in enumerate(zip(gathered[1:], levels), start=2):
-            inner = modulus if depth < n else None
-            nodes = {prefix: _product(nodes[prefix[:-1]], by_order[prefix[-1]], inner) for prefix in level}
+        for derived, level in zip(gathered[1:], levels):
+            nodes = {prefix: _product(nodes[prefix[:-1]], derived[prefix[-1]]) for prefix in level}
         for row in nodes.values():
             entries.extend(row)
-    # RatMatrix checks the entry count, so every build tests the row count against the enumeration.
-    matrix = RatMatrix(rows=sum(map(counts.__getitem__, orders)), cols=len(monomials), entries=tuple(entries))
-    return JetConditionMatrix(matrix=matrix)
+    return entries
+
+
+def _residue_rows(
+    lifts: Sequence[Sequence[int]],
+    orders: Sequence[int],
+    degree: int,
+    by_coordinate: Sequence[Sequence[int]],
+    by_order: dict[int, list[tuple[int, ...]]],
+    p: int,
+) -> list[int]:
+    """The entries of `jet_matrix`'s rows mod the prime p, row-major: each lift's C_alpha * M.
+
+    A lift is taken in the chart of its first coordinate x_j that is a
+    unit mod p, after dividing it by the gcd of its coordinates when p
+    divides all of them, and u is its other coordinates times the inverse
+    of x_j mod p.  A column's dehomogenized monomial is u^e, and
+
+        d^alpha u^e = C_alpha u^e u^(-alpha),  C_alpha = prod_i perm(e_i, alpha_i),
+
+    where C_alpha depends only on the columns.  So each row is C_alpha
+    times M = u^e, entry by entry: M is one gather of each coordinate's
+    power table mod p, multiplied together, and the constants are computed
+    once per (chart, set of coordinates divisible by p, order).  A
+    coordinate u_i = 0 mod p has d^alpha_i u_i^e_i = [e_i = alpha_i]
+    perm(e_i, alpha_i), which goes into C_alpha, and nothing into M.  Each
+    row is then the true derivatives at P / P_j times the unit u^alpha
+    over the other coordinates, so the integer row of that chart and
+    alpha, P_j^(degree - |alpha|) times the true derivatives, times a
+    unit.  C_alpha and M are reduced mod p, and each entry is their
+    product, below p^2.
+    """
+    n = len(by_coordinate) - 1
+    # falling[a][b] = perm(b, a) mod p, the a-th derivative factor of x^b (0 for b < a), and
+    # exact[a][b] = that factor when b = a, else 0: the a-th derivative of u^b at u = 0.
+    falling = [[math.perm(b, a) % p for b in range(degree + 1)] for a in range(max(by_order, default=0))]
+    exact = [[row[a] if b == a else 0 for b in range(degree + 1)] for a, row in enumerate(falling)]
+    ones = [1] * len(by_coordinate[0])
+    # Per (which coordinates are units, order): the chart j, the other unit coordinates, and the
+    # rows of constants C_alpha.
+    plans: dict[tuple[bool | int, ...], tuple[int, list[int], list[list[int]]]] = {}
+    entries: list[int] = []
+    for lift, m in zip(lifts, orders):
+        if not m:
+            continue
+        residues = [x % p for x in lift]
+        if not any(residues):
+            g = math.gcd(*lift)
+            residues = [x // g % p for x in lift]
+        key = (*map(bool, residues), m)
+        plan = plans.get(key)
+        if plan is None:
+            j = key.index(True)
+            others = [i for i in range(n + 1) if i != j]
+            # Per other coordinate and derivative order a < m: its factor of C_alpha in each column.
+            factors = [
+                [list(map((falling if residues[i] else exact)[a].__getitem__, by_coordinate[i])) for a in range(m)]
+                for i in others
+            ]
+            rows = []
+            for alpha in by_order[m]:
+                row = factors[0][alpha[0]]
+                for factor, a in zip(factors[1:], alpha[1:]):
+                    row = _product(row, factor[a], p)
+                rows.append(row)
+            plan = plans[key] = (j, [i for i in others if residues[i]], rows)
+        j, units, rows = plan
+        inverse = pow(residues[j], -1, p)
+        monomial = ones
+        for i in units:
+            column = list(map(_powers(residues[i] * inverse % p, degree, p).__getitem__, by_coordinate[i]))
+            monomial = column if monomial is ones else _product(monomial, column, p)
+        for row in rows:
+            entries.extend(map(mul, row, monomial))
+    return entries
 
 
 def _polytope(n: int, degree: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
@@ -610,9 +697,18 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
             return 0
         # An entry is a product of `degree` coordinates of an image, up to derivative factors.
         predicted = degree * max(abs(x) for image in images for x in image).bit_length()
-        rows = sum(math.comb(m - 1 + n, n) for m in image_orders)
+        # totals[i]: the rows of the first i + 1 images.
+        totals = list(accumulate(math.comb(m - 1 + n, n) for m in image_orders))
         # Positional, as every call of jet_matrix, so wrappers that take *args see it.
-        if predicted > RESIDUE_PRODUCT_BITS and takes_modular_route(rows, len(columns), predicted):
+        if predicted > RESIDUE_PRODUCT_BITS and takes_modular_route(totals[-1], len(columns), predicted):
+            # The leading images, the fewest whose rows reach the columns, are fewer than all only
+            # when the block is tall.  Full column rank mod p there is at most their rational rank,
+            # which is at most the block's, so h0 is 0 with nothing more built.
+            head = bisect_left(totals, len(columns)) + 1
+            if head < len(images):
+                leading = jet_matrix(n, images[:head], degree, image_orders[:head], columns, MODULAR_PRIME).matrix
+                if rank_mod_p(leading) == len(columns):
+                    return 0
             residues = jet_matrix(n, images, degree, image_orders, columns, MODULAR_PRIME).matrix
             return len(columns) - rank_from_residues(
                 residues, lambda: jet_matrix(n, images, degree, image_orders, columns).matrix

@@ -76,13 +76,14 @@ SELFCHECK_MAX_BUDGET = 50
 # k >= 2 it takes at most about 7 ms in h0_blowup (collinear v = 595, k = 2),
 # and on_conic v = 9, k = 6 ranks 18 x 57 after four conic peels, where it
 # took 0.19 s on 126 x 127.  The slowest stock inputs fill the cap at k = 1
-# with v = 5,000 (50,000 cells): generic points, which do not peel and rank
-# 4,997 x 7 after the move, take about 0.15 s, and collinear and on_conic,
-# which peel, about 0.10 s.  Generic v = 12, k = 6 (47,880 cells), v = 20,
-# k = 5 (40,800 cells) and v = 7, k = 7, whose full-rank blocks are settled
-# from their residues mod p with no integer matrix built, take about 0.07 s.
-# On a 2-CPU host, whole processes, min of 9, interpreter start and import
-# (about 0.055 s) included.
+# with v = 5,000 (50,000 cells): generic points, which do not peel and whose
+# 4,997 x 7 block after the move is settled by the residues of its leading
+# seven points, take about 0.12 s, and collinear and on_conic, which peel,
+# about 0.10 s.  Generic v = 12, k = 6 (47,880 cells), v = 20, k = 5 (40,800
+# cells) and v = 7, k = 7, whose full-rank blocks are settled from their
+# residues mod p with no integer matrix built, take about 0.08 s.  On a
+# 2-CPU host, whole processes, min of 9, interpreter start and import (about
+# 0.065 s) included.
 JET_MAX_CELLS = 5 * 10**4
 
 # Largest point-file dimension n.  Above it one point at k = 1 already

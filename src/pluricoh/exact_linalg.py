@@ -68,7 +68,9 @@ A's; otherwise A is eliminated whole.
   configurations never needed more primes than the columns' kernel (see
   MODULAR_PRIMES).
 
-`rank_from_residues` takes the first pass from residues before A exists.
+`rank_from_residues` takes the first pass from residues before A exists,
+and `rank_mod_p` gives the rank of that pass alone, which
+`blowup.h0_blowup` reads on a tall jet matrix's leading rows.
 `blowup.h0_blowup` builds a jet matrix's rows mod p directly when the
 route rule holds for its shape and its predicted entry length.  They are
 R = U B mod p for a diagonal U of units and an integer matrix B with A's
@@ -311,6 +313,18 @@ def rank_from_residues(residues: RatMatrix, build: Callable[[], RatMatrix]) -> i
     if blocks is None:
         return _block_rank(matrix, first)
     return sum(map(_block_rank, blocks))
+
+
+def rank_mod_p(residues: RatMatrix) -> int:
+    """The rank mod MODULAR_PRIME of an integer matrix, at most its rational rank.
+
+    It is the rank of the first pass (`_first_pass`: a tall matrix on its
+    leading square first).  `blowup.h0_blowup` reads a tall jet block's
+    leading rows with it: rank cols there is the whole block's rank.
+    """
+    if not residues.rows or not residues.cols:
+        return 0
+    return len(_first_pass(residues.entries, residues.rows, residues.cols)[0][0])
 
 
 def takes_modular_route(rows: int, cols: int, bits: int) -> bool:

@@ -40,7 +40,7 @@ from pluricoh.blowup import (
     parse_point_file,
 )
 from pluricoh.cli import JET_MAX_CELLS
-from pluricoh.exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues
+from pluricoh.exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, rank_mod_p
 from pluricoh.selfcheck import naive_rank
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -81,9 +81,10 @@ def chart_lifts(draw):
 def _zero_ranks(monkeypatch, where=lambda matrix: True) -> list[str]:
     """Make h0_blowup see rank 0 for every matrix `where` holds for, on the integer route and the residue route.
 
-    Returns the routes taken, "integer" or "residues", one per rank.  On
-    the residue route `where` sees the residues, which have the integer
-    matrix's shape.
+    Returns the routes taken, "integer", "leading" or "residues", one per
+    rank.  On the residue route `where` sees the residues, which have the
+    integer matrix's shape, and on a tall block's leading images their
+    residues.
     """
     routes = []
 
@@ -91,13 +92,31 @@ def _zero_ranks(monkeypatch, where=lambda matrix: True) -> list[str]:
         routes.append("integer")
         return 0 if where(matrix) else rank(matrix)
 
+    def leading(matrix):
+        routes.append("leading")
+        return 0 if where(matrix) else rank_mod_p(matrix)
+
     def residues(matrix, build):
         routes.append("residues")
         return 0 if where(matrix) else rank_from_residues(matrix, build)
 
     monkeypatch.setattr(pluricoh.blowup, "rank", integer)
+    monkeypatch.setattr(pluricoh.blowup, "rank_mod_p", leading)
     monkeypatch.setattr(pluricoh.blowup, "rank_from_residues", residues)
     return routes
+
+
+def _record_builds(monkeypatch) -> list[tuple]:
+    """Record the arguments of every jet_matrix call that h0_blowup makes, in order."""
+    builds = []
+    original = pluricoh.blowup.jet_matrix
+
+    def recording(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+    return builds
 
 
 @st.composite
@@ -295,9 +314,23 @@ class TestJetMatrix:
     @example((3, [(0, 3 * MODULAR_PRIME, 5, 1), (4, 1, 0, 2)], 2))
     # Every coordinate divisible by p: the lift is divided by its gcd, p^2, first.
     @example((2, [(MODULAR_PRIME**2, 2 * MODULAR_PRIME**2, 0)], 2))
+    # A coordinate that is 0, or 0 mod p, puts [e_i = alpha_i] perm(e_i, alpha_i) into the
+    # constants and nothing into the monomial row.
+    @example((2, [(1, 0, 5)], 3))
+    @example((2, [(1, MODULAR_PRIME, 3)], 3))
+    # The coordinate point: every other coordinate is 0, so the monomial row is all ones.
+    @example((2, [(0, 0, 1)], 3))
+    # Two zero coordinates in P^3.
+    @example((3, [(2, 0, 0, 7)], 2))
     @settings(max_examples=30, deadline=None)
     def test_residue_rows_are_unit_multiples_of_true_derivatives(self, case):
         _assert_scaled_true_derivatives(*case, MODULAR_PRIME)
+
+    def test_residue_rows_of_mixed_orders_are_unit_multiples_of_true_derivatives(self):
+        # Peeled classes give each point its own order, and the constants are kept per
+        # order: three lifts with one chart and no zero coordinate, of orders 1, 3 and 5.
+        lifts = [(3, -5, 11), (2**40 + 1, 7, -(2**50)), (5, 9, 2)]
+        _assert_scaled_true_derivatives(2, lifts, 3, MODULAR_PRIME, orders=[1, 3, 5])
 
     def test_residue_rows_of_a_unit_chart_are_the_integer_rows_times_units(self):
         # Lifts whose first nonzero coordinate is a unit mod p, with 40- to 80-bit
@@ -339,24 +372,26 @@ def _assert_unit_multiple(row, reference) -> None:
     assert unit and row == [unit * x % p for x in reference]
 
 
-def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None = None) -> None:
+def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None = None, orders=None) -> None:
     # Each row of a lift P whose first nonzero coordinate is x_j holds the true
     # derivatives, in the chart x_j = 1, of the dehomogenized monomials at
     # P / P_j, times P_j^((n+1)k - |alpha|).  For a point's lift (d, d*x),
     # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).  Built mod
     # p = `modulus`, each row is instead a unit times those derivatives mod p,
     # and x_j is the first coordinate that is a unit mod p, of P divided by the
-    # gcd of its coordinates when all of them are divisible by p.
+    # gcd of its coordinates when all of them are divisible by p.  Each lift
+    # has order (n-1)k unless `orders` gives one per lift.
     top = (n + 1) * k
-    jet = jet_matrix(n, lifts, top, [(n - 1) * k] * len(lifts), None, modulus)
+    orders = [(n - 1) * k] * len(lifts) if orders is None else orders
+    jet = jet_matrix(n, lifts, top, orders, None, modulus)
     monomials = _graded_exponents(n, top)
     # The documented row order: lifts in the order given, then the
-    # multi-indices of order below (n-1)k in the graded order of the columns.
-    alphas = [alpha for alpha in monomials if sum(alpha) < (n - 1) * k]
-    assert jet.matrix.rows == len(lifts) * len(alphas)
+    # multi-indices of order below the lift's in the graded order of the columns.
+    by_order = {m: [alpha for alpha in monomials if sum(alpha) < m] for m in orders}
+    assert jet.matrix.rows == sum(len(by_order[m]) for m in orders)
     rows = iter(range(jet.matrix.rows))
     homogenized = [(top - sum(beta), *beta) for beta in monomials]
-    for lift in lifts:
+    for lift, m in zip(lifts, orders):
         if modulus is None:
             j = next(c for c, x in enumerate(lift) if x)
         else:
@@ -366,7 +401,7 @@ def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None =
         point = [Fraction(x, lift[j]) for c, x in enumerate(lift) if c != j]
         # Each column's form of degree top, with x_j's exponent dropped.
         charted = [beta[:j] + beta[j + 1 :] for beta in homogenized]
-        for alpha in alphas:
+        for alpha in by_order[m]:
             row = jet.matrix.row(next(rows))
             derivatives = [_true_derivative(b, alpha, point) for b in charted]
             if modulus is None:
@@ -702,14 +737,7 @@ class TestNormalizedH0:
     )
     def test_images_off_the_first_chart_are_ranked_on_the_polytope(self, monkeypatch, coordinates, k, capped, h0):
         # Whichever chosen point went to e_0, some image here would lie on x_0 = 0.
-        builds = []
-        original = pluricoh.blowup.jet_matrix
-
-        def recording(*args):
-            builds.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+        builds = _record_builds(monkeypatch)
         config = PointConfiguration.from_coordinates(coordinates)
         assert h0_blowup(config, k) == h0
         ((n, images, degree, orders, columns),) = builds
@@ -745,6 +773,33 @@ class TestNormalizedH0:
         config, k = case
         jet = _jet(config, k).matrix
         assert h0_blowup(config, k) == monomial_count(config.n, k) - naive_rank(jet)
+
+    def test_tall_block_builds_only_its_leading_images(self, monkeypatch):
+        # A CI pin: generic v = 20 at k = 5 leaves 17 images of 15 rows each against the
+        # polytope's 91 columns.  The fewest leading images whose rows reach 91 are seven,
+        # 105 rows, and their full rank mod p settles h0 = 0: no other residue and no
+        # integer matrix is built.
+        builds = _record_builds(monkeypatch)
+        _, row = generate_configuration("generic", 20, k=5)
+        assert row.h0_minus_kK == 0
+        ((_, images, degree, orders, columns, modulus),) = builds
+        assert (len(images), degree, orders, len(columns), modulus) == (7, 15, [5] * 7, 91, MODULAR_PRIME)
+
+    def test_deficient_leading_images_fall_back_to_the_whole_block(self, monkeypatch):
+        # A CI pin: ten points (t^2 - 1, t(t^2 - 1)) of the nodal cubic y^2 = x^2 (x + 1), then
+        # three points off it, at k = 1.  The first three go to the coordinate points, and the
+        # first seven images lie on that cubic with them, so the leading 7 x 7 block is rank
+        # deficient.  The whole 10 x 7 block is not: its residues are built next and settle
+        # h0 = 0 with no integer matrix.
+        rng = random.Random(4)
+        cubic = [(t * t - 1, t * (t * t - 1)) for t in (rng.randrange(10**6, 10**7) for _ in range(10))]
+        off = [(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(3)]
+        config = PointConfiguration.from_coordinates(cubic + off)
+        builds = _record_builds(monkeypatch)
+        assert h0_blowup(config, 1) == 0
+        assert [(len(images), modulus) for _, images, *_, modulus in builds] == [(7, MODULAR_PRIME), (10, MODULAR_PRIME)]
+        assert monomial_count(2, 1) - naive_rank(_jet(config, 1).matrix) == 0
+
 
 class TestGenerateConfiguration:
     def test_collinear_coordinates(self):
@@ -995,14 +1050,7 @@ class TestPeeling:
         # Seven points with 60-digit x on y = 3x + 7 and two off it, which took minutes to
         # rank unpeeled, peel the line four times at k = 5, to (11; 1^7, 5, 5).  Two line
         # points and (1, 2) go to the coordinate points.
-        builds = []
-        original = pluricoh.blowup.jet_matrix
-
-        def recording(*args):
-            builds.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pluricoh.blowup, "jet_matrix", recording)
+        builds = _record_builds(monkeypatch)
         rng = random.Random(5)
         xs = [rng.randrange(10**59, 10**60) for _ in range(7)]
         config = PointConfiguration.from_coordinates([(x, 3 * x + 7) for x in xs] + [(1, 2), (5, -3)])

@@ -721,19 +721,24 @@ class TestModularRoute:
         # (seeds 0 to 19), so entries of up to 3 * 41 = 123 bits are predicted: up to
         # five rows that is under both rules, where Bareiss is faster, and from six
         # rows (v = 9) on the bit rule sends the block to the modular route, which is
-        # faster there, on its residues.  Points on a conic have small entries and
-        # stay on Bareiss.
+        # faster there, on its residues.  From eight rows (v = 11) on the block is tall,
+        # and only its leading seven images are built and ranked: a 7 x 7 head of
+        # full rank mod p settles it.  Points on a conic have small entries and stay
+        # on Bareiss.
         assert 5 * 123 <= MODULAR_RULE_BITS < 6 * 112 and 7 * 7 * 7 <= MODULAR_RULE_WORK
         modular = _spy(monkeypatch, "_eliminate_mod_p")
         blocks = _spy(monkeypatch, "_block_rank")
         residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
+        leading = _spy(monkeypatch, "rank_mod_p", pluricoh.blowup)
         for kind, v in [("generic", v) for v in range(5, 13)] + [("on_conic", 5), ("on_conic", 6)]:
-            for calls in (blocks, modular, residues):
+            for calls in (blocks, modular, residues, leading):
                 calls.clear()
             generate_configuration(kind, v, seed=3)
-            ranked = [m for m, *_ in blocks + residues]
-            assert ranked and all((m.rows, m.cols) == (v - 3, 7) for m in ranked)
-            assert bool(modular) == bool(residues) == (kind == "generic" and v >= 9)
+            ranked = [m for m, *_ in blocks + residues + leading]
+            shape = (7, 7) if kind == "generic" and v >= 11 else (v - 3, 7)
+            assert ranked and all((m.rows, m.cols) == shape for m in ranked)
+            assert bool(leading) == (kind == "generic" and v >= 11)
+            assert bool(modular) == bool(residues or leading) == (kind == "generic" and v >= 9)
 
 
 def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:
