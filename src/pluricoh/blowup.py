@@ -8,15 +8,18 @@ the monomial basis, so each dimension is
 
     h0 = (number of monomials) - rank(condition matrix)
 
-with each point's rows scaled by a power of its coordinate denominator,
-which clears every fraction and changes no rank.
+with each point's rows scaled by nonzero integers, which clears every
+fraction and changes no rank.
 
 Each point enters as an integer lift (x_0, ..., x_n), by default
 (d, d*x), and its rows are taken in the chart of its first nonzero
 coordinate x_j: a form vanishes to order m at the point exactly when each
 of its derivatives of order below m in the other n coordinates does, and
 evaluating them at the lift instead of at the lift divided by x_j scales
-each row by a power of x_j.
+each row by a power of x_j.  Each row is built as constants that depend
+only on the columns times the lift's one monomial row (`_rows`), which
+scales it once more, by a monomial in the lift's other nonzero
+coordinates.
 
 A section is a form of degree d = (n+1)k vanishing to order m = (n-1)k at
 every point, the class (d; m, ..., m).  In the plane ``h0_blowup`` first
@@ -59,26 +62,25 @@ for s = n + 1 in the plane a hexagon of C(3k+2, 2) - 3 C(k+1, 2) points,
     h0 = (number of polytope points) - rank(rows of the images)
 
 An entry of that matrix is a product of `degree` coordinates of an image,
-up to derivative factors, so its length is predicted as the degree times
+times derivative factors, so its length is predicted as the degree times
 the bit length of the longest image coordinate.  When
 `exact_linalg.takes_modular_route` sends the matrix to the modular route
 on that prediction, and the prediction exceeds RESIDUE_PRODUCT_BITS, the
 length of a product of two residues mod p = MODULAR_PRIME, the matrix is
-first built mod p (`jet_matrix` with a modulus).  In the unit chart of a
-lift, with other coordinates u, d^alpha u^e = C_alpha u^e u^(-alpha),
-and C_alpha = prod_i perm(e_i, alpha_i) depends only on the columns, so
-each row is C_alpha times the lift's one monomial row u^e; a coordinate
-that is 0 mod p puts [e_i = alpha_i] perm(e_i, alpha_i) into C_alpha
-instead.  Each row is the integer row of its chart times a unit mod p.
-Their rank mod p is at most the rational rank, so full rank mod p is the
-rank and the integer matrix is never built
-(`exact_linalg.rank_from_residues`).  Below full rank the integer matrix
-is built and ranked with the residues' elimination as its first pass,
-which unit row scalings leave as it is.  A tall matrix (more rows than
-columns) first builds the residues of its leading images only, the
-fewest whose rows reach its columns: their full column rank mod p is at
-most their rational rank, which is at most the matrix's, so h0 = 0;
-otherwise the whole matrix takes the route above.
+first built mod p (`jet_matrix` with a modulus), the same way in the
+chart of each lift's first coordinate that is a unit mod p, with a
+coordinate that is 0 mod p taken as zero.  Each row is a unit mod p
+times the true derivatives in that chart, and a unit times the integer
+row when no nonzero coordinate of the lift is divisible by p.  Their rank
+mod p is at most the rational rank, so full rank mod p is the rank and
+the integer matrix is never built (`exact_linalg.rank_from_residues`).
+Below full rank the integer matrix is built and ranked with the
+residues' elimination as its first pass, which unit row scalings leave
+as it is when no nonzero coordinate of a lift is divisible by p.  A tall
+matrix (more rows than columns) first builds the residues of its leading
+images only, the fewest whose rows reach its columns: their full column
+rank mod p is at most their rational rank, which is at most the
+matrix's, so h0 = 0; otherwise the whole matrix takes the route above.
 
 When the points span less than P^n, every image is zero on the
 coordinates past the s-th, so its jet rows vanish off the columns whose
@@ -194,14 +196,15 @@ class JetConditionMatrix:
     them; `h0_blowup` passes the polytope's exponents, a subsequence of
     that order, for moved points.  Entries are integers: the row of a lift
     P and of alpha holds d^alpha/dx^alpha of each monomial's form of degree
-    D at P, which is P_j^(D - |alpha|) times the true derivatives,
-    falling-factorial factors included, of the dehomogenized monomials in
-    the chart x_j = 1 at P / P_j.  Scaling rows changes no rank.  A point's
-    default lift (d, d*x) has j = 0, so its rows are the true derivatives
-    times d^(D - |alpha|), and integer points (d = 1) give the true
-    derivatives.  Built with a modulus p, the rows are instead units mod p
-    times the true derivatives in the chart of the first coordinate that is
-    a unit mod p (see `jet_matrix`).
+    D at P, times x^alpha over P's other nonzero coordinates x.  That is
+    P_j^(D - |alpha|) x^alpha times the true derivatives, falling-factorial
+    factors included, of the dehomogenized monomials in the chart x_j = 1
+    at P / P_j.  Scaling rows changes no rank.  A point's default lift
+    (d, d*x) has j = 0, so its rows are the true derivatives times
+    d^(D - |alpha|) (d*x)^alpha over the nonzero coordinates of x.  Built
+    with a modulus p, the rows are instead units mod p times the true
+    derivatives in the chart of the first coordinate that is a unit mod p
+    (see `_rows`).
     """
 
     matrix: RatMatrix
@@ -226,6 +229,8 @@ def _graded_exponents(n: int, max_degree: int) -> list[tuple[int, ...]]:
 
 def _powers(x: int, top: int, modulus: int | None = None) -> list[int]:
     """x^0, x^1, ..., x^top, each reduced mod `modulus` when one is given."""
+    if modulus is not None:
+        x %= modulus
     out = [1]
     for _ in range(top):
         out.append(out[-1] * x if modulus is None else out[-1] * x % modulus)
@@ -280,22 +285,14 @@ def jet_matrix(
     plain evaluation, mapping the lift (1, x, y) to the row (1, x, y, x^2,
     xy, y^2, x^3, x^2 y, x y^2, y^3).
 
-    Built over the integers, a lift's rows are the leaves of a product
-    tree over alpha, in the chart of its first nonzero coordinate x_j.  A
-    node is a prefix (alpha_1, ..., alpha_i): its parent times the
-    alpha_i-th derivative of the i-th other coordinate's power, per
-    column.  The root, x_j to its exponent in each column's form of degree
-    `degree`, is all ones when x_j = 1 and is skipped.  So an entry costs
-    one product beyond the prefixes it shares, and the columns enter only
-    as exponents.
-
-    With a prime `modulus` p the rows are built mod p by `_residue_rows`:
-    each row is a row of constants C_alpha, computed once per call for
-    each chart, set of coordinates divisible by p and order, times the
-    lift's one monomial row M, entry by entry.  Each entry is a product of
-    two residues, below p^2, and each row is the integer row of the same
-    lift and alpha, in the chart of the lift's first coordinate that is a
-    unit mod p, times a unit mod p.
+    Each row is a row of constants C_alpha, computed once per call for
+    each set of zero coordinates and order, times the lift's one monomial
+    row M, entry by entry (`_rows`), so the columns enter only as
+    exponents.  With a prime `modulus` p the same build runs mod p: each
+    entry is a product of two residues, below p^2, and each row is a unit
+    mod p times the true derivatives in the chart of the lift's first
+    coordinate that is a unit mod p, and a unit times the integer row when
+    no nonzero coordinate of the lift is divisible by p.
 
     n = 1 is rejected: a point of P^1 is a divisor, so the blow-up would
     not constrain sections at all.
@@ -314,119 +311,73 @@ def jet_matrix(
     by_order = {m: alphas[: math.comb(m - 1 + n, n)] for m in set(orders)}
     # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree `degree`.
     by_coordinate = [[degree - sum(beta) for beta in monomials], *zip(*monomials)]
-    if modulus is None:
-        entries = _integer_rows(lifts, orders, degree, by_coordinate, by_order)
-    else:
-        entries = _residue_rows(lifts, orders, degree, by_coordinate, by_order, modulus)
+    entries = _rows(lifts, orders, degree, by_coordinate, by_order, modulus)
     # RatMatrix checks the entry count, so every build tests the row count against the enumeration.
     rows = sum(len(by_order[m]) for m in orders)
     return JetConditionMatrix(matrix=RatMatrix(rows=rows, cols=len(monomials), entries=tuple(entries)))
 
 
-def _integer_rows(
+def _rows(
     lifts: Sequence[Sequence[int]],
     orders: Sequence[int],
     degree: int,
     by_coordinate: Sequence[Sequence[int]],
     by_order: dict[int, list[tuple[int, ...]]],
+    p: int | None,
 ) -> list[int]:
-    """The entries of `jet_matrix`'s integer rows, row-major: each lift's product tree.
+    """The entries of `jet_matrix`'s rows, row-major, over the integers (p None) or mod the prime p.
 
-    `by_coordinate[i]` holds coordinate i's exponent in each column's form,
-    and `by_order[m]` the multi-indices of an order-m lift's rows.
-    """
-    n = len(by_coordinate) - 1
-    # falling[a - 1][b - a] = perm(b, a) for 1 <= a <= top and a <= b <= degree, top the highest derivative order.
-    falling = [[math.perm(b, a) for b in range(a, degree + 1)] for a in range(1, max(by_order, default=0))]
-    # Per chart j: the root's exponents, then those of the other coordinates, one per tree level.
-    charts = [(by_coordinate[j], by_coordinate[:j] + by_coordinate[j + 1 :]) for j in range(n + 1)]
-    # Per order m: the falling factorials of the derivative orders 1..m-1, and the tree levels
-    # 2..n, the distinct prefixes of each length of its alphas; the last level is the alphas, in
-    # row order.
-    plans = {
-        m: (falling[: m - 1], [list(dict.fromkeys(alpha[:length] for alpha in alphas)) for length in range(2, n + 1)])
-        for m, alphas in by_order.items()
-    }
-    entries: list[int] = []
-    for lift, m in zip(lifts, orders):
-        if not m:
-            continue
-        j = 0 if lift[0] else next(i for i, x in enumerate(lift) if x)
-        others = lift[1:] if j == 0 else [*lift[:j], *lift[j + 1 :]]
-        root_exponents, chart = charts[j]
-        derivatives, levels = plans[m]
-        gathered = []
-        for x, column_exponents in zip(others, chart):
-            q = _powers(x, degree)
-            # Per order a < m: perm(b, a) q[b - a], the a-th derivative of x^b, 0 for b < a; order 0 is q.
-            tables = [q] + [[0] * a + _product(perms, q) for a, perms in enumerate(derivatives, start=1)]
-            gathered.append([list(map(table.__getitem__, column_exponents)) for table in tables])
-        nodes = {(a,): row for a, row in enumerate(gathered[0])}
-        if lift[j] != 1:
-            root = list(map(_powers(lift[j], degree).__getitem__, root_exponents))
-            nodes = {prefix: _product(root, row) for prefix, row in nodes.items()}
-        for derived, level in zip(gathered[1:], levels):
-            nodes = {prefix: _product(nodes[prefix[:-1]], derived[prefix[-1]]) for prefix in level}
-        for row in nodes.values():
-            entries.extend(row)
-    return entries
-
-
-def _residue_rows(
-    lifts: Sequence[Sequence[int]],
-    orders: Sequence[int],
-    degree: int,
-    by_coordinate: Sequence[Sequence[int]],
-    by_order: dict[int, list[tuple[int, ...]]],
-    p: int,
-) -> list[int]:
-    """The entries of `jet_matrix`'s rows mod the prime p, row-major: each lift's C_alpha * M.
-
-    A lift is taken in the chart of its first coordinate x_j that is a
-    unit mod p, after dividing it by the gcd of its coordinates when p
-    divides all of them, and u is its other coordinates times the inverse
-    of x_j mod p.  A column's dehomogenized monomial is u^e, and
+    `by_coordinate[i]` holds coordinate i's exponent e_i in each column's
+    form of degree `degree`, and `by_order[m]` the multi-indices of an
+    order-m lift's rows.  Mod p a lift is first divided by the gcd of its
+    coordinates when p divides all of them, and each coordinate is taken
+    mod p.  The lift's chart x_j is its first nonzero coordinate.  With u
+    its other coordinates, a column's form is x_j^e_j u^e, and
 
         d^alpha u^e = C_alpha u^e u^(-alpha),  C_alpha = prod_i perm(e_i, alpha_i),
 
     where C_alpha depends only on the columns.  So each row is C_alpha
-    times M = u^e, entry by entry: M is one gather of each coordinate's
-    power table mod p, multiplied together, and the constants are computed
-    once per (chart, set of coordinates divisible by p, order).  A
-    coordinate u_i = 0 mod p has d^alpha_i u_i^e_i = [e_i = alpha_i]
-    perm(e_i, alpha_i), which goes into C_alpha, and nothing into M.  Each
-    row is then the true derivatives at P / P_j times the unit u^alpha
-    over the other coordinates, so the integer row of that chart and
-    alpha, P_j^(degree - |alpha|) times the true derivatives, times a
-    unit.  C_alpha and M are reduced mod p, and each entry is their
-    product, below p^2.
+    times the lift's one monomial row M = x_j^e_j u^e, entry by entry,
+    which is d^alpha of the forms at the lift times u^alpha.  M is one
+    gather of each nonzero coordinate's power table, multiplied together,
+    and the constants are computed once per (set of zero coordinates,
+    order).  A coordinate u_i = 0 has d^alpha_i u_i^e_i = [e_i = alpha_i]
+    perm(e_i, alpha_i), which goes into C_alpha, and nothing into M, nor
+    into the scale u^alpha.
+
+    Mod p the other coordinates are scaled by the inverse of x_j, whose
+    powers would be all ones and are not gathered; the powers of a base 1
+    are skipped.  Each row is then the true derivatives at P / P_j times
+    the unit u^alpha, and when no nonzero coordinate of the lift is
+    divisible by p, its integer row times x_j^(-degree).  C_alpha, a
+    product over the n >= 2 other coordinates, and M are reduced, and each
+    entry is their product, below p^2.
     """
     n = len(by_coordinate) - 1
-    # falling[a][b] = perm(b, a) mod p, the a-th derivative factor of x^b (0 for b < a), and
-    # exact[a][b] = that factor when b = a, else 0: the a-th derivative of u^b at u = 0.
-    falling = [[math.perm(b, a) % p for b in range(degree + 1)] for a in range(max(by_order, default=0))]
+    # falling[a][b] = perm(b, a), the a-th derivative factor of x^b (0 for b < a), and
+    # exact[a][b] = that factor when b = a, else 0: the a-th derivative of x^b at x = 0.
+    falling = [[math.perm(b, a) for b in range(degree + 1)] for a in range(max(by_order, default=0))]
     exact = [[row[a] if b == a else 0 for b in range(degree + 1)] for a, row in enumerate(falling)]
     ones = [1] * len(by_coordinate[0])
-    # Per (which coordinates are units, order): the chart j, the other unit coordinates, and the
-    # rows of constants C_alpha.
+    # Per (which coordinates are nonzero, order): the chart j, the nonzero coordinates whose
+    # powers M gathers, and the rows of constants C_alpha.
     plans: dict[tuple[bool | int, ...], tuple[int, list[int], list[list[int]]]] = {}
     entries: list[int] = []
     for lift, m in zip(lifts, orders):
         if not m:
             continue
-        residues = [x % p for x in lift]
-        if not any(residues):
-            g = math.gcd(*lift)
-            residues = [x // g % p for x in lift]
-        key = (*map(bool, residues), m)
+        if p is not None:
+            residues = [x % p for x in lift]
+            lift = residues if any(residues) else [x // math.gcd(*lift) % p for x in lift]
+        key = (*map(bool, lift), m)
         plan = plans.get(key)
         if plan is None:
             j = key.index(True)
-            others = [i for i in range(n + 1) if i != j]
             # Per other coordinate and derivative order a < m: its factor of C_alpha in each column.
             factors = [
-                [list(map((falling if residues[i] else exact)[a].__getitem__, by_coordinate[i])) for a in range(m)]
-                for i in others
+                [list(map((falling if lift[i] else exact)[a].__getitem__, by_coordinate[i])) for a in range(m)]
+                for i in range(n + 1)
+                if i != j
             ]
             rows = []
             for alpha in by_order[m]:
@@ -434,13 +385,15 @@ def _residue_rows(
                 for factor, a in zip(factors[1:], alpha[1:]):
                     row = _product(row, factor[a], p)
                 rows.append(row)
-            plan = plans[key] = (j, [i for i in others if residues[i]], rows)
-        j, units, rows = plan
-        inverse = pow(residues[j], -1, p)
+            plan = plans[key] = (j, [i for i in range(n + 1) if lift[i] and (p is None or i != j)], rows)
+        j, gathered, rows = plan
+        scale = 1 if p is None else pow(lift[j], -1, p)
         monomial = ones
-        for i in units:
-            column = list(map(_powers(residues[i] * inverse % p, degree, p).__getitem__, by_coordinate[i]))
-            monomial = column if monomial is ones else _product(monomial, column, p)
+        for i in gathered:
+            base = lift[i] * scale
+            if base != 1:
+                column = list(map(_powers(base, degree, p).__getitem__, by_coordinate[i]))
+                monomial = column if monomial is ones else _product(monomial, column, p)
         for row in rows:
             entries.extend(map(mul, row, monomial))
     return entries

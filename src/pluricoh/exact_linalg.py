@@ -74,7 +74,8 @@ and `rank_mod_p` gives the rank of that pass alone, which
 `blowup.h0_blowup` builds a jet matrix's rows mod p directly when the
 route rule holds for its shape and its predicted entry length.  They are
 R = U B mod p for a diagonal U of units and an integer matrix B with A's
-rational row span: B is A, or has some lifts' rows in another chart.  So
+rational row span: B differs from A only in the rows of lifts with a
+nonzero coordinate divisible by p.  So
 R's rank r mod p is B's rank mod p, at most A's rational rank by the
 first bullet, and a full r is A's rank: A is never built.  Otherwise A is
 built and, when it is one block, takes R's pass as its first.  When B is

@@ -283,14 +283,14 @@ class TestJetMatrix:
         config = parse_point_file((DATA / "space_points.txt").read_text())
         _assert_scaled_true_derivatives(config.n, config.lifts, 1)
 
-    # Each coordinate is one level of the product tree, so P^3 and P^4 take it
-    # three and four levels deep; k = 2 in P^3 reaches derivative order 3.
+    # Each other coordinate is one factor of C_alpha and of the monomial row, so
+    # P^3 and P^4 take three and four; k = 2 in P^3 reaches derivative order 3.
     @given(
         st.sampled_from([(3, 1), (3, 2), (4, 1)]).flatmap(
             lambda nk: st.tuples(space_configs(nk[0]), st.just(nk[1]))
         )
     )
-    # Integer points: the homogenizing root is all ones and is skipped.
+    # Integer points: x_0 = 1, whose powers are all ones and are skipped.
     @example((PointConfiguration.from_coordinates([(1, -2, 3), (0, 5, 7), (4, 4, -1)]), 2))
     @example((PointConfiguration.from_coordinates([(2, -1, 0, 3), (1, 1, 1, 1)]), 1))
     # Fractional points whose denominators have lcm 12, 6 and 4.
@@ -335,15 +335,44 @@ class TestJetMatrix:
     def test_residue_rows_of_a_unit_chart_are_the_integer_rows_times_units(self):
         # Lifts whose first nonzero coordinate is a unit mod p, with 40- to 80-bit
         # coordinates: each residue row is its integer row times a unit, so the
-        # two have one elimination mod p.
+        # two have one elimination mod p.  With no zero coordinate the unit is
+        # x_j^(-degree) for every row of the lift; the zero coordinate of
+        # (0, 3, ...) gives each row its own power of x_j.
+        p = MODULAR_PRIME
         rng = random.Random("residue-rows")
         lifts = [(rng.getrandbits(40) | 1, -rng.getrandbits(60), rng.getrandbits(80)) for _ in range(4)]
         lifts.append((0, 3, rng.getrandbits(70)))
         integer = jet_matrix(2, lifts, 9, [3] * len(lifts)).matrix
-        residues = jet_matrix(2, lifts, 9, [3] * len(lifts), None, MODULAR_PRIME).matrix
+        residues = jet_matrix(2, lifts, 9, [3] * len(lifts), None, p).matrix
         assert (residues.rows, residues.cols) == (integer.rows, integer.cols)
-        for i in range(integer.rows):
-            _assert_unit_multiple(residues.row(i), integer.row(i))
+        rows = iter(range(integer.rows))
+        for lift in lifts:
+            for i in itertools.islice(rows, 6):
+                if all(lift):
+                    unit = pow(lift[0], -9, p)
+                    assert [x % p for x in residues.row(i)] == [unit * x % p for x in integer.row(i)]
+                else:
+                    _assert_unit_multiple(residues.row(i), integer.row(i))
+
+    @pytest.mark.parametrize("k, rank_, shape", [(2, 27, (30, 28)), (3, 54, (60, 55))])
+    def test_residues_of_a_coordinate_divisible_by_p_rank_as_the_integer_matrix(self, k, rank_, shape):
+        # (1, p, p^3) has nonzero coordinates divisible by p: its residue rows
+        # are those of the point (1, 0, 0), not its integer rows times units,
+        # but they span the same rational row space.  The nine other points lie
+        # on the cubic y = x^3, so neither matrix has full rank.
+        p = MODULAR_PRIME
+        lifts = [(1, t, t**3) for t in range(1, 10)] + [(1, p, p**3)]
+        integer = jet_matrix(2, lifts, 3 * k, [k] * len(lifts)).matrix
+        residues = jet_matrix(2, lifts, 3 * k, [k] * len(lifts), None, p).matrix
+        assert (integer.rows, integer.cols) == shape
+        builds = []
+
+        def build():
+            builds.append(integer)
+            return integer
+
+        assert rank_from_residues(residues, build) == naive_rank(integer) == rank_
+        assert len(builds) == 1
 
 
 def _true_derivative(beta, alpha, point) -> Fraction:
@@ -375,8 +404,9 @@ def _assert_unit_multiple(row, reference) -> None:
 def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None = None, orders=None) -> None:
     # Each row of a lift P whose first nonzero coordinate is x_j holds the true
     # derivatives, in the chart x_j = 1, of the dehomogenized monomials at
-    # P / P_j, times P_j^((n+1)k - |alpha|).  For a point's lift (d, d*x),
-    # j = 0: the true derivatives at x times d^((n+1)k - |alpha|).  Built mod
+    # P / P_j, times P_j^((n+1)k - |alpha|) and times x^alpha over P's other
+    # nonzero coordinates.  For a point's lift (d, d*x), j = 0: the true
+    # derivatives at x times d^((n+1)k - |alpha|) (d*x)^alpha.  Built mod
     # p = `modulus`, each row is instead a unit times those derivatives mod p,
     # and x_j is the first coordinate that is a unit mod p, of P divided by the
     # gcd of its coordinates when all of them are divisible by p.  Each lift
@@ -398,7 +428,8 @@ def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None =
             if all(x % modulus == 0 for x in lift):
                 lift = [x // math.gcd(*lift) for x in lift]
             j = next(c for c, x in enumerate(lift) if x % modulus)
-        point = [Fraction(x, lift[j]) for c, x in enumerate(lift) if c != j]
+        others = [x for c, x in enumerate(lift) if c != j]
+        point = [Fraction(x, lift[j]) for x in others]
         # Each column's form of degree top, with x_j's exponent dropped.
         charted = [beta[:j] + beta[j + 1 :] for beta in homogenized]
         for alpha in by_order[m]:
@@ -406,7 +437,8 @@ def _assert_scaled_true_derivatives(n: int, lifts, k: int, modulus: int | None =
             derivatives = [_true_derivative(b, alpha, point) for b in charted]
             if modulus is None:
                 assert all(type(x) is int for x in row)
-                assert row == tuple(lift[j] ** (top - sum(alpha)) * d for d in derivatives)
+                scale = lift[j] ** (top - sum(alpha)) * math.prod(x**a for x, a in zip(others, alpha) if x)
+                assert row == tuple(scale * d for d in derivatives)
             else:
                 _assert_unit_multiple(row, [d.numerator * pow(d.denominator, -1, modulus) for d in derivatives])
 
