@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -123,12 +124,60 @@ class OutputRecord:
         self.provenance.update(tags)
 
 
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append `value` to `out` as `json.dumps(value, indent=2)` writes it, nested at `indent`.
+
+    With an indent the stdlib encoder runs in pure Python, whose nested
+    closures leave cyclic garbage on every call; this writer is one plain
+    recursion.  Dict keys must be str; a leaf other than str, int, bool or
+    None goes through `json.dumps`, so a float prints as it would there and
+    an unserializable value raises the same TypeError.  `int.__repr__`
+    raises the digit-limit ValueError, as in the stdlib encoder.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        separator = "\n" + inner
+        if isinstance(value, dict):
+            out.append("{")
+            for key, item in value.items():
+                out.append(separator + encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for item in value:
+                out.append(separator)
+                _write_json(item, inner, out)
+                separator = ",\n" + inner
+            out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def render(record: OutputRecord, fmt: str) -> str:
+    """The record as text: a table, CSV, or JSON byte-identical to `json.dumps(..., indent=2)`."""
     warnings = record.warnings + [f"cross-check failed: {failure}" for failure in record.failures]
     if fmt == "json":
         # The schema's five keys: failures reach JSON only as warnings.
         fields = {key: getattr(record, key) for key in ("command", "parameters", "results", "provenance")}
-        return json.dumps({**fields, "warnings": warnings}, indent=2) + "\n"
+        out: list[str] = []
+        _write_json({**fields, "warnings": warnings}, "", out)
+        out.append("\n")
+        return "".join(out)
     # A nonempty rows table, and the rest of the results: CSV prints only the
     # table when there is one, else the rest that is not a list.
     results = dict(record.results)
@@ -404,7 +453,8 @@ _COMMANDS = {
 }
 
 
-# The parser `main` builds on its first call and reuses for every later one.
+# The parser `main` builds on its first call and reuses for every later one,
+# together with its subcommand parsers, the `choices` of its subparsers action.
 # It is filled lazily, not at import, because a build costs about 1 ms and
 # importing this module should not pay it.  It is a plain global rather than a
 # functools cache on `build_parser`: a decorated function carries `__wrapped__`,
@@ -413,12 +463,32 @@ _COMMANDS = {
 _PARSER: argparse.ArgumentParser | None = None
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with a command parsed by its own parser alone.
+
+    The top-level parser would classify every argument and then hand all of
+    them after the command to the command's parser, which parses them again.
+    Leftover arguments are refused through the top-level parser, as it would.
+    Everything else (no argument, -h, --version, an unknown command, an
+    option before the command) goes to the top-level parser.
+    """
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    (commands,) = _PARSER._subparsers._group_actions
+    if not argv or argv[0] not in commands.choices:
+        return _PARSER.parse_args(argv)
+    args, extras = commands.choices[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; its record goes to stdout or --output, and the exit code is returned."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

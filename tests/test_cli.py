@@ -2,14 +2,18 @@
 formats, schema conformance, provenance completeness and determinism."""
 
 import dataclasses
+import gc
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pluricoh.blowup
 import pluricoh.cli
@@ -734,6 +738,19 @@ class TestOutputContract:
         _assert_usage_error(code, out, err)
         assert "digits" in err
 
+    def test_json_leaves_no_cyclic_garbage(self, capsys):
+        argv = ("hirzebruch", "--m", "4", "--k", "5", "--format", "json")
+        # The first call builds the parser, which leaves cycles of its own.
+        run_cli(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                assert run_cli(capsys, *argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_usage_errors_from_argparse(self, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 2
         assert run_cli(capsys)[0] == 2
@@ -768,3 +785,88 @@ class TestParserReuse:
         for entry in ENTRIES[::-1][::13]:
             assert _run(entry["argv"]) == (entry["exit"], entry["stdout"]), entry["argv"]
         assert len(builds) == 1
+
+
+def _dumps(value) -> str:
+    out = []
+    pluricoh.cli._write_json(value, "", out)
+    return "".join(out)
+
+
+# Quotes, backslashes, control, non-ASCII, a lone surrogate and astral characters.
+_TRICKY = st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u00e9\u2028\ud800\U0001F600')
+_LEAVES = st.one_of(
+    st.text(st.one_of(_TRICKY, st.characters()), max_size=8),
+    st.integers(),
+    st.builds(lambda sign, low: sign * (10**3999 + low), st.sampled_from((1, -1)), st.integers(0, 10**20)),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(([], (), {})),
+)
+
+
+def _containers(children, min_size=0, max_size=3):
+    keys = st.text(st.one_of(_TRICKY, st.characters()), max_size=4)
+    return st.one_of(
+        st.lists(children, min_size=min_size, max_size=max_size),
+        st.lists(children, min_size=min_size, max_size=max_size).map(tuple),
+        st.dictionaries(keys, children, min_size=min_size, max_size=max_size),
+    )
+
+
+# Three nonempty levels over recursively nested containers and leaves.
+_NESTED = _containers(_containers(_containers(st.recursive(_LEAVES, _containers, max_leaves=4), 1, 2), 1, 2), 1, 2)
+
+
+class TestJsonWriter:
+    """`render`'s writer against the stdlib encoder it replaces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_NESTED)
+    def test_matches_json_dumps_with_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_an_unserializable_leaf_raises_type_error_as_json_dumps(self):
+        value = {"results": [1, {"x": Fraction(1, 2)}]}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            _dumps(value)
+        assert str(raised.value) == str(expected.value)
+
+
+def _resolve(argv: list[str]) -> list[str]:
+    return [str(DATA / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+_PARSE_CORPUS = [entry["argv"] for entry in ENTRIES] + [
+    ["hirzebruch", "--m", "4", "--k", "1", "--no-such-option"],
+    ["hirzebruch", "--m", "4", "--k", "1", "extra"],
+    ["hirzebruch", "--m", "4", "--k", "1", "--form", "json"],
+    ["hirzebruch", "--m", "4", "--k", "1", "--fo=json"],
+    ["hirzebruch", "--m", "4", "--k", "-1"],
+    ["hirzebruch", "--m", "4"],
+    ["blowup", "--generate", "grid", "--v", "3"],
+    ["blowup", "--generate", "generic", "--ver", "3"],
+    ["family", "--kodaira", "--m", "4", "--ell", "1", "--s", "collinear"],
+    ["hirzebruch", "-h"],
+    ["hirzebruch", "--version"],
+    ["blowup", "--version"],
+    ["--seed", "7", "hirzebruch", "--m", "4", "--k", "1"],
+    ["hirzebruch", "--", "--m", "4", "--k", "1"],
+    ["--"],
+    [],
+    ["-h"],
+    ["--version"],
+    ["no-such-command"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_parse_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    """Parsing a command with its own parser prints and exits exactly as `build_parser().parse_args`."""
+    argv = _resolve(argv)
+    shipped = run_cli(capsys, *argv)
+    monkeypatch.setattr(pluricoh.cli, "_parse_args", lambda args: pluricoh.cli.build_parser().parse_args(args))
+    assert run_cli(capsys, *argv) == shipped
