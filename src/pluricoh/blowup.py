@@ -77,10 +77,10 @@ the integer matrix is never built (`exact_linalg.rank_from_residues`).
 Below full rank the integer matrix is built and ranked with the
 residues' elimination as its first pass, which unit row scalings leave
 as it is when no nonzero coordinate of a lift is divisible by p.  A tall
-matrix (more rows than columns) first builds the residues of its leading
-images only, the fewest whose rows reach its columns: their full column
-rank mod p is at most their rational rank, which is at most the
-matrix's, so h0 = 0; otherwise the whole matrix takes the route above.
+matrix (more rows than columns) builds the residues of its leading
+images first, the fewest whose rows reach its columns, and the other
+images' residues only when the leading square falls short of full column
+rank mod p.  So each image's residues are built at most once.
 
 When the points span less than P^n, every image is zero on the
 coordinates past the s-th, so its jet rows vanish off the columns whose
@@ -106,7 +106,7 @@ from itertools import accumulate, combinations, repeat, starmap
 from operator import le, mod, mul, sub, truediv
 from typing import Iterable, Sequence
 
-from .exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, rank_mod_p, takes_modular_route
+from .exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, takes_modular_route
 from .surface_invariants import PROV_RANK, CohomologyRow, cohomology_row, invariants_blowup_p2
 
 GENERIC_COORD_BOUND = 10**6
@@ -251,6 +251,11 @@ def monomial_count(n: int, k: int) -> int:
     return math.comb((n + 1) * k + n, n)
 
 
+def _point_rows(n: int, m: int) -> int:
+    """The jet rows of a point of order m in P^n: one per multi-index of order below m, C(m - 1 + n, n)."""
+    return math.comb(m - 1 + n, n)
+
+
 def jet_shape(n: int, v: int, k: int) -> tuple[int, int]:
     """(rows, cols) of the jet matrix of v points in dimension n at power k, on all monomials.
 
@@ -260,7 +265,7 @@ def jet_shape(n: int, v: int, k: int) -> tuple[int, int]:
     rank from this shape, and the CLI caps the cell count with it.
     """
     cols = monomial_count(n, k)  # first, so k < 1 is refused before comb sees it
-    return v * math.comb((n - 1) * k - 1 + n, n), cols
+    return v * _point_rows(n, (n - 1) * k), cols
 
 
 def jet_matrix(
@@ -305,10 +310,9 @@ def jet_matrix(
     if len(orders) != len(lifts) or min(orders, default=0) < 0:
         raise ValueError("each lift needs one nonnegative vanishing order")
     monomials = _graded_exponents(n, degree) if exponents is None else exponents
-    # Per order m: its rows' multi-indices, the C(m - 1 + n, n) of order below m, which graded
-    # order lists first.
+    # Per order m: its rows' multi-indices, those of order below m, which graded order lists first.
     alphas = _graded_exponents(n, max(orders, default=0) - 1)
-    by_order = {m: alphas[: math.comb(m - 1 + n, n)] for m in set(orders)}
+    by_order = {m: alphas[: _point_rows(n, m)] for m in set(orders)}
     # Per coordinate x_0, ..., x_n: its exponent in each column's form of degree `degree`.
     by_coordinate = [[degree - sum(beta) for beta in monomials], *zip(*monomials)]
     entries = _rows(lifts, orders, degree, by_coordinate, by_order, modulus)
@@ -554,7 +558,7 @@ def _heavy_line(lifts: Sequence[Sequence[int]], orders: Sequence[int], bound: in
     first = [j for j, x, y in zip(range(len(xs)), xs, ys) if a * (y - y0) == b * (x - x0)]
     if sum(orders[j] for j in first) > bound:
         return first
-    rows, cols = sum(math.comb(m + 1, 2) for m in orders), math.comb(bound + 2, 2)
+    rows, cols = sum(_point_rows(2, m) for m in orders), math.comb(bound + 2, 2)
     if len(lifts) ** 2 > rows * cols * min(rows, cols) or not _maybe_collinear(xs, ys, need):
         return None
     for i in range(len(lifts) - need + 1):
@@ -651,20 +655,19 @@ def h0_blowup(config: PointConfiguration, k: int) -> int:
         # An entry is a product of `degree` coordinates of an image, up to derivative factors.
         predicted = degree * max(abs(x) for image in images for x in image).bit_length()
         # totals[i]: the rows of the first i + 1 images.
-        totals = list(accumulate(math.comb(m - 1 + n, n) for m in image_orders))
+        totals = list(accumulate(_point_rows(n, m) for m in image_orders))
         # Positional, as every call of jet_matrix, so wrappers that take *args see it.
         if predicted > RESIDUE_PRODUCT_BITS and takes_modular_route(totals[-1], len(columns), predicted):
             # The leading images, the fewest whose rows reach the columns, are fewer than all only
-            # when the block is tall.  Full column rank mod p there is at most their rational rank,
-            # which is at most the block's, so h0 is 0 with nothing more built.
+            # when the block is tall; the other images' residues are built only if their leading
+            # square falls short.
             head = bisect_left(totals, len(columns)) + 1
-            if head < len(images):
-                leading = jet_matrix(n, images[:head], degree, image_orders[:head], columns, MODULAR_PRIME).matrix
-                if rank_mod_p(leading) == len(columns):
-                    return 0
-            residues = jet_matrix(n, images, degree, image_orders, columns, MODULAR_PRIME).matrix
+            residues = jet_matrix(n, images[:head], degree, image_orders[:head], columns, MODULAR_PRIME).matrix
+            others = images[head:], degree, image_orders[head:], columns, MODULAR_PRIME
             return len(columns) - rank_from_residues(
-                residues, lambda: jet_matrix(n, images, degree, image_orders, columns).matrix
+                residues,
+                (lambda: jet_matrix(n, *others).matrix.entries) if head < len(images) else None,
+                lambda: jet_matrix(n, images, degree, image_orders, columns).matrix,
             )
         return len(columns) - rank(jet_matrix(n, images, degree, image_orders, columns).matrix)
     return 0

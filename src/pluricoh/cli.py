@@ -265,7 +265,7 @@ def _refuse(args: argparse.Namespace, choice: str, *names: str) -> None:
 def _load_configuration(path: str | None, kind: str | None, v: int | None, seed: int, k: int):
     """A configuration from a point file or of a stock kind, with its row at power k (None off the plane)."""
     n = 2
-    if path:
+    if path is not None:
         if v is not None:
             raise ValueError("--v cannot be used with a point file")
         config = parse_point_file(Path(path).read_text())
@@ -281,7 +281,7 @@ def _load_configuration(path: str | None, kind: str | None, v: int | None, seed:
         # Compared before formatting: a huge k gives a shape too long to print.
         shape = f"{rows} x {cols} = {cells}" if cells < 10**18 else "at least 10^18 cells"
         _check_cap("jet matrix rows x cols", cells, JET_MAX_CELLS, f"v = {v}, k = {k} gives {shape}")
-    if path:
+    if path is not None:
         return config, blowup_row(config, k) if n == 2 else None
     return generate_configuration(kind, v, seed=seed, k=k)
 
@@ -291,7 +291,7 @@ def cmd_blowup(args: argparse.Namespace) -> OutputRecord:
         raise ValueError("--k must be positive")
     config, row = _load_configuration(args.points, args.generate, args.v, args.seed, args.k)
     generated = {"generate": args.generate, "v": args.v, "seed": args.seed}
-    source = {"points_file": args.points} if args.points else generated
+    source = {"points_file": args.points} if args.points is not None else generated
     h0 = row.h0_minus_kK if row else h0_blowup(config, args.k)
     count = monomial_count(config.n, args.k)
 
@@ -341,13 +341,13 @@ def cmd_family(args: argparse.Namespace) -> OutputRecord:
         record.put_rows([values for values, _ in table], **table[0][1])
         record.put("jump_found", jump_found)
     else:
-        if not (args.special or args.special_file):
+        if args.special is None and args.special_file is None:
             raise ValueError("--blowup requires --special or --special-file")
         _refuse(args, "--blowup", "m", "ell", "kmax")
         config, row = _load_configuration(args.special_file, args.special, args.v, args.seed, 1)
         if row is None:
             raise ValueError("family reports are implemented for blow-ups of the plane only")
-        source = {"special_file": args.special_file} if args.special_file else {"special": args.special, "v": args.v}
+        source = {"special_file": args.special_file} if args.special is None else {"special": args.special, "v": args.v}
         report = noninvariance_report_blowup((config, row), generic_seed=args.seed)
         jump_found = report.jump
         v = config.v
@@ -394,14 +394,22 @@ def cmd_selfcheck(args: argparse.Namespace) -> OutputRecord:
     return record
 
 
+def _file(path: str) -> str:
+    """A FILE argument: an empty one is refused, as it names no file."""
+    if not path:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
+    path = {"metavar": "FILE", "type": _file}
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("table", "json", "csv"), default="table",
         help="output format (default: table)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomness (default: 0)")
-    common.add_argument("--output", metavar="FILE", help="write output to FILE instead of stdout")
+    common.add_argument("--output", **path, help="write output to FILE instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="pluricoh",
@@ -418,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", parents=[common], help="section counts on a blow-up of the plane")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--points", metavar="FILE", help="point file: one point per line, rational coordinates")
+    source.add_argument("--points", **path, help="point file: one point per line, rational coordinates")
     source.add_argument("--generate", choices=("generic", "collinear", "on_conic"), help="generate a stock configuration")
     p.add_argument("--v", type=int, help="number of points for --generate")
     p.add_argument("--k", type=int, default=1, help="anticanonical power (default: 1)")
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, help=f"number of power rows, kodaira mode (default: 3; at most {FAMILY_MAX_KMAX})")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--special", choices=("collinear", "on_conic"), help="special configuration kind (blowup mode)")
-    source.add_argument("--special-file", metavar="FILE", help="special configuration from a point file (blowup mode)")
+    source.add_argument("--special-file", **path, help="special configuration from a point file (blowup mode)")
     p.add_argument("--v", type=int, help="number of points for --special")
     p.add_argument("--expect-jump", action="store_true", help="exit 1 if no jump is found")
 
@@ -496,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         # Rendering fails on a number above Python's int-to-str digit limit,
         # writing on a bad --output path: both are usage errors.
         text = render(record, args.format)
-        if args.output:
+        if args.output is not None:
             Path(args.output).write_text(text)
         else:
             sys.stdout.write(text)

@@ -68,9 +68,10 @@ A's; otherwise A is eliminated whole.
   configurations never needed more primes than the columns' kernel (see
   MODULAR_PRIMES).
 
-`rank_from_residues` takes the first pass from residues before A exists,
-and `rank_mod_p` gives the rank of that pass alone, which
-`blowup.h0_blowup` reads on a tall jet matrix's leading rows.
+`rank_from_residues` takes the first pass from residues before A exists.
+Of a tall A it may take the leading rows and a callable that builds the
+others, called only when the leading square falls short: that is how
+`blowup.h0_blowup` hands over a tall jet matrix's residues.
 `blowup.h0_blowup` builds a jet matrix's rows mod p directly when the
 route rule holds for its shape and its predicted entry length.  They are
 R = U B mod p for a diagonal U of units and an integer matrix B with A's
@@ -269,6 +270,8 @@ RECONSTRUCTION_MARGIN = 2**8
 # None (`_first_pass`).
 Echelon = tuple[list[int], list[int], list[int]]
 FirstPass = tuple[Echelon, list[int] | None]
+# Builds the flat row-major entries of a tall matrix's rows below those at hand (`_first_pass`).
+LaterRows = Callable[[], Sequence[int]]
 
 
 def rank(matrix: RatMatrix) -> int:
@@ -286,27 +289,28 @@ def rank(matrix: RatMatrix) -> int:
     return sum(map(_block_rank, blocks))
 
 
-def rank_from_residues(residues: RatMatrix, build: Callable[[], RatMatrix]) -> int:
+def rank_from_residues(residues: RatMatrix, rest: LaterRows | None, build: Callable[[], RatMatrix]) -> int:
     """Rank over the rationals of the integer matrix A that `build` returns,
-    from `residues` first.
+    from residues first.
 
-    `residues` has A's shape and rank mod p at most A's rational rank: A's
-    rows times units mod p have it, and so do the rows of any integer
-    matrix with A's rational row span times units.  Its entries are any
-    integers; the elimination reduces them.  Its first pass mod p
-    (`_first_pass`: a tall matrix on its leading square first) gives that
-    rank r.  An r of min(rows, cols) is A's rank, and A is never built.
-    Otherwise A is built and ranked as `rank` ranks it, with the residues'
-    pass as its first pass when A is one block.  When the rows are A's own
-    times units, that pass is A's own: a unit row scaling keeps the pivot
-    rows and columns, the normalized rows and a tall square's kernel.  In
-    any case r is at most A's rational rank and the certificate checks its
-    kernel against A's rows exactly, so the rank is proved.
+    `residues` holds A's rows, or, when `rest` returns the flat entries of
+    the others, at least cols leading ones.  Together they have A's shape
+    and rank mod p at most A's rational rank: A's rows times units mod p
+    have it, and so do the rows of any integer matrix with A's rational
+    row span times units.  Their entries are any integers.  Their first
+    pass mod p (`_first_pass`) gives that rank r.  An r of min(rows, cols)
+    is A's rank, and A is never built.  Otherwise A is built and ranked as
+    `rank` ranks it, with the residues' pass as its first pass when A is
+    one block.  When the rows are A's own times units, that pass is A's
+    own: a unit row scaling keeps the pivot rows and columns, the
+    normalized rows and a tall square's kernel.  In any case r is at most
+    A's rational rank and the certificate checks its kernel against A's
+    rows exactly, so the rank is proved.
     """
     full = min(residues.rows, residues.cols)
     if not full:
         return 0
-    first = _first_pass(residues.entries, residues.rows, residues.cols)
+    first = _first_pass(residues.entries, residues.rows, residues.cols, rest)
     if len(first[0][0]) == full:
         return full
     matrix = build()
@@ -314,18 +318,6 @@ def rank_from_residues(residues: RatMatrix, build: Callable[[], RatMatrix]) -> i
     if blocks is None:
         return _block_rank(matrix, first)
     return sum(map(_block_rank, blocks))
-
-
-def rank_mod_p(residues: RatMatrix) -> int:
-    """The rank mod MODULAR_PRIME of an integer matrix, at most its rational rank.
-
-    It is the rank of the first pass (`_first_pass`: a tall matrix on its
-    leading square first).  `blowup.h0_blowup` reads a tall jet block's
-    leading rows with it: rank cols there is the whole block's rank.
-    """
-    if not residues.rows or not residues.cols:
-        return 0
-    return len(_first_pass(residues.entries, residues.rows, residues.cols)[0][0])
 
 
 def takes_modular_route(rows: int, cols: int, bits: int) -> bool:
@@ -432,22 +424,26 @@ def _block_rank(matrix: RatMatrix, first: FirstPass | None = None) -> int:
     return _bareiss_rank([list(matrix.row(i)) for i in range(rows)], cols)
 
 
-def _first_pass(entries: Sequence[int], rows: int, cols: int) -> FirstPass:
+def _first_pass(entries: Sequence[int], rows: int, cols: int, rest: LaterRows | None = None) -> FirstPass:
     """The first pass mod MODULAR_PRIME of flat row-major entries: (echelon, kernel).
 
-    `echelon` is `_eliminate_mod_p`'s result for the whole matrix, or for
-    its leading cols x cols square when that stands for the whole, and
-    `kernel` is then the square's right kernel mod p as `_kernel_mod_p`
-    lays it out, else None.  A tall block is eliminated on its leading
-    square first.  Full rank there is full column rank.  Below it, rows that
-    all lie in the square's span mod p leave the rank mod p as it is, so the
-    square's pass serves as the first pass; otherwise the whole is
-    eliminated.
+    `rest`, when given, returns the entries of the rows after `entries`,
+    which then hold at least cols rows.  `echelon` is `_eliminate_mod_p`'s
+    result for the whole matrix, or for its leading cols x cols square
+    when that stands for the whole, and `kernel` is then the square's
+    right kernel mod p as `_kernel_mod_p` lays it out, else None.  A tall
+    block is eliminated on its leading square first.  Full rank there is
+    full column rank, and `rest` is not called.  Below it, rows that all
+    lie in the square's span mod p, those of `entries` and of `rest()`,
+    leave the rank mod p as it is, so the square's pass serves as the
+    first pass; otherwise the whole is eliminated.
     """
-    if rows > cols:
+    if rows > cols or rest is not None:
         square = _eliminate_mod_p(entries[: cols * cols], cols, MODULAR_PRIME)
         if len(square[0]) == cols:
             return square, None
+        if rest is not None:
+            entries = [*entries, *rest()]
         kernel = _in_span_mod_p(square, entries[cols * cols :], cols, MODULAR_PRIME)
         if kernel is not None:
             return square, kernel

@@ -40,7 +40,7 @@ from pluricoh.blowup import (
     parse_point_file,
 )
 from pluricoh.cli import JET_MAX_CELLS
-from pluricoh.exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues, rank_mod_p
+from pluricoh.exact_linalg import MODULAR_PRIME, RatMatrix, rank, rank_from_residues
 from pluricoh.selfcheck import naive_rank
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -81,9 +81,9 @@ def chart_lifts(draw):
 def _zero_ranks(monkeypatch, where=lambda matrix: True) -> list[str]:
     """Make h0_blowup see rank 0 for every matrix `where` holds for, on the integer route and the residue route.
 
-    Returns the routes taken, "integer", "leading" or "residues", one per
-    rank.  On the residue route `where` sees the residues, which have the
-    integer matrix's shape, and on a tall block's leading images their
+    Returns the routes taken, "integer" or "residues", one per rank.  On
+    the residue route `where` sees the residues handed over, which have
+    the integer matrix's shape, or on a tall block its leading images'
     residues.
     """
     routes = []
@@ -92,16 +92,11 @@ def _zero_ranks(monkeypatch, where=lambda matrix: True) -> list[str]:
         routes.append("integer")
         return 0 if where(matrix) else rank(matrix)
 
-    def leading(matrix):
-        routes.append("leading")
-        return 0 if where(matrix) else rank_mod_p(matrix)
-
-    def residues(matrix, build):
+    def residues(matrix, rest, build):
         routes.append("residues")
-        return 0 if where(matrix) else rank_from_residues(matrix, build)
+        return 0 if where(matrix) else rank_from_residues(matrix, rest, build)
 
     monkeypatch.setattr(pluricoh.blowup, "rank", integer)
-    monkeypatch.setattr(pluricoh.blowup, "rank_mod_p", leading)
     monkeypatch.setattr(pluricoh.blowup, "rank_from_residues", residues)
     return routes
 
@@ -371,7 +366,7 @@ class TestJetMatrix:
             builds.append(integer)
             return integer
 
-        assert rank_from_residues(residues, build) == naive_rank(integer) == rank_
+        assert rank_from_residues(residues, None, build) == naive_rank(integer) == rank_
         assert len(builds) == 1
 
 
@@ -821,16 +816,43 @@ class TestNormalizedH0:
         # A CI pin: ten points (t^2 - 1, t(t^2 - 1)) of the nodal cubic y^2 = x^2 (x + 1), then
         # three points off it, at k = 1.  The first three go to the coordinate points, and the
         # first seven images lie on that cubic with them, so the leading 7 x 7 block is rank
-        # deficient.  The whole 10 x 7 block is not: its residues are built next and settle
-        # h0 = 0 with no integer matrix.
-        rng = random.Random(4)
-        cubic = [(t * t - 1, t * (t * t - 1)) for t in (rng.randrange(10**6, 10**7) for _ in range(10))]
-        off = [(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(3)]
-        config = PointConfiguration.from_coordinates(cubic + off)
+        # deficient.  The whole 10 x 7 block is not: only the other three images' residues are
+        # built next, and with the leading seven's they settle h0 = 0 with no integer matrix.
+        config = _nodal_pin()
         builds = _record_builds(monkeypatch)
         assert h0_blowup(config, 1) == 0
-        assert [(len(images), modulus) for _, images, *_, modulus in builds] == [(7, MODULAR_PRIME), (10, MODULAR_PRIME)]
+        assert [(len(images), modulus) for _, images, *_, modulus in builds] == [(7, MODULAR_PRIME), (3, MODULAR_PRIME)]
         assert monomial_count(2, 1) - naive_rank(_jet(config, 1).matrix) == 0
+
+    def test_deficient_leading_square_is_eliminated_once(self, monkeypatch):
+        # The nodal pin's leading 7 x 7 square falls short, so its kernel span-tests the other
+        # three images' rows, built once, and the whole 10 x 7 block is eliminated after it.
+        # Neither the square's elimination nor any image's residue build runs twice.
+        config = _nodal_pin()
+        builds = _record_builds(monkeypatch)
+        eliminations = []
+        original = pluricoh.exact_linalg._eliminate_mod_p
+
+        def eliminate(entries, cols, p):
+            entries = list(entries)
+            eliminations.append(entries)
+            return original(entries, cols, p)
+
+        monkeypatch.setattr(pluricoh.exact_linalg, "_eliminate_mod_p", eliminate)
+        assert h0_blowup(config, 1) == 0
+        _, images, degree, orders, columns, modulus = builds[0]
+        square = list(jet_matrix(2, images, degree, orders, columns, modulus).matrix.entries)
+        assert [len(images) for _, images, *_ in builds] == [7, 3]
+        assert [len(entries) for entries in eliminations] == [7 * 7, 10 * 7]
+        assert eliminations.count(square) == 1 and eliminations[1][: 7 * 7] == square
+
+
+def _nodal_pin() -> PointConfiguration:
+    """Ten points (t^2 - 1, t(t^2 - 1)) of the nodal cubic with 7-digit t, then three off it."""
+    rng = random.Random(4)
+    cubic = [(t * t - 1, t * (t * t - 1)) for t in (rng.randrange(10**6, 10**7) for _ in range(10))]
+    off = [(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(3)]
+    return PointConfiguration.from_coordinates(cubic + off)
 
 
 class TestGenerateConfiguration:

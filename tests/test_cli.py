@@ -751,6 +751,22 @@ class TestOutputContract:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["blowup", "--points", ""], "--points"),
+            (["blowup", "--points", "", "--v", "5"], "--points"),
+            (["family", "--blowup", "--special-file", ""], "--special-file"),
+            (["hirzebruch", "--m", "4", "--k", "1", "--output", ""], "--output"),
+        ],
+    )
+    def test_an_empty_path_is_refused_by_its_option(self, capsys, argv, option):
+        # An empty path names no file: read as "not given" it blamed --v or the kind, or
+        # wrote the record to stdout with exit 0.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: an empty path names no file" in err
+
     def test_usage_errors_from_argparse(self, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 2
         assert run_cli(capsys)[0] == 2

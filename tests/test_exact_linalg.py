@@ -392,6 +392,27 @@ class TestModularRoute:
             free = [j for j in range(m.cols) if j not in echelon[0]]
             assert kernel == exact_linalg._kernel_mod_p(echelon[0], echelon[2], free, p)
 
+    @settings(max_examples=100)
+    @given(st.one_of(mod_p_matrices(), deficient_matrices()), st.data())
+    def test_a_tall_head_passes_as_the_whole_with_the_rest_built_on_call(self, m, data):
+        # Handed its leading rows, at least cols of them, and a callable for the
+        # others, a tall matrix gets the whole matrix's first pass and rank, and
+        # the callable runs only when the leading square falls short.
+        assume(m.rows > m.cols)
+        head = data.draw(st.integers(m.cols, m.rows - 1))
+        calls = []
+
+        def rest():
+            calls.append(head)
+            return m.entries[head * m.cols :]
+
+        first = exact_linalg._first_pass(m.entries[: head * m.cols], head, m.cols, rest)
+        assert first == exact_linalg._first_pass(m.entries, m.rows, m.cols)
+        square = exact_linalg._eliminate_mod_p(m.entries[: m.cols**2], m.cols, MODULAR_PRIME)
+        assert len(calls) == (len(square[0]) < m.cols)
+        residues = RatMatrix(head, m.cols, m.entries[: head * m.cols])
+        assert exact_linalg.rank_from_residues(residues, rest, lambda: m) == naive_rank(m)
+
     def test_certificate_primes(self):
         # Distinct primes 2^27 - c with 0 < c < 2^8, the first the largest,
         # each the next prime down from the one before, and each within the
@@ -648,7 +669,7 @@ class TestModularRoute:
         eliminations = _spy(monkeypatch, "_eliminate_mod_p")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert h0_blowup(config, 2) == 65
-        assert [(m.rows, m.cols) for m, _ in residues] == [(20, 85)]
+        assert [(m.rows, m.cols, rest) for m, rest, _ in residues] == [(20, 85, None)]
         assert len(eliminations) == 1 and not blocks and not bareiss
 
     def test_wide_planted_row_certifies_on_its_columns_after_two_primes(self, monkeypatch):
@@ -676,10 +697,12 @@ class TestModularRoute:
         # give one tall 147 x 127 block of rank 126, certified on its own rows; h0
         # counts the powers of the cubic, whose strict transform is -K with
         # self-intersection 9 - 10.
-        # Its residues are built first and fall short of full rank, so the
-        # integer matrix is built and handed the residues' pass: the leading
-        # square's elimination and the kernel of its span test.  So it is
-        # eliminated once at MODULAR_PRIME and back-substituted once there.
+        # All seven images are needed for their rows to reach the columns, so
+        # all their residues are built first, with no rest to build later.  They
+        # fall short of full rank, so the integer matrix is built and handed the
+        # residues' pass: the leading square's elimination and the kernel of its
+        # span test.  So it is eliminated once at MODULAR_PRIME and
+        # back-substituted once there.
         config = PointConfiguration.from_coordinates([(t, t**3) for t in range(1, 11)])
         residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
         blocks = _spy(monkeypatch, "_block_rank")
@@ -688,9 +711,9 @@ class TestModularRoute:
         certificates = _spy(monkeypatch, "_kernel_certificate")
         bareiss = _spy(monkeypatch, "_bareiss_rank")
         assert h0_blowup(config, 6) == 1
-        [(r, _)] = residues
+        [(r, rest, _)] = residues
         [(m, first)] = blocks
-        assert (r.rows, r.cols) == (m.rows, m.cols) == (147, 127)
+        assert (r.rows, r.cols) == (m.rows, m.cols) == (147, 127) and rest is None
         [(own, basis, handed)] = certificates
         assert (len(own), len(basis)) == (147, 126)
         assert handed is first and first[1] is not None and not bareiss
@@ -722,23 +745,26 @@ class TestModularRoute:
         # five rows that is under both rules, where Bareiss is faster, and from six
         # rows (v = 9) on the bit rule sends the block to the modular route, which is
         # faster there, on its residues.  From eight rows (v = 11) on the block is tall,
-        # and only its leading seven images are built and ranked: a 7 x 7 head of
-        # full rank mod p settles it.  Points on a conic have small entries and stay
+        # and only its leading seven images are built and handed over with a callable
+        # for the others' residues: a 7 x 7 head of full rank mod p settles it, and
+        # the callable is never called.  Points on a conic have small entries and stay
         # on Bareiss.
         assert 5 * 123 <= MODULAR_RULE_BITS < 6 * 112 and 7 * 7 * 7 <= MODULAR_RULE_WORK
         modular = _spy(monkeypatch, "_eliminate_mod_p")
         blocks = _spy(monkeypatch, "_block_rank")
         residues = _spy(monkeypatch, "rank_from_residues", pluricoh.blowup)
-        leading = _spy(monkeypatch, "rank_mod_p", pluricoh.blowup)
+        builds = _spy(monkeypatch, "jet_matrix", pluricoh.blowup)
         for kind, v in [("generic", v) for v in range(5, 13)] + [("on_conic", 5), ("on_conic", 6)]:
-            for calls in (blocks, modular, residues, leading):
+            for calls in (blocks, modular, residues, builds):
                 calls.clear()
             generate_configuration(kind, v, seed=3)
-            ranked = [m for m, *_ in blocks + residues + leading]
+            ranked = [m for m, *_ in blocks + residues]
+            leading = [rest for _, rest, _ in residues if rest is not None]
             shape = (7, 7) if kind == "generic" and v >= 11 else (v - 3, 7)
             assert ranked and all((m.rows, m.cols) == shape for m in ranked)
             assert bool(leading) == (kind == "generic" and v >= 11)
-            assert bool(modular) == bool(residues or leading) == (kind == "generic" and v >= 9)
+            assert bool(modular) == bool(residues) == (kind == "generic" and v >= 9)
+            assert all(len(args[1]) == shape[0] for args in builds)
 
 
 def _direct_sum(blocks: list[RatMatrix], row_order: list[int], column_order: list[int]) -> RatMatrix:

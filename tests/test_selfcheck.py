@@ -227,9 +227,9 @@ class TestRunSelfcheck:
         original_rank = pluricoh.blowup.rank_from_residues
         original_generate = pluricoh.blowup.generate_configuration
 
-        def spy(residues, build):
+        def spy(residues, rest, build):
             routed[-1][1].append((residues.rows, residues.cols))
-            return original_rank(residues, build)
+            return original_rank(residues, rest, build)
 
         def generate(kind, v, **kwargs):
             routed.append(((kind, v), []))
